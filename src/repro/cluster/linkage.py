@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Linkage", "Merge", "agglomerate", "cut_k"]
+__all__ = ["Linkage", "Merge", "agglomerate", "cut_k", "complete_two_cut"]
 
 _METHODS = ("complete", "single", "average")
 
@@ -57,6 +57,39 @@ def _check_distance_matrix(dist: np.ndarray) -> np.ndarray:
     return d
 
 
+def _merge_closest(
+    d: np.ndarray, sizes: list[int], method: str
+) -> tuple[int, int, float]:
+    """Merge the closest pair of clusters of ``d`` in place.
+
+    ``d`` holds one row and column per original member, ``inf`` on the
+    diagonal and on every row and column merged away. The first minimum
+    in row-major order picks the pair ``i < j``; row and column ``i``
+    take the Lance-Williams update and ``j`` is set to ``inf``. Masking
+    instead of deleting keeps the surviving rows in their order, so the
+    merge order is that of a matrix shrunk after every merge. Returns
+    ``(i, j, height)`` and updates ``sizes[i]``.
+    """
+    i, j = divmod(int(np.argmin(d)), d.shape[0])
+    if i > j:
+        i, j = j, i
+    height = float(d[i, j])
+    size = sizes[i] + sizes[j]
+    if method == "complete":
+        merged_row = np.maximum(d[i], d[j])
+    elif method == "single":
+        merged_row = np.minimum(d[i], d[j])
+    else:  # average
+        merged_row = (sizes[i] * d[i] + sizes[j] * d[j]) / size
+    d[i, :] = merged_row
+    d[:, i] = merged_row
+    d[i, i] = np.inf
+    d[j, :] = np.inf
+    d[:, j] = np.inf
+    sizes[i] = size
+    return i, j, height
+
+
 def agglomerate(dist: np.ndarray, method: str = "complete") -> Linkage:
     """Build the merge tree for a precomputed distance matrix.
 
@@ -77,47 +110,16 @@ def agglomerate(dist: np.ndarray, method: str = "complete") -> Linkage:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     d = _check_distance_matrix(dist).copy()
     n = d.shape[0]
-    if n == 1:
-        return Linkage(n=1, merges=[])
-
+    np.fill_diagonal(d, np.inf)
     # active[i] maps matrix row i to its current cluster id; sizes track
     # member counts for average linkage.
     active = list(range(n))
     sizes = [1] * n
-    np.fill_diagonal(d, np.inf)
     merges: list[Merge] = []
-    next_id = n
-
-    for _ in range(n - 1):
-        flat = int(np.argmin(d))
-        i, j = divmod(flat, d.shape[0])
-        if i > j:
-            i, j = j, i
-        height = float(d[i, j])
-        size = sizes[i] + sizes[j]
-        merges.append(Merge(left=active[i], right=active[j], height=height, size=size))
-
-        # Lance-Williams update of row i to represent the merged cluster.
-        if method == "complete":
-            merged_row = np.maximum(d[i], d[j])
-        elif method == "single":
-            merged_row = np.minimum(d[i], d[j])
-        else:  # average
-            merged_row = (sizes[i] * d[i] + sizes[j] * d[j]) / size
-        d[i, :] = merged_row
-        d[:, i] = merged_row
-        d[i, i] = np.inf
-        active[i] = next_id
-        sizes[i] = size
-        next_id += 1
-
-        # Drop row/column j.
-        keep = np.ones(d.shape[0], dtype=bool)
-        keep[j] = False
-        d = d[np.ix_(keep, keep)]
-        del active[j]
-        del sizes[j]
-
+    for step in range(n - 1):
+        i, j, height = _merge_closest(d, sizes, method)
+        merges.append(Merge(left=active[i], right=active[j], height=height, size=sizes[i]))
+        active[i] = n + step
     return Linkage(n=n, merges=merges)
 
 
@@ -152,3 +154,27 @@ def cut_k(linkage: Linkage, k: int) -> np.ndarray:
             mapping[root] = len(mapping)
         labels[i] = mapping[root]
     return labels
+
+
+def complete_two_cut(dist: np.ndarray) -> np.ndarray:
+    """Labels of the complete-linkage 2-cut of a validated distance matrix.
+
+    Returns exactly ``cut_k(agglomerate(dist, "complete"), 2)``: the
+    same merges, stopped two clusters short, without validating
+    ``dist`` or building the merge tree. The caller vouches for
+    ``dist`` (square, symmetric, zero diagonal, finite);
+    :func:`agglomerate` is the validating entry. Fewer than two members
+    raise ``ValueError`` like ``cut_k``.
+    """
+    d = np.array(dist, dtype=float)
+    n = d.shape[0]
+    if n < 2:
+        raise ValueError(f"k must be in [1, {n}], got 2")  # as cut_k
+    np.fill_diagonal(d, np.inf)
+    sizes = [1] * n
+    owner = np.arange(n)
+    for _ in range(n - 2):
+        i, j, _height = _merge_closest(d, sizes, "complete")
+        owner[owner == j] = i
+    # cut_k labels by first appearance: member 0's cluster is 0.
+    return (owner != owner[0]).astype(int)

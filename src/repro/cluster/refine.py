@@ -19,13 +19,14 @@ either works.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from ..distance.euclidean import pairwise_euclidean
 from ..obs.tracer import NOOP
 from ..sax.znorm import znorm, znorm_rows
-from .linkage import agglomerate, cut_k
+from .linkage import _check_distance_matrix, complete_two_cut
 
 __all__ = [
     "RefinedCluster",
@@ -45,6 +46,23 @@ MIN_SPLIT_FRACTION = 0.3
 #: bisecting into balanced halves forever — the paper's "stops when no
 #: group can be further split" implies such a homogeneity check.
 MAX_CHILD_DIAMETER_RATIO = 0.8
+
+
+@lru_cache(maxsize=512)
+def _unit_grid(size: int) -> np.ndarray:
+    """``np.linspace(0, 1, size)``, built once per size and read-only."""
+    grid = np.linspace(0.0, 1.0, num=size)
+    grid.flags.writeable = False
+    return grid
+
+
+@lru_cache(maxsize=512)
+def _upper_triangle(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(size, k=1)``, built once per size and read-only."""
+    rows, cols = np.triu_indices(size, k=1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
 
 
 @dataclass
@@ -72,8 +90,7 @@ class RefinedCluster:
         """
         if self.size < 2:
             return np.empty(0)
-        iu = np.triu_indices(self.size, k=1)
-        return self.pairwise[iu]
+        return self.pairwise[_upper_triangle(self.size)]
 
 
 def align_subsequences(
@@ -87,20 +104,25 @@ def align_subsequences(
     """
     if not subsequences:
         raise ValueError("need at least one subsequence")
-    lengths = [np.asarray(s).size for s in subsequences]
-    if min(lengths) < 2:
+    lengths = sorted(np.asarray(s).size for s in subsequences)
+    if lengths[0] < 2:
         raise ValueError("subsequences must have at least 2 points")
     if target_length is None:
-        target_length = int(np.median(lengths))
+        # int(np.median(lengths)) in integer arithmetic: the mean of the
+        # two middle lengths of an even count is truncated.
+        mid = len(lengths) // 2
+        target_length = (
+            lengths[mid] if len(lengths) % 2 else (lengths[mid - 1] + lengths[mid]) // 2
+        )
     target_length = max(int(target_length), 2)
-    grid = np.linspace(0.0, 1.0, num=target_length)
+    grid = _unit_grid(target_length)
     rows = np.empty((len(subsequences), target_length))
     for i, sub in enumerate(subsequences):
         values = np.asarray(sub, dtype=float)
         if values.size == target_length:
             rows[i] = values
         else:
-            rows[i] = np.interp(grid, np.linspace(0.0, 1.0, num=values.size), values)
+            rows[i] = np.interp(grid, _unit_grid(values.size), values)
     return znorm_rows(rows)
 
 
@@ -157,6 +179,14 @@ def bisect_refine(
             raise ValueError(
                 f"pairwise must be ({n}, {n}) to match aligned, got {full_pairwise.shape}"
             )
+    if n > min_group_size:
+        # Every split clusters a sub-block of this matrix, so one check
+        # at the root covers them all. The built matrix is symmetric
+        # with a zero diagonal; only non-finite members can spoil it.
+        if pairwise is not None:
+            _check_distance_matrix(full_pairwise)
+        elif not np.isfinite(full_pairwise).all():
+            raise ValueError("aligned subsequences must be finite")
     out: list[RefinedCluster] = []
     n_splits = 0
 
@@ -169,34 +199,34 @@ def bisect_refine(
             )
         )
 
-    def recurse(indices: np.ndarray) -> None:
+    def recurse(indices: np.ndarray, block: np.ndarray) -> None:
+        # ``block`` is ``full_pairwise`` restricted to ``indices``; the
+        # root's is the matrix itself.
         nonlocal n_splits
         group_size = indices.size
-        block = full_pairwise[np.ix_(indices, indices)]
         if group_size <= min_group_size:
             emit(indices, block)
             return
-        labels = cut_k(agglomerate(block, method="complete"), 2)
-        left = indices[labels == 0]
-        right = indices[labels == 1]
+        on_left = complete_two_cut(block) == 0
+        left = indices[on_left]
+        right = indices[~on_left]
         smaller = min(left.size, right.size)
         if smaller < min_split_fraction * group_size:
             emit(indices, block)
             return
+        left_block = block[np.ix_(on_left, on_left)]
+        right_block = block[np.ix_(~on_left, ~on_left)]
         parent_diameter = block.max()
-        child_diameter = max(
-            full_pairwise[np.ix_(left, left)].max(),
-            full_pairwise[np.ix_(right, right)].max(),
-        )
+        child_diameter = max(left_block.max(), right_block.max())
         if parent_diameter <= 0 or child_diameter > max_child_diameter_ratio * parent_diameter:
             emit(indices, block)
             return
         n_splits += 1
-        recurse(left)
-        recurse(right)
+        recurse(left, left_block)
+        recurse(right, right_block)
 
     with tracer.span("bisect") as span:
-        recurse(np.arange(n))
+        recurse(np.arange(n), full_pairwise)
         span.add("bisect.members", n)
         span.add("bisect.splits", n_splits)
         span.add("bisect.clusters", len(out))

@@ -19,16 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..distance.best_match import batch_best_distances
 from ..ml.cfs import cfs_select
 from ..obs.metrics import registry
 from ..obs.tracer import NOOP
-from ..runtime.kernel import (
-    PrenormalizedPattern,
-    SlidingWindowStats,
-    prenormalize_pattern,
-    tie_break_argmin_rows,
-)
+from ..runtime.kernel import tie_break_argmin_rows
+from ..sax.znorm import NORM_THRESHOLD, is_flat, znorm_rows
 from .patterns import PatternCandidate, RepresentativePattern
 from .transform import pattern_features
 
@@ -67,37 +62,107 @@ def compute_tau(
     return float(np.percentile(np.concatenate(pools), percentile))
 
 
-class _DedupBank:
-    """One per-length bank of kept candidates for :func:`remove_similar`.
+#: Scratch budget for one chunk of stacked dedup profiles, the same as
+#: the FFT kernel's: pattern chunks are sized so the ``(chunk, n, J)``
+#: profile block stays under it for any pool size.
+_DEDUP_SCRATCH_BYTES = 32 * 1024 * 1024
 
-    Kept values live in a capacity-doubling row matrix (amortized O(L)
-    appends instead of an O(k·L) ``np.stack`` per probe) alongside their
-    :class:`~repro.runtime.kernel.PrenormalizedPattern` forms, so the
-    longer-candidate probe is one batched kernel call over patterns
-    whose z-normalization was paid once at insert time.
+
+def _closest_match_matrix(ordered: list[PatternCandidate]) -> np.ndarray:
+    """Oriented closest-match distances between every pair of a pool.
+
+    ``D[a, b]`` for ``a < b`` (positions in ``ordered``) is the distance
+    :func:`remove_similar`'s greedy scan measures when candidate ``b``
+    probes an already-kept candidate ``a``; the lower triangle and the
+    diagonal are ``inf``. The shorter candidate slides over the longer
+    one and, for equal lengths, the later candidate is the pattern. A
+    probe sliding over a longer kept candidate takes the row minimum; a
+    kept pattern sliding over a longer probe takes the profile value at
+    the tie-broken position (:func:`tie_break_argmin_rows`).
+
+    The candidates are sorted by length and stacked, centred and
+    zero-padded, into one matrix with one pair of cumulative sums. Each
+    pattern length then takes one window-statistics batch over the
+    suffix of candidates at least that long; windows that run into the
+    padding are masked with ``inf``. Every valid entry is the
+    :class:`~repro.runtime.kernel.SlidingWindowStats` mat-vec
+    expression on the same per-row statistics, so it equals a per-probe
+    kernel call bit for bit, including the BLAS dot product the kernel
+    takes for single-alignment (equal-length) pairs.
     """
+    n = len(ordered)
+    dist = np.full((n, n), np.inf)
+    lengths = np.array([c.length for c in ordered])
+    order = np.argsort(lengths, kind="stable")
+    sorted_lengths = lengths[order]
+    group_starts = np.flatnonzero(np.diff(sorted_lengths, prepend=0))
+    group_stops = np.append(group_starts[1:], n)
 
-    __slots__ = ("length", "_values", "count", "prenormalized")
+    centered = np.zeros((n, int(sorted_lengths[-1])))
+    patterns = []
+    for start, stop in zip(group_starts, group_stops):
+        length = int(sorted_lengths[start])
+        rows = np.stack([ordered[p].values for p in order[start:stop]])
+        centered[start:stop, :length] = rows - rows.mean(axis=1, keepdims=True)
+        # prenormalize_pattern, row by row: znorm_rows equals znorm.
+        q = znorm_rows(rows)
+        patterns.append((q, np.array([float(r @ r) for r in q]), ~q.any(axis=1)))
+    cumsum = np.zeros((n, centered.shape[1] + 1))
+    cumsum2 = np.zeros_like(cumsum)
+    np.cumsum(centered, axis=1, out=cumsum[:, 1:])
+    np.cumsum(centered * centered, axis=1, out=cumsum2[:, 1:])
+    rms = np.sqrt(cumsum2[np.arange(n), sorted_lengths] / sorted_lengths)
 
-    def __init__(self, length: int) -> None:
-        self.length = int(length)
-        self._values = np.empty((4, self.length))
-        self.count = 0
-        self.prenormalized: list[PrenormalizedPattern] = []
+    for start, stop, (q, qq, q_flat) in zip(group_starts, group_stops, patterns):
+        length = int(sorted_lengths[start])
+        # Window moments of every candidate at least this long.
+        cs, cs2 = cumsum[start:], cumsum2[start:]
+        mean = (cs[:, length:] - cs[:, :-length]) / length
+        var = (cs2[:, length:] - cs2[:, :-length]) / length - mean * mean
+        np.maximum(var, 0.0, out=var)
+        sd = np.sqrt(var)
+        flat = is_flat(sd, np.maximum(NORM_THRESHOLD, 1e-7 * rms[start:, None]))
+        safe_sd = np.where(flat, 1.0, sd)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            centered[start:], length, axis=1
+        )
+        n_series, n_windows = sd.shape
+        padding = np.arange(n_windows) > (sorted_lengths[start:] - length)[:, None]
+        same_length = stop - start  # the first rows of the suffix
 
-    def append(self, values: np.ndarray) -> None:
-        if self.count == self._values.shape[0]:
-            grown = np.empty((2 * self.count, self.length))
-            grown[: self.count] = self._values
-            self._values = grown
-        self._values[self.count] = values
-        self.count += 1
-        self.prenormalized.append(prenormalize_pattern(values))
+        series_pos = order[start:]
+        longer = sorted_lengths[start:] > length
+        chunk = max(1, _DEDUP_SCRATCH_BYTES // (n_series * n_windows * 8 * 4))
+        for lo in range(0, same_length, chunk):
+            hi = min(lo + chunk, same_length)
+            dots = np.stack([windows @ row for row in q[lo:hi]])
+            if n_windows > 1:
+                # Equal-length rows have one alignment, where the kernel's
+                # mat-vec is numpy's BLAS dot product; the padded mat-vec
+                # sums in another order, so redo those dots the kernel's way.
+                dots[:, :same_length, 0] = [
+                    (windows[:same_length, :1] @ row)[:, 0] for row in q[lo:hi]
+                ]
+            d2 = 2.0 * length - 2.0 * dots / safe_sd
+            d2[:, flat] = qq[lo:hi, None]
+            d2[q_flat[lo:hi]] = np.where(flat, 0.0, float(length))
+            np.maximum(d2, 0.0, out=d2)
+            profiles = np.sqrt(d2)
+            profiles[:, padding] = np.inf
 
-    @property
-    def values(self) -> np.ndarray:
-        """The kept rows — a view, identical to stacking the kept list."""
-        return self._values[: self.count]
+            pattern_pos = order[start + lo : start + hi]
+            later = pattern_pos[:, None] > series_pos[None, :]
+            at_tie = np.take_along_axis(
+                profiles, tie_break_argmin_rows(profiles)[:, :, None], axis=2
+            )[:, :, 0]
+            block = np.where(later, profiles.min(axis=2), at_tie)
+            # An equal-length pair is measured once, with the later
+            # candidate as the pattern (this also skips the diagonal).
+            keep = later | longer[None, :]
+            first = np.minimum(pattern_pos[:, None], series_pos[None, :])
+            second = np.maximum(pattern_pos[:, None], series_pos[None, :])
+            dist[first[keep], second[keep]] = block[keep]
+    return dist
 
 
 def remove_similar(
@@ -108,50 +173,29 @@ def remove_similar(
 
     Candidates are compared by the closest-match distance (the shorter
     pattern slides over the longer); within τ the more frequent
-    candidate wins. Scanning in descending frequency makes the result
-    order-independent: a kept candidate can never lose to a later one.
+    candidate wins. The scan runs in descending frequency, so a kept
+    candidate can never lose to a later one. The sort is stable: among
+    equal frequencies the input order decides, so the result is
+    independent of the input order only when the frequencies are
+    distinct.
 
-    Kept candidates are bucketed by length into incrementally grown
-    :class:`_DedupBank` arrays — candidate lengths cluster tightly
-    around the SAX window, so there are few buckets. A shorter-or-equal
-    candidate probes a bucket with one batched closest-match call over
-    the bank's row matrix; a longer candidate slides every prenormalized
-    bank pattern over itself through the batched kernel (mat-vec, the
-    bitwise-exact backend), with the same low-tie-break distance the
-    scalar ``best_match`` loop reported.
+    All pairwise distances come from one oriented matrix
+    (:func:`_closest_match_matrix`); the frequency-order walk over its
+    "closer than τ" mask keeps a candidate unless an already-kept one
+    marks it, exactly as probing each candidate against the kept set
+    would.
     """
     ordered = sorted(candidates, key=lambda c: c.frequency, reverse=True)
+    if not ordered or not tau > 0:
+        # Distances are non-negative, so nothing is closer than τ ≤ 0.
+        return ordered
+    near = _closest_match_matrix(ordered) < tau
     kept: list[PatternCandidate] = []
-    banks: dict[int, _DedupBank] = {}
-
-    def is_similar(candidate: PatternCandidate) -> bool:
-        for length, bank in banks.items():
-            if candidate.length <= length:
-                dists = batch_best_distances(candidate.values, bank.values)
-                if bool((dists < tau).any()):
-                    return True
-            else:
-                # Bank patterns slide over the (longer) candidate: one
-                # SlidingWindowStats build per bucket instead of a full
-                # rolling-statistics pass per kept pattern.
-                stats = SlidingWindowStats(candidate.values[None, :], length)
-                profiles = stats.batch_profiles_prenormalized(
-                    bank.prenormalized, backend="matvec"
-                )
-                positions = tie_break_argmin_rows(profiles)
-                dists = np.take_along_axis(
-                    profiles, positions[:, :, None], axis=2
-                )[:, 0, 0]
-                if bool((dists < tau).any()):
-                    return True
-        return False
-
-    for candidate in ordered:
-        if not is_similar(candidate):
+    dropped = np.zeros(len(ordered), dtype=bool)
+    for pos, candidate in enumerate(ordered):
+        if not dropped[pos]:
             kept.append(candidate)
-            banks.setdefault(candidate.length, _DedupBank(candidate.length)).append(
-                candidate.values
-            )
+            dropped |= near[pos]
     return kept
 
 

@@ -18,6 +18,7 @@ RPM's Algorithm 1 needs (paper §3.2.2, Figure 4):
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -185,7 +186,9 @@ def induce_motifs(
     """
     starts = np.asarray(instance_starts, dtype=int)
     lengths = np.asarray(instance_lengths, dtype=int)
-    ends = starts + lengths
+    start_list = starts.tolist()
+    end_list = (starts + lengths).tolist()
+    offsets = record.offsets.tolist()
     window = record.params.window_size
 
     # Grammar induction consumes compact integer token ids; the letter
@@ -193,7 +196,6 @@ def induce_motifs(
     # saved-model metadata). Equal words share an id, so the grammar —
     # and the dedup below — is identical to feeding the strings.
     token_ids = record.token_ids
-    vocabulary = record.vocabulary
     grammar = Sequitur().feed_all(token_ids.tolist())
     motifs: list[RuleMotif] = []
     seen_expansions: set[tuple[int, ...]] = set()
@@ -204,23 +206,25 @@ def induce_motifs(
         if expansion in seen_expansions:
             continue
         seen_expansions.add(expansion)
-        motif = RuleMotif(
-            rule_id=rule.rule_id,
-            words=tuple(vocabulary[i] for i in expansion),
-        )
+        occurrences: list[Occurrence] = []
         for word_index in find_token_occurrences(token_ids, expansion):
-            raw_start = int(record.offsets[word_index])
-            raw_end = int(record.offsets[word_index + len(expansion) - 1]) + window
-            instance = int(np.searchsorted(starts, raw_start, side="right") - 1)
+            raw_start = offsets[word_index]
+            raw_end = offsets[word_index + len(expansion) - 1] + window
+            instance = bisect_right(start_list, raw_start) - 1
             # Drop occurrences crossing a junction (can happen when
             # numerosity reduction made two sides of a junction adjacent).
-            if raw_end > ends[instance]:
+            if raw_end > end_list[instance]:
                 continue
-            motif.occurrences.append(
-                Occurrence(start=raw_start, end=raw_end, instance=instance)
+            occurrences.append(Occurrence(start=raw_start, end=raw_end, instance=instance))
+        if len(occurrences) >= min_frequency:
+            vocabulary = record.vocabulary
+            motifs.append(
+                RuleMotif(
+                    rule_id=rule.rule_id,
+                    words=tuple(vocabulary[i] for i in expansion),
+                    occurrences=occurrences,
+                )
             )
-        if motif.frequency >= min_frequency:
-            motifs.append(motif)
     return motifs
 
 

@@ -10,10 +10,10 @@ recipe as the standard statistical packages (validated against
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 __all__ = ["WilcoxonResult", "wilcoxon_signed_rank", "rankdata_average"]
 
@@ -78,5 +78,6 @@ def wilcoxon_signed_rank(x: np.ndarray, y: np.ndarray) -> WilcoxonResult:
         raise ValueError("zero variance (all differences tie); test undefined")
     # Continuity correction toward the mean.
     z = (statistic - mean + 0.5) / np.sqrt(var)
-    p = float(min(1.0, 2.0 * norm.cdf(z)))
+    # Two-sided p = 2·Φ(z), with Φ(z) = erfc(−z/√2)/2.
+    p = min(1.0, math.erfc(-z / math.sqrt(2.0)))
     return WilcoxonResult(statistic=statistic, z=float(z), p_value=p, n_nonzero=n)

@@ -61,6 +61,106 @@ def _kernel_matrix(
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
+#: Largest training set solved by the scalar SMO loop. Both loops make
+#: the same float operations in the same order, so the choice changes
+#: only speed: on a few rows numpy's per-call overhead dominates each
+#: iteration, and the numpy loop catches up at about 110 rows
+#: (``benchmarks/bench_smo.py``).
+SCALAR_SMO_MAX_ROWS = 96
+
+
+def _smo_numpy(
+    K: np.ndarray, y: np.ndarray, C: float, tol: float, max_iter: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """SMO with maximal-violating-pair selection, vectorized per iteration.
+
+    Returns ``(alpha, grad, iterations)``.
+    """
+    n = y.size
+    alpha = np.zeros(n)
+    grad = -np.ones(n)  # G = Qα − e with α = 0
+    it = 0
+    for it in range(1, max_iter + 1):
+        # I_up: α can increase along +y; I_low: can decrease.
+        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+        low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
+        if not up.any() or not low.any():
+            break
+        yg = -y * grad
+        i = int(np.flatnonzero(up)[np.argmax(yg[up])])
+        j = int(np.flatnonzero(low)[np.argmin(yg[low])])
+        if yg[i] - yg[j] < tol:
+            break
+        # Two-variable subproblem along the feasible direction
+        # (α_i moves by +y_i·t, α_j by −y_j·t, preserving yᵀα = 0).
+        quad = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        if quad <= 1e-12:
+            quad = 1e-12
+        delta = (yg[i] - yg[j]) / quad
+        t_max_i = (C - alpha[i]) if y[i] > 0 else alpha[i]
+        t_max_j = alpha[j] if y[j] > 0 else (C - alpha[j])
+        t = min(delta, t_max_i, t_max_j)
+        if t <= 0:
+            break
+        alpha[i] += y[i] * t
+        alpha[j] -= y[j] * t
+        # ΔG = Q[:, i]·Δα_i + Q[:, j]·Δα_j = t · y ⊙ (K[:, i] − K[:, j]).
+        grad += t * y * (K[:, i] - K[:, j])
+    return alpha, grad, it
+
+
+def _smo_scalar(
+    K: np.ndarray, y: np.ndarray, C: float, tol: float, max_iter: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """:func:`_smo_numpy` as a plain Python loop over floats.
+
+    Every value is computed by the same IEEE double operations in the
+    same order, and ties go to the lowest index as with ``argmax`` and
+    ``argmin``, so α, the gradient and the iteration count are bitwise
+    equal. ``K`` must be finite (``argmax`` would pick a NaN first).
+    """
+    n = y.size
+    columns = K.T.tolist()
+    labels = y.tolist()
+    alpha = [0.0] * n
+    grad = [-1.0] * n
+    it = 0
+    for it in range(1, max_iter + 1):
+        i = j = -1
+        yg_i = yg_j = 0.0
+        for k in range(n):
+            yk = labels[k]
+            ak = alpha[k]
+            ygk = -yk * grad[k]
+            # I_up: α can increase along +y; I_low: can decrease.
+            if (ak < C) if yk > 0 else (ak > 0):
+                if i < 0 or ygk > yg_i:
+                    i, yg_i = k, ygk
+            if (ak > 0) if yk > 0 else (ak < C):
+                if j < 0 or ygk < yg_j:
+                    j, yg_j = k, ygk
+        if i < 0 or j < 0:
+            break
+        if yg_i - yg_j < tol:
+            break
+        col_i = columns[i]
+        col_j = columns[j]
+        quad = col_i[i] + col_j[j] - 2.0 * col_j[i]
+        if quad <= 1e-12:
+            quad = 1e-12
+        delta = (yg_i - yg_j) / quad
+        t_max_i = (C - alpha[i]) if labels[i] > 0 else alpha[i]
+        t_max_j = alpha[j] if labels[j] > 0 else (C - alpha[j])
+        t = min(delta, t_max_i, t_max_j)
+        if t <= 0:
+            break
+        alpha[i] += labels[i] * t
+        alpha[j] -= labels[j] * t
+        for k in range(n):
+            grad[k] += t * labels[k] * (col_i[k] - col_j[k])
+    return np.array(alpha), np.array(grad), it
+
+
 class BinarySVM:
     """Soft-margin binary SVM; labels must be -1 / +1.
 
@@ -113,37 +213,12 @@ class BinarySVM:
         self.gamma_ = self._resolve_gamma(X)
         K = _kernel_matrix(X, X, self.kernel, self.gamma_)
 
-        alpha = np.zeros(n)
-        grad = -np.ones(n)  # G = Qα − e with α = 0
-        C = self.C
-        it = 0
-        for it in range(1, self.max_iter + 1):
-            # I_up: α can increase along +y; I_low: can decrease.
-            up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-            low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
-            if not up.any() or not low.any():
-                break
-            yg = -y * grad
-            i = int(np.flatnonzero(up)[np.argmax(yg[up])])
-            j = int(np.flatnonzero(low)[np.argmin(yg[low])])
-            if yg[i] - yg[j] < self.tol:
-                break
-            # Two-variable subproblem along the feasible direction
-            # (α_i moves by +y_i·t, α_j by −y_j·t, preserving yᵀα = 0).
-            quad = K[i, i] + K[j, j] - 2.0 * K[i, j]
-            if quad <= 1e-12:
-                quad = 1e-12
-            delta = (yg[i] - yg[j]) / quad
-            t_max_i = (C - alpha[i]) if y[i] > 0 else alpha[i]
-            t_max_j = alpha[j] if y[j] > 0 else (C - alpha[j])
-            t = min(delta, t_max_i, t_max_j)
-            if t <= 0:
-                break
-            alpha[i] += y[i] * t
-            alpha[j] -= y[j] * t
-            # ΔG = Q[:, i]·Δα_i + Q[:, j]·Δα_j = t · y ⊙ (K[:, i] − K[:, j]).
-            grad += t * y * (K[:, i] - K[:, j])
+        if n <= SCALAR_SMO_MAX_ROWS and np.isfinite(K).all():
+            alpha, grad, it = _smo_scalar(K, y, self.C, self.tol, self.max_iter)
+        else:
+            alpha, grad, it = _smo_numpy(K, y, self.C, self.tol, self.max_iter)
         self.iterations_ = it
+        C = self.C
 
         # Bias from the KKT conditions: average over free vectors.
         free = (alpha > 1e-8) & (alpha < C - 1e-8)

@@ -29,7 +29,6 @@ bitwise-identical; ``benchmarks/bench_discretize.py`` measures the gap.
 
 from __future__ import annotations
 
-import string
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -114,6 +113,7 @@ class SaxRecord:
         "codes",
         "_words",
         "_token_ids",
+        "_token_rows",
         "_vocabulary",
     )
 
@@ -136,6 +136,7 @@ class SaxRecord:
         self.series_length = int(series_length)
         self.dropped = int(dropped)
         self._token_ids: np.ndarray | None = None
+        self._token_rows: np.ndarray | None = None
         self._vocabulary: tuple[str, ...] | None = None
 
     def __len__(self) -> int:
@@ -153,14 +154,7 @@ class SaxRecord:
         if self._token_ids is not None:
             return
         if self.codes is not None and self._words is None:
-            if self.codes.shape[0] == 0:
-                self._vocabulary = ()
-                self._token_ids = np.empty(0, dtype=np.int64)
-                return
-            uniq, inverse = np.unique(self.codes, axis=0, return_inverse=True)
-            letters = np.array(list(string.ascii_lowercase))
-            self._vocabulary = tuple("".join(row) for row in letters[uniq])
-            self._token_ids = np.asarray(inverse, dtype=np.int64).ravel()
+            self._token_ids, self._token_rows = _row_token_ids(self.codes)
         else:
             mapping: dict[str, int] = {}
             ids = np.empty(len(self._words), dtype=np.int64)
@@ -177,22 +171,49 @@ class SaxRecord:
 
     @property
     def vocabulary(self) -> tuple[str, ...]:
-        """Token id → SAX word letter string."""
+        """Token id → SAX word letter string (rendered on first access)."""
         self._build_tokens()
+        if self._vocabulary is None:
+            rows = self._token_rows
+            width = rows.shape[1]
+            # Region index k is the letter chr(ord("a") + k).
+            text = (rows + ord("a")).astype(np.uint8).tobytes().decode("ascii")
+            self._vocabulary = tuple(
+                text[start : start + width] for start in range(0, len(text), width)
+            )
         return self._vocabulary
 
     @property
     def words(self) -> list[str]:
         """SAX words as letter strings (rendered lazily, then cached)."""
         if self._words is None:
-            self._build_tokens()
-            vocab = self._vocabulary
+            vocab = self.vocabulary
             self._words = [vocab[i] for i in self._token_ids.tolist()]
         return self._words
 
     def as_string(self) -> str:
         """The token string fed to the grammar inducer (display form)."""
         return " ".join(self.words)
+
+
+def _row_token_ids(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Token id per code row and the distinct rows, in lexicographic order.
+
+    Equal to ``np.unique(codes, axis=0, return_inverse=True)``. Each row
+    is read as the digits of one integer in base ``codes.max() + 1``,
+    which keeps the lexicographic order, so one 1-D ``np.unique`` over
+    the packed keys gives the same ids; rows too wide to pack into an
+    ``int64`` take the row-wise ``np.unique``.
+    """
+    n_rows, width = codes.shape
+    base = int(codes.max()) + 1 if n_rows else 1
+    if base**width >= 2**63:
+        rows, inverse = np.unique(codes, axis=0, return_inverse=True)
+        return np.asarray(inverse, dtype=np.int64).ravel(), rows
+    powers = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    keys, inverse = np.unique(codes.astype(np.int64) @ powers, return_inverse=True)
+    rows = (keys[:, None] // powers % base).astype(codes.dtype)
+    return np.asarray(inverse, dtype=np.int64).ravel(), rows
 
 
 def sliding_windows(

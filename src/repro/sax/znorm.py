@@ -74,11 +74,15 @@ def znorm_rows(matrix: np.ndarray, threshold: float = NORM_THRESHOLD) -> np.ndar
         raise ValueError(f"znorm_rows expects a 2-D array, got shape {values.shape}")
     if values.size == 0:
         return values.copy()
-    means = values.mean(axis=1, keepdims=True)
-    sds = values.std(axis=1, keepdims=True)
+    # values.mean / values.std by their own reductions: the same sums in
+    # the same order, without std recomputing the mean, so every row
+    # stays bitwise equal to znorm.
+    length = values.shape[1]
+    centered = values - np.add.reduce(values, axis=1, keepdims=True) / length
+    sds = np.sqrt(np.add.reduce(centered * centered, axis=1, keepdims=True) / length)
     flat = is_flat(sds, threshold).ravel()
     # Avoid division warnings for flat rows; they are overwritten below.
     sds[flat] = 1.0
-    out = (values - means) / sds
+    out = centered / sds
     out[flat] = 0.0
     return out

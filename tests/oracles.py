@@ -19,13 +19,25 @@ contract (:func:`repro.runtime.kernel.tie_break_argmin_rows`): every
 alignment within tolerance of the row minimum is a tie and the lowest
 index wins, so positions are *exactly* equal across backends even when
 the distances differ in the last bits.
+
+The module also keeps the greedy per-probe de-duplication
+(:func:`greedy_remove_similar`) that ``repro.core.selection`` replaced
+with one distance matrix per pool: it is the reference the matrix walk
+must reproduce, kept list for kept list.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.runtime.kernel import resample_pattern, tie_break_argmin_rows
+from repro.distance.best_match import batch_best_distances
+from repro.runtime.kernel import (
+    PrenormalizedPattern,
+    SlidingWindowStats,
+    prenormalize_pattern,
+    resample_pattern,
+    tie_break_argmin_rows,
+)
 from repro.sax.znorm import znorm
 
 __all__ = [
@@ -37,6 +49,8 @@ __all__ = [
     "naive_best_distances",
     "assert_profiles_close",
     "assert_argmin_equal",
+    "greedy_remove_similar",
+    "probe_distance",
 ]
 
 #: Shared tolerance model for cross-backend distance comparisons.
@@ -160,3 +174,92 @@ def assert_argmin_equal(
     a = tie_break_argmin_rows(np.atleast_2d(np.asarray(actual_profiles)))
     b = tie_break_argmin_rows(np.atleast_2d(np.asarray(expected_profiles)))
     np.testing.assert_array_equal(a, b, err_msg=err_msg or "argmin positions diverged")
+
+
+class _DedupBank:
+    """One per-length bank of kept candidates for :func:`greedy_remove_similar`.
+
+    Kept values live in a capacity-doubling row matrix alongside their
+    :class:`~repro.runtime.kernel.PrenormalizedPattern` forms, so the
+    longer-candidate probe is one batched kernel call.
+    """
+
+    __slots__ = ("length", "_values", "count", "prenormalized")
+
+    def __init__(self, length: int) -> None:
+        self.length = int(length)
+        self._values = np.empty((4, self.length))
+        self.count = 0
+        self.prenormalized: list[PrenormalizedPattern] = []
+
+    def append(self, values: np.ndarray) -> None:
+        if self.count == self._values.shape[0]:
+            grown = np.empty((2 * self.count, self.length))
+            grown[: self.count] = self._values
+            self._values = grown
+        self._values[self.count] = values
+        self.count += 1
+        self.prenormalized.append(prenormalize_pattern(values))
+
+    @property
+    def values(self) -> np.ndarray:
+        """The kept rows — a view, identical to stacking the kept list."""
+        return self._values[: self.count]
+
+
+def greedy_remove_similar(candidates: list, tau: float) -> list:
+    """The per-probe greedy de-duplication (Algorithm 2, lines 5-18).
+
+    Scans the candidates in descending frequency and probes each one
+    against every kept candidate, bucketed by length. A shorter-or-equal
+    candidate probes a bucket with one closest-match call over the
+    bank's rows (row minimum); a longer candidate has every bank
+    pattern slide over itself through the mat-vec kernel and takes the
+    value at the tie-broken position.
+    """
+    ordered = sorted(candidates, key=lambda c: c.frequency, reverse=True)
+    kept: list = []
+    banks: dict[int, _DedupBank] = {}
+
+    def is_similar(candidate) -> bool:
+        for length, bank in banks.items():
+            if candidate.length <= length:
+                dists = batch_best_distances(candidate.values, bank.values)
+                if bool((dists < tau).any()):
+                    return True
+            else:
+                stats = SlidingWindowStats(candidate.values[None, :], length)
+                profiles = stats.batch_profiles_prenormalized(
+                    bank.prenormalized, backend="matvec"
+                )
+                positions = tie_break_argmin_rows(profiles)
+                dists = np.take_along_axis(
+                    profiles, positions[:, :, None], axis=2
+                )[:, 0, 0]
+                if bool((dists < tau).any()):
+                    return True
+        return False
+
+    for candidate in ordered:
+        if not is_similar(candidate):
+            kept.append(candidate)
+            banks.setdefault(candidate.length, _DedupBank(candidate.length)).append(
+                candidate.values
+            )
+    return kept
+
+
+def probe_distance(kept, probe) -> float:
+    """The distance :func:`greedy_remove_similar` measures for one pair.
+
+    ``probe`` is the later candidate in frequency order, ``kept`` the
+    earlier one; the per-probe kernel call is made for this pair alone.
+    """
+    if probe.length <= kept.length:
+        return float(batch_best_distances(probe.values, kept.values[None, :])[0])
+    stats = SlidingWindowStats(probe.values[None, :], kept.length)
+    profiles = stats.batch_profiles_prenormalized(
+        [prenormalize_pattern(kept.values)], backend="matvec"
+    )
+    position = tie_break_argmin_rows(profiles)[0, 0]
+    return float(profiles[0, 0, position])

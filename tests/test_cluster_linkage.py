@@ -1,9 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
 from scipy.spatial.distance import squareform
 
-from repro.cluster.linkage import agglomerate, cut_k
+from repro.cluster.linkage import agglomerate, complete_two_cut, cut_k
 from repro.distance.euclidean import pairwise_euclidean
 
 
@@ -99,3 +101,61 @@ class TestCutK:
             cut_k(link, 0)
         with pytest.raises(ValueError, match="k must be"):
             cut_k(link, 5)
+
+
+class TestCompleteTwoCut:
+    """The refinement's 2-cut must equal the validated agglomeration's."""
+
+    @staticmethod
+    def _reference(D):
+        return cut_k(agglomerate(D, "complete"), 2)
+
+    def test_random_matrices(self):
+        local = np.random.default_rng(101)
+        for _ in range(300):
+            n = int(local.integers(2, 40))
+            D = pairwise_euclidean(local.standard_normal((n, int(local.integers(1, 20)))))
+            np.testing.assert_array_equal(complete_two_cut(D), self._reference(D))
+
+    def test_tie_heavy_matrices(self):
+        # Integer points and integer matrices: many equal distances, so
+        # the first-minimum tie-break decides most merges.
+        local = np.random.default_rng(102)
+        for _ in range(300):
+            n = int(local.integers(2, 25))
+            if local.random() < 0.5:
+                D = pairwise_euclidean(local.integers(0, 3, (n, 2)).astype(float))
+            else:
+                A = local.integers(0, 4, (n, n)).astype(float)
+                D = np.maximum(A, A.T)
+                np.fill_diagonal(D, 0.0)
+            np.testing.assert_array_equal(complete_two_cut(D), self._reference(D))
+
+    def test_single_member_rejected_like_cut_k(self):
+        D = np.zeros((1, 1))
+        with pytest.raises(ValueError, match="k must be"):
+            self._reference(D)
+        with pytest.raises(ValueError, match="k must be"):
+            complete_two_cut(D)
+
+    def test_input_left_untouched(self):
+        D = _random_distance_matrix(np.random.default_rng(103), 9)
+        before = D.copy()
+        complete_two_cut(D)
+        np.testing.assert_array_equal(D, before)
+
+    def test_large_group_no_slower_than_agglomerate(self):
+        D = _random_distance_matrix(np.random.default_rng(104), 300)
+
+        def best_of(fn, repeats=3):
+            times = []
+            for _ in range(repeats):
+                start = time.perf_counter()
+                labels = fn(D)
+                times.append(time.perf_counter() - start)
+            return min(times), labels
+
+        new_s, new = best_of(complete_two_cut)
+        old_s, old = best_of(self._reference)
+        np.testing.assert_array_equal(new, old)
+        assert new_s <= old_s

@@ -6,15 +6,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.core.selection as selection
 from repro.core.patterns import PatternCandidate
 from repro.core.selection import (
     SelectionResult,
     _cap_candidates,
+    _closest_match_matrix,
     compute_tau,
     find_distinct,
     remove_similar,
 )
 from repro.sax.discretize import SaxParams
+
+from tests.oracles import greedy_remove_similar, probe_distance
 
 PARAMS = SaxParams(8, 4, 4)
 
@@ -83,6 +87,88 @@ class TestRemoveSimilar:
 
     def test_empty_input(self):
         assert remove_similar([], 1.0) == []
+
+
+def _random_pool(local, n):
+    """Mixed lengths, repeated frequencies, flat and near-duplicate shapes."""
+    base = np.cumsum(local.standard_normal(80))
+    pool = []
+    for _ in range(n):
+        length = int(local.integers(4, 20))
+        kind = local.random()
+        if kind < 0.1:
+            values = np.full(length, float(local.integers(-2, 3)))
+        elif kind < 0.6:
+            start = int(local.integers(0, base.size - length))
+            values = base[start : start + length] + local.standard_normal(length) * 0.05
+        else:
+            values = local.standard_normal(length)
+        pool.append(_candidate(values, frequency=int(local.integers(1, 5))))
+    return pool
+
+
+def _assert_same_kept(candidates, tau):
+    got = remove_similar(candidates, tau)
+    want = greedy_remove_similar(candidates, tau)
+    assert [id(c) for c in got] == [id(c) for c in want]
+
+
+class TestRemoveSimilarParity:
+    """The matrix walk must keep exactly what the per-probe scan keeps."""
+
+    def test_random_pools(self):
+        local = np.random.default_rng(400)
+        for _ in range(40):
+            pool = _random_pool(local, int(local.integers(1, 30)))
+            for tau in (0.0, 0.3, 1.0, 2.5, 1e6):
+                _assert_same_kept(pool, tau)
+
+    def test_equal_frequencies_keep_input_order(self):
+        local = np.random.default_rng(401)
+        pool = [_candidate(local.standard_normal(12), frequency=3) for _ in range(8)]
+        for tau in (1.0, 3.0, 5.0):
+            _assert_same_kept(pool, tau)
+            _assert_same_kept(pool[::-1], tau)
+
+    def test_distances_equal_per_probe_kernel(self):
+        local = np.random.default_rng(402)
+        for _ in range(15):
+            ordered = sorted(
+                _random_pool(local, int(local.integers(2, 25))),
+                key=lambda c: c.frequency,
+                reverse=True,
+            )
+            got = _closest_match_matrix(ordered)
+            for a in range(len(ordered)):
+                assert np.isinf(got[a, : a + 1]).all()
+                for b in range(a + 1, len(ordered)):
+                    want = probe_distance(ordered[a], ordered[b])
+                    assert got[a, b] == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    def test_scratch_is_chunked(self, monkeypatch):
+        # A one-byte budget forces one pattern per chunk.
+        monkeypatch.setattr(selection, "_DEDUP_SCRATCH_BYTES", 1)
+        pool = _random_pool(np.random.default_rng(403), 20)
+        for tau in (0.5, 2.0):
+            _assert_same_kept(pool, tau)
+
+    def test_pools_recorded_from_a_direct_fit(self, monkeypatch):
+        from repro import RPMClassifier
+        from repro.data import cbf
+
+        pools = []
+        original = selection.remove_similar
+
+        def record(candidates, tau):
+            pools.append((list(candidates), tau))
+            return original(candidates, tau)
+
+        monkeypatch.setattr(selection, "remove_similar", record)
+        data = cbf(n_train_per_class=5, n_test_per_class=1, length=96, seed=1)
+        RPMClassifier(direct_budget=6, n_splits=2, seed=0).fit(data.X_train, data.y_train)
+        assert len(pools) > 5
+        for candidates, tau in pools:
+            _assert_same_kept(candidates, tau)
 
 
 def _feature_dataset(rng, n_per_class=12, length=60):

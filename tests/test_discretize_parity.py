@@ -156,6 +156,50 @@ class TestTokenIds:
         assert record.token_ids.tolist() == [0, 1, 0]
         assert record.vocabulary == ("ab", "cd")
 
+    @staticmethod
+    def _unique_rows_reference(codes):
+        uniq, inverse = np.unique(codes, axis=0, return_inverse=True)
+        letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+        return np.asarray(inverse).ravel(), tuple("".join(row) for row in letters[uniq])
+
+    @pytest.mark.parametrize("alphabet", range(2, 27))
+    def test_packed_ids_equal_row_unique_ids(self, alphabet):
+        # PAA sizes 1-20 cover packed keys and, for larger alphabets,
+        # rows too wide to pack.
+        local = np.random.default_rng(300 + alphabet)
+        for paa in range(1, 21):
+            # Few distinct letters per column make repeated rows likely.
+            codes = local.integers(0, alphabet, size=(300, paa)).astype(np.uint8)
+            codes[local.random(300) < 0.5] = codes[0]
+            record = SaxRecord(
+                offsets=np.arange(300), params=SaxParams(20, paa, alphabet), codes=codes
+            )
+            ids, vocabulary = self._unique_rows_reference(codes)
+            np.testing.assert_array_equal(record.token_ids, ids)
+            assert record.vocabulary == vocabulary
+
+    def test_rows_too_wide_to_pack_fall_back(self):
+        # 26 ** 14 > 2 ** 63: the rows cannot be packed into one int64.
+        local = np.random.default_rng(320)
+        codes = local.integers(0, 26, size=(200, 14)).astype(np.uint8)
+        codes[::3] = codes[1]
+        codes[0, 0], codes[1, 0] = 25, 0
+        record = SaxRecord(offsets=np.arange(200), params=SaxParams(20, 14, 26), codes=codes)
+        ids, vocabulary = self._unique_rows_reference(codes)
+        np.testing.assert_array_equal(record.token_ids, ids)
+        assert record.vocabulary == vocabulary
+
+    def test_discretized_records_match_row_unique(self, rng):
+        for paa, alphabet in [(1, 2), (4, 4), (8, 6), (12, 26), (16, 26)]:
+            record = discretize(
+                rng.standard_normal(400),
+                SaxParams(16, paa, alphabet),
+                numerosity_reduction=False,
+            )
+            ids, vocabulary = self._unique_rows_reference(record.codes)
+            np.testing.assert_array_equal(record.token_ids, ids)
+            assert record.vocabulary == vocabulary
+
     def test_find_token_occurrences_matches_scalar_search(self, rng):
         for _ in range(20):
             ids = rng.integers(0, 4, size=30)

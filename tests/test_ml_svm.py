@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from repro.ml import svm as svm_module
 from repro.ml.svm import SVC, BinarySVM, StandardScaler
 
 
@@ -123,3 +124,62 @@ class TestSVC:
     def test_predict_before_fit(self):
         with pytest.raises(RuntimeError, match="fit"):
             SVC().predict(np.zeros((1, 2)))
+
+
+class TestScalarSMO:
+    """The scalar SMO loop must reproduce the numpy loop bit for bit."""
+
+    @staticmethod
+    def _fit(monkeypatch, max_rows, X, y, **params):
+        monkeypatch.setattr(svm_module, "SCALAR_SMO_MAX_ROWS", max_rows)
+        return BinarySVM(**params).fit(X, y)
+
+    def _assert_paths_agree(self, monkeypatch, X, y, **params):
+        scalar = self._fit(monkeypatch, X.shape[0], X, y, **params)
+        vector = self._fit(monkeypatch, 0, X, y, **params)
+        assert scalar.alpha_.tobytes() == vector.alpha_.tobytes()
+        assert scalar.bias_ == vector.bias_
+        assert scalar.iterations_ == vector.iterations_
+        return scalar
+
+    @staticmethod
+    def _problem(local, n, d=3, overlap=1.0):
+        X = local.standard_normal((n, d))
+        y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        X[y > 0] += overlap
+        return X, y
+
+    @pytest.mark.parametrize(
+        "n",
+        [2, 6, 17, 40, svm_module.SCALAR_SMO_MAX_ROWS, svm_module.SCALAR_SMO_MAX_ROWS + 1, 140],
+    )
+    def test_sizes_around_the_crossover(self, monkeypatch, n):
+        local = np.random.default_rng(200 + n)
+        for kernel in ("rbf", "linear"):
+            X, y = self._problem(local, n)
+            self._assert_paths_agree(monkeypatch, X, y, kernel=kernel)
+
+    def test_box_bound_cases(self, monkeypatch):
+        # Heavy overlap and a small C push many α onto the bound C.
+        local = np.random.default_rng(211)
+        hit_bound = False
+        for C in (0.01, 0.1, 1.0, 10.0):
+            X, y = self._problem(local, 30, overlap=0.2)
+            fitted = self._assert_paths_agree(monkeypatch, X, y, C=C)
+            hit_bound |= bool(np.any(fitted.alpha_ == C))
+        assert hit_bound
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 3, 7])
+    def test_max_iter_exits(self, monkeypatch, max_iter):
+        X, y = self._problem(np.random.default_rng(212), 25, overlap=0.3)
+        fitted = self._assert_paths_agree(monkeypatch, X, y, max_iter=max_iter)
+        assert fitted.iterations_ == max_iter
+
+    def test_non_finite_kernel_takes_numpy_loop(self, monkeypatch):
+        # argmax picks the first NaN; only the numpy loop reproduces that.
+        X, y = self._problem(np.random.default_rng(213), 8)
+        X[0, 0] = np.nan
+        scalar = self._fit(monkeypatch, 8, X, y)
+        vector = self._fit(monkeypatch, 0, X, y)
+        assert scalar.alpha_.tobytes() == vector.alpha_.tobytes()
+        assert scalar.iterations_ == vector.iterations_

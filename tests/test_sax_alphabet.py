@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -32,6 +37,13 @@ class TestBreakpoints:
     def test_count(self):
         for alpha in range(2, 13):
             assert breakpoints(alpha).size == alpha - 1
+
+    @pytest.mark.parametrize("alpha", range(2, 27))
+    def test_literal_rows_equal_scipy_bit_for_bit(self, alpha):
+        # A breakpoint one ulp off can flip the SAX code of a PAA mean
+        # that sits on it, so the literals must be scipy's exact values.
+        expected = norm.ppf(np.arange(1, alpha) / alpha)
+        assert breakpoints(alpha).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("alpha", [0, 1, 27, -3])
     def test_rejects_bad_sizes(self, alpha):
@@ -74,3 +86,23 @@ class TestDistanceTable:
         table = symbol_distance_table(8)
         row = table[0]
         assert np.all(np.diff(row[1:]) >= 0)
+
+
+_LOADED_SCIPY_MODULES = (
+    "import sys, repro; "
+    "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+)
+
+
+def test_import_repro_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = os.environ.copy()
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_SCIPY_MODULES],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"

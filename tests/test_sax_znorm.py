@@ -47,6 +47,17 @@ class TestZnormRows:
         for i in range(6):
             np.testing.assert_allclose(out[i], znorm(X[i]), atol=1e-12)
 
+    def test_rows_bitwise_equal_znorm(self):
+        # The dedup matrix and the refinement rely on this equality.
+        local = np.random.default_rng(77)
+        for rows, length, scale, offset in [(1, 2, 1.0, 0.0), (5, 7, 1e-3, 3.0),
+                                            (9, 64, 1e3, 1e5), (3, 250, 1.0, -2.0)]:
+            X = local.standard_normal((rows, length)) * scale + offset
+            X[0] = 4.0  # one flat row
+            out = znorm_rows(X)
+            for i in range(rows):
+                assert out[i].tobytes() == znorm(X[i]).tobytes()
+
     def test_mixed_flat_and_normal_rows(self):
         X = np.vstack([np.full(5, 2.0), np.arange(5.0)])
         out = znorm_rows(X)
