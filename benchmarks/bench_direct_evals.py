@@ -11,18 +11,24 @@ the exhaustive grid size.
 from __future__ import annotations
 
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-import harness
-from repro.core.candidates import find_candidates
-from repro.core.params import ParamSelector
-from repro.core.selection import find_distinct
-from repro.core.transform import pattern_features
-from repro.data import load
-from repro.runtime import DiscretizationCache, ParallelExecutor
-from repro.sax.discretize import discretize_implementation
+sys.path.insert(0, str(Path(__file__).parents[1]))  # for tests.oracles
+
+import harness  # noqa: E402
+from repro.core.candidates import find_candidates  # noqa: E402
+from repro.core.params import ParamSelector  # noqa: E402
+from repro.core.selection import find_distinct  # noqa: E402
+from repro.core.transform import pattern_features  # noqa: E402
+from repro.data import load  # noqa: E402
+from repro.grammar import inference  # noqa: E402
+from repro.runtime import DiscretizationCache, ParallelExecutor  # noqa: E402
+from repro.sax.discretize import SaxRecord  # noqa: E402
+from tests.oracles import legacy_discretize  # noqa: E402
 
 SPEEDUP_GATE_MIN_CPUS = 4
 GATE_FACTOR = 2.0
@@ -72,6 +78,27 @@ def test_direct_evaluation_count(benchmark):
         assert r < grid_size / 5
 
 
+def _legacy_record(
+    series, params, *, numerosity_reduction=True, valid_start=None, cache=None
+):
+    """The string-per-window reference, repacked as the record mining reads.
+
+    Takes :func:`repro.sax.discretize.discretize`'s arguments (the cache
+    is ignored) so it can stand in for it during the legacy run.
+    """
+    legacy = legacy_discretize(
+        series,
+        params,
+        numerosity_reduction=numerosity_reduction,
+        valid_start=valid_start,
+    )
+    letters = np.frombuffer("".join(legacy.words).encode("ascii"), dtype=np.uint8)
+    codes = (letters - ord("a")).reshape(len(legacy.words), params.paa_size)
+    return SaxRecord(
+        legacy.offsets, params, legacy.series_length, legacy.dropped, codes=codes
+    )
+
+
 def _mine_and_transform(dataset, *, legacy: bool, executor, discretize_cache):
     """One full Algorithm 3 run + downstream mining/transform.
 
@@ -107,10 +134,14 @@ def _mine_and_transform(dataset, *, legacy: bool, executor, discretize_cache):
         )
         return time.perf_counter() - t0, params, features
 
-    if legacy:
-        with discretize_implementation("legacy"):
-            return run()
-    return run()
+    if not legacy:
+        return run()
+    vectorized = inference.discretize
+    inference.discretize = _legacy_record
+    try:
+        return run()
+    finally:
+        inference.discretize = vectorized
 
 
 def test_direct_mining_speedup(benchmark):

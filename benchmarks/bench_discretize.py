@@ -2,8 +2,9 @@
 
 The vectorized pipeline replaces per-window Python string assembly with
 one PAA + breakpoint lookup over the whole window matrix and a row-wise
-numerosity reduction on uint8 code arrays. This bench times both paths
-on realistic workloads, decomposes the vectorized path per stage
+numerosity reduction on uint8 code arrays. This bench times the
+vectorized path against the string reference in ``tests/oracles.py`` on
+realistic workloads, decomposes the vectorized path per stage
 (windows+z-norm, PAA, breakpoint lookup, reduction), and records the
 warm-cache time of the :class:`DiscretizationCache` fast path.
 
@@ -26,18 +27,15 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).parents[1]))  # for tests.oracles
 
 import harness  # noqa: E402
 from repro.runtime import DiscretizationCache  # noqa: E402
 from repro.sax.alphabet import breakpoints  # noqa: E402
-from repro.sax.discretize import (  # noqa: E402
-    SaxParams,
-    discretize,
-    discretize_implementation,
-    sliding_windows,
-)
+from repro.sax.discretize import SaxParams, discretize, sliding_windows  # noqa: E402
 from repro.sax.paa import paa_rows  # noqa: E402
 from repro.sax.znorm import znorm_rows  # noqa: E402
+from tests.oracles import legacy_discretize  # noqa: E402
 
 JSON_NAME = "BENCH_discretize.json"
 
@@ -90,7 +88,7 @@ def run_bench() -> dict:
         series = rng.standard_normal(length)
 
         legacy_t, legacy_record = _best_of(
-            lambda: _legacy(series, params, reduction)
+            lambda: legacy_discretize(series, params, numerosity_reduction=reduction)
         )
         vector_t, vector_record = _best_of(
             lambda: discretize(series, params, numerosity_reduction=reduction)
@@ -124,11 +122,6 @@ def run_bench() -> dict:
             }
         )
     return results
-
-
-def _legacy(series, params, reduction):
-    with discretize_implementation("legacy"):
-        return discretize(series, params, numerosity_reduction=reduction)
 
 
 def _report(results: dict) -> str:

@@ -4,9 +4,9 @@ The blocked kernel replaces the per-pair ``np.unique`` symmetrical-
 uncertainty loop with whole-block contingency tables (one ``np.bincount``
 over fused joint codes per scratch-sized chunk). This bench times the
 SU-matrix stage both ways on pattern-feature-shaped workloads, the full
-``cfs_select`` end to end (scalar, blocked, cold cache, warm cache),
-and an ``find_distinct`` equivalence pass over a synthetic candidate
-pool.
+``cfs_select`` end to end against the per-pair reference
+(``tests/oracles.py``), and a ``find_distinct`` equivalence pass over a
+synthetic candidate pool.
 
 Results go to ``benchmarks/results/BENCH_select.json`` — machine
 readable, uploaded as a CI artifact — plus the usual text table. The
@@ -28,8 +28,10 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).parents[1]))  # for tests.oracles
 
 import harness  # noqa: E402
+from repro.core import selection  # noqa: E402
 from repro.core.patterns import PatternCandidate  # noqa: E402
 from repro.core.selection import find_distinct  # noqa: E402
 from repro.ml.cfs import (  # noqa: E402
@@ -39,11 +41,10 @@ from repro.ml.cfs import (  # noqa: E402
     discretize_features,
     feature_class_su,
     feature_feature_su_matrix,
-    su_implementation,
     symmetrical_uncertainty,
 )
-from repro.runtime import SelectionCache  # noqa: E402
 from repro.sax.discretize import SaxParams  # noqa: E402
+from tests.oracles import scalar_cfs_select  # noqa: E402
 
 JSON_NAME = "BENCH_select.json"
 
@@ -121,22 +122,15 @@ def run_bench() -> dict:
         np.testing.assert_array_equal(blocked_fc, scalar_fc)
         np.testing.assert_array_equal(blocked_ff, scalar_ff)
 
-        scalar_t, scalar_result = _best_of(lambda: _scalar_select(X, y))
+        scalar_t, scalar_result = _best_of(lambda: scalar_cfs_select(X, y))
         blocked_t, blocked_result = _best_of(lambda: cfs_select(X, y))
-        cold_t, cold_result = _best_of(
-            lambda: cfs_select(X, y, cache=SelectionCache(max_entries=256))
-        )
-        cache = SelectionCache(max_entries=256)
-        cfs_select(X, y, cache=cache)  # warm
-        warm_t, warm_result = _best_of(lambda: cfs_select(X, y, cache=cache))
 
         # Equivalence is the acceptance criterion, not an option.
-        for result in (blocked_result, cold_result, warm_result):
-            assert result.selected == scalar_result.selected
-            assert result.merit == scalar_result.merit
-            np.testing.assert_array_equal(
-                result.feature_class_su, scalar_result.feature_class_su
-            )
+        assert blocked_result.selected == scalar_result.selected
+        assert blocked_result.merit == scalar_result.merit
+        np.testing.assert_array_equal(
+            blocked_result.feature_class_su, scalar_result.feature_class_su
+        )
 
         results["workloads"].append(
             {
@@ -150,19 +144,11 @@ def run_bench() -> dict:
                 "su_speedup": scalar_su_t / max(blocked_su_t, 1e-12),
                 "scalar_select_seconds": scalar_t,
                 "blocked_select_seconds": blocked_t,
-                "cold_cache_seconds": cold_t,
-                "warm_cache_seconds": warm_t,
                 "select_speedup": scalar_t / max(blocked_t, 1e-12),
-                "warm_speedup": scalar_t / max(warm_t, 1e-12),
             }
         )
     results["find_distinct_equivalent"] = _check_find_distinct(rng)
     return results
-
-
-def _scalar_select(X, y):
-    with su_implementation("scalar"):
-        return cfs_select(X, y)
 
 
 def _candidates(rng, n_candidates=24, length=16):
@@ -185,14 +171,18 @@ def _candidates(rng, n_candidates=24, length=16):
 
 
 def _check_find_distinct(rng) -> bool:
-    """``find_distinct`` must be invariant to kernel/cache choice."""
+    """``find_distinct`` must be invariant to the SU implementation."""
     X = rng.standard_normal((24, 80))
     y = np.arange(24) % 2
     X[y == 1, 20:36] += np.hanning(16) * 3
     candidates = _candidates(rng)
-    with su_implementation("scalar"):
+    after = find_distinct(X, y, candidates)
+    # The same call with CFS scored by the per-pair reference.
+    selection.cfs_select = scalar_cfs_select
+    try:
         before = find_distinct(X, y, candidates)
-    after = find_distinct(X, y, candidates, selection_cache=SelectionCache())
+    finally:
+        selection.cfs_select = cfs_select
     assert after.tau == before.tau
     assert len(after.patterns) == len(before.patterns)
     for a, b in zip(after.patterns, before.patterns):
@@ -214,7 +204,6 @@ def _report(results: dict) -> str:
                 f"{w['su_speedup']:.1f}x",
                 f"{w['scalar_select_seconds'] * 1e3:.2f}",
                 f"{w['blocked_select_seconds'] * 1e3:.2f}",
-                f"{w['warm_cache_seconds'] * 1e3:.2f}",
                 f"{w['select_speedup']:.1f}x",
             ]
         )
@@ -222,10 +211,10 @@ def _report(results: dict) -> str:
     return "\n".join(
         [
             "CFS selection: scalar SU loop vs blocked contingency kernel",
-            "(ms, best of 3; 'warm' = warm SelectionCache)",
+            "(ms, best of 3)",
             harness.format_table(
                 ["workload", "sel", "su-scalar", "su-block", "su-spd",
-                 "select", "blocked", "warm", "spd"],
+                 "select", "blocked", "spd"],
                 rows,
             ),
             f"\nmean SU-stage speedup {np.mean(speedups):.1f}x, "

@@ -14,22 +14,16 @@ and all baselines — follows one contract:
 signature (the sklearn recipe), which is what lets
 :mod:`repro.evaluation` and :mod:`repro.ml.crossval` re-instantiate a
 fresh, unfitted copy of any estimator without knowing its class.
-
-:func:`keyword_only` is the one-release migration shim: constructors
-used to accept leading positional arguments, and the decorator keeps
-those calls working while emitting a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
-import functools
 import inspect
-import warnings
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-__all__ = ["Estimator", "BaseEstimator", "clone", "keyword_only"]
+__all__ = ["Estimator", "BaseEstimator", "clone"]
 
 
 @runtime_checkable
@@ -43,47 +37,6 @@ class Estimator(Protocol):
     def get_params(self) -> dict: ...
 
     def set_params(self, **params) -> "Estimator": ...
-
-
-def keyword_only(*names: str):
-    """Route legacy positional constructor arguments through a shim.
-
-    ``names`` is the historical positional order. A call that still
-    passes positional arguments gets them mapped onto those names with
-    a :class:`DeprecationWarning`; keyword calls pass through untouched.
-    ``functools.wraps`` keeps the wrapped signature discoverable, so
-    :class:`BaseEstimator` introspection sees the real parameter list.
-    """
-
-    def decorate(init):
-        @functools.wraps(init)
-        def wrapper(self, *args, **kwargs):
-            if args:
-                if len(args) > len(names):
-                    raise TypeError(
-                        f"{type(self).__name__}() takes at most {len(names)} "
-                        f"legacy positional arguments ({', '.join(names)}), "
-                        f"got {len(args)}"
-                    )
-                warnings.warn(
-                    f"passing {type(self).__name__} configuration positionally "
-                    f"is deprecated and will be removed; use keyword arguments "
-                    f"({', '.join(names[: len(args)])})",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                for name, value in zip(names, args):
-                    if name in kwargs:
-                        raise TypeError(
-                            f"{type(self).__name__}() got multiple values for "
-                            f"argument {name!r}"
-                        )
-                    kwargs[name] = value
-            return init(self, **kwargs)
-
-        return wrapper
-
-    return decorate
 
 
 class BaseEstimator:

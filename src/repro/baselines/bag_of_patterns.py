@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..base import BaseEstimator, keyword_only
+from ..base import BaseEstimator
 from ..sax.discretize import SaxParams, discretize
 
 __all__ = ["BagOfPatternsClassifier"]
@@ -30,7 +30,6 @@ class BagOfPatternsClassifier(BaseEstimator):
         ``'euclidean'`` on raw counts or ``'cosine'`` similarity.
     """
 
-    @keyword_only("params", "metric")
     def __init__(self, *, params: SaxParams, metric: str = "euclidean") -> None:
         if metric not in ("euclidean", "cosine"):
             raise ValueError(f"metric must be euclidean or cosine, got {metric!r}")

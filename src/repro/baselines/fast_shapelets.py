@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..base import BaseEstimator, keyword_only
+from ..base import BaseEstimator
 from ..distance.best_match import best_match
 from ..sax.sax import sax_word
 from ..sax.znorm import znorm_rows
@@ -96,16 +96,6 @@ class FastShapeletsClassifier(BaseEstimator):
         Tree growth limits.
     """
 
-    @keyword_only(
-        "length_fractions",
-        "n_projections",
-        "mask_size",
-        "top_k",
-        "max_depth",
-        "min_leaf",
-        "stride_fraction",
-        "seed",
-    )
     def __init__(
         self,
         *,

@@ -21,7 +21,7 @@ import itertools
 
 import numpy as np
 
-from ..base import BaseEstimator, keyword_only
+from ..base import BaseEstimator
 from ..ml.crossval import stratified_kfold
 from ..sax.znorm import znorm_rows
 
@@ -74,16 +74,6 @@ class LearningShapeletsClassifier(BaseEstimator):
         Full-batch Adagrad schedule.
     """
 
-    @keyword_only(
-        "n_shapelets",
-        "length_fraction",
-        "n_scales",
-        "alpha",
-        "l2",
-        "epochs",
-        "learning_rate",
-        "seed",
-    )
     def __init__(
         self,
         *,
@@ -272,7 +262,6 @@ class TunedLearningShapelets(BaseEstimator):
     slowest entry of the paper's Table 2 by orders of magnitude.
     """
 
-    @keyword_only("grid")
     def __init__(
         self,
         *,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..base import BaseEstimator, keyword_only
+from ..base import BaseEstimator
 from ..distance.best_match import batch_best_distances
 from ..sax.znorm import znorm, znorm_rows
 from .fast_shapelets import _best_split, information_gain
@@ -68,9 +68,6 @@ class LogicalShapeletsClassifier(BaseEstimator):
     each node (combination search is quadratic in it).
     """
 
-    @keyword_only(
-        "length_fractions", "stride_fraction", "top_k", "max_depth", "min_leaf", "seed"
-    )
     def __init__(
         self,
         *,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..base import BaseEstimator, keyword_only
+from ..base import BaseEstimator
 from ..distance.dtw import dtw_distance, envelope, lb_keogh
 from ..sax.znorm import znorm_rows
 
@@ -84,7 +84,6 @@ class NearestNeighborDTW(BaseEstimator):
         Window (in samples) to use without selection.
     """
 
-    @keyword_only("window_fractions", "fixed_window")
     def __init__(
         self,
         *,

@@ -17,7 +17,7 @@ from collections import Counter
 
 import numpy as np
 
-from ..base import BaseEstimator, keyword_only
+from ..base import BaseEstimator
 from ..opt.direct import direct_minimize
 from ..opt.grid import CachedIntegerObjective
 from ..sax.discretize import SaxParams, discretize
@@ -45,7 +45,6 @@ class SaxVsmClassifier(BaseEstimator):
         Maximum objective evaluations for the parameter search.
     """
 
-    @keyword_only("params")
     def __init__(
         self,
         *,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..base import BaseEstimator, keyword_only
+from ..base import BaseEstimator
 from ..distance.best_match import batch_best_distances
 from ..ml.svm import SVC
 from ..sax.znorm import znorm, znorm_rows
@@ -64,9 +64,6 @@ class ShapeletTransformClassifier(BaseEstimator):
         Downstream classifier (default RBF SVM).
     """
 
-    @keyword_only(
-        "n_shapelets", "length_fractions", "stride_fraction", "classifier_factory", "seed"
-    )
     def __init__(
         self,
         *,

@@ -64,10 +64,7 @@ from .obs import (
     to_prometheus,
     write_jsonl,
 )
-from .runtime.cache import DEFAULT_CACHE_SIZE
 from .runtime.kernel import KERNEL_BACKENDS
-from .runtime.discretize_cache import DEFAULT_DISCRETIZE_CACHE_SIZE
-from .runtime.selection_cache import DEFAULT_SELECTION_CACHE_SIZE
 from .sax.discretize import REDUCTIONS, SaxParams
 from .serve import (
     CompiledModel,
@@ -95,8 +92,8 @@ def _positive_int(text: str) -> int:
     """Argparse type for flags that must be strictly positive.
 
     Rejecting zero and negatives at the parser gives a clear usage
-    error instead of a traceback (or a degenerate LRU) deep inside the
-    pipeline.
+    error instead of a traceback (or a degenerate batch size) deep
+    inside the pipeline.
     """
     try:
         value = int(text)
@@ -193,9 +190,6 @@ def _build_rpm(args, tracer: Tracer | None = None) -> RPMClassifier:
         n_jobs=args.jobs,
         parallel_backend=args.parallel_backend,
         kernel_backend=args.kernel_backend,
-        cache_size=args.cache_size,
-        discretize_cache_size=args.discretize_cache_size,
-        selection_cache_size=args.selection_cache_size,
         numerosity_reduction=args.numerosity,
         trace=tracer,
     )
@@ -702,22 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "exact per-pattern path, 'fft' batches patterns "
                             "through one series spectrum, 'auto' picks FFT "
                             "only above the calibrated crossover")
-        p.add_argument("--cache-size", type=_positive_int, default=DEFAULT_CACHE_SIZE,
-                       help="sliding-window statistics cache entries (must be "
-                            "positive; the library-level WindowStatsCache(0) "
-                            "remains available for uncached runs)")
-        p.add_argument("--discretize-cache-size", type=_positive_int,
-                       default=DEFAULT_DISCRETIZE_CACHE_SIZE,
-                       help="discretization pre-work cache entries shared by "
-                            "the parameter search (must be positive; the "
-                            "library-level DiscretizationCache(0) remains "
-                            "available for uncached runs)")
-        p.add_argument("--selection-cache-size", type=_positive_int,
-                       default=DEFAULT_SELECTION_CACHE_SIZE,
-                       help="CFS selection pre-work cache entries shared by "
-                            "the parameter search (must be positive; the "
-                            "library-level SelectionCache(0) remains "
-                            "available for uncached runs)")
         p.add_argument("--numerosity", choices=list(REDUCTIONS), default="exact",
                        help="numerosity reduction mode: 'exact' collapses "
                             "runs of identical SAX words (paper default), "

@@ -30,9 +30,7 @@ from ..obs.metrics import registry
 from ..obs.tracer import NOOP
 from ..opt.direct import direct_minimize
 from ..opt.grid import PRUNED_VALUE, grid_search
-from ..runtime.cache import WindowStatsCache
-from ..runtime.discretize_cache import DiscretizationCache
-from ..runtime.selection_cache import SelectionCache
+from ..runtime.cache import DiscretizationCache, WindowStatsCache
 from ..sax.discretize import SaxParams
 from .candidates import find_candidates
 from .selection import find_distinct
@@ -103,7 +101,6 @@ class ParamSelector:
         executor=None,
         tracer=NOOP,
         discretize_cache=None,
-        selection_cache=None,
     ) -> None:
         self.X = np.asarray(X, dtype=float)
         self.y = np.asarray(y)
@@ -126,11 +123,6 @@ class ParamSelector:
         # (class series, window size) pair skip sliding/z-norm/PAA.
         self._discretize_cache = (
             discretize_cache if discretize_cache is not None else DiscretizationCache()
-        )
-        # Shared CFS pre-work: evaluations whose candidate pools overlap
-        # skip re-discretizing and re-scoring the shared feature columns.
-        self._selection_cache = (
-            selection_cache if selection_cache is not None else SelectionCache()
         )
         self.classes_ = np.unique(self.y)
         self._cache: dict[tuple[int, int, int], _Evaluation] = {}
@@ -251,7 +243,6 @@ class ParamSelector:
                 tau_percentile=self.tau_percentile,
                 executor=executor,
                 cache=self._stats_cache,
-                selection_cache=self._selection_cache,
                 tracer=self.tracer,
             )
             X_val_t = pattern_features(

@@ -24,18 +24,13 @@ from typing import Callable
 
 import numpy as np
 
-from ..base import BaseEstimator, keyword_only
+from ..base import BaseEstimator
 from ..ml.svm import SVC
 from ..obs import resolve_tracer
 from ..obs.metrics import registry
-from ..runtime.cache import DEFAULT_CACHE_SIZE, WindowStatsCache
-from ..runtime.discretize_cache import (
-    DEFAULT_DISCRETIZE_CACHE_SIZE,
-    DiscretizationCache,
-)
+from ..runtime.cache import DiscretizationCache, WindowStatsCache
 from ..runtime.executor import BACKENDS, ParallelExecutor
 from ..runtime.kernel import KERNEL_BACKENDS
-from ..runtime.selection_cache import DEFAULT_SELECTION_CACHE_SIZE, SelectionCache
 from ..sax.discretize import SaxParams
 from ..sax.znorm import znorm
 from .candidates import find_candidates
@@ -47,13 +42,25 @@ from .transform import pattern_features
 __all__ = ["RPMClassifier"]
 
 
+def _require_finite(X: np.ndarray) -> None:
+    """Reject NaN and infinity, naming the first row that holds one.
+
+    The finiteness test of :func:`repro.serve.types.validate_series`.
+    Without it one NaN in one training series yields a chance-level
+    model and no error, and a NaN in a predicted row still gets a label.
+    """
+    finite_rows = np.isfinite(X).all(axis=1)
+    if not finite_rows.all():
+        row = int(np.flatnonzero(~finite_rows)[0])
+        bad = int(np.count_nonzero(~np.isfinite(X[row])))
+        raise ValueError(f"row {row} of X contains {bad} non-finite values")
+
+
 class RPMClassifier(BaseEstimator):
     """Representative Pattern Mining classifier.
 
-    Configuration is keyword-only (legacy positional ``sax_params``
-    still works for one release behind a :class:`DeprecationWarning`);
-    :class:`~repro.base.BaseEstimator` supplies ``get_params`` /
-    ``set_params`` / ``clone``.
+    Configuration is keyword-only; :class:`~repro.base.BaseEstimator`
+    supplies ``get_params`` / ``set_params`` / ``clone``.
 
     Parameters
     ----------
@@ -94,18 +101,6 @@ class RPMClassifier(BaseEstimator):
         exact mat-vec below it), ``'fft'``, or ``'matvec'``. See
         :func:`~repro.runtime.kernel.resolve_backend` and
         ``docs/runtime.md``.
-    cache_size:
-        Entries in the sliding-window statistics LRU cache shared by
-        this classifier's transforms (``0`` disables caching).
-    discretize_cache_size:
-        Entries in the discretization LRU cache shared by the parameter
-        search and mining (z-normalized window matrices + PAA
-        reductions per ``(series, window_size)``; ``0`` disables).
-    selection_cache_size:
-        Column entries in the CFS selection LRU cache shared by the
-        parameter search and the final fit (per-column discretized
-        codes + SU blocks per ``(column, labels, bins)``; ``0``
-        disables). Never changes results — see ``docs/runtime.md``.
     numerosity_reduction:
         ``True`` (paper default, collapse exact-duplicate consecutive
         words), ``False`` (keep all), or one of ``'exact'`` /
@@ -120,7 +115,6 @@ class RPMClassifier(BaseEstimator):
         traced runs are bitwise identical to untraced ones.
     """
 
-    @keyword_only("sax_params")
     def __init__(
         self,
         *,
@@ -142,9 +136,6 @@ class RPMClassifier(BaseEstimator):
         n_jobs: int = 1,
         parallel_backend: str = "thread",
         kernel_backend: str = "auto",
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        discretize_cache_size: int = DEFAULT_DISCRETIZE_CACHE_SIZE,
-        selection_cache_size: int = DEFAULT_SELECTION_CACHE_SIZE,
         trace=None,
     ) -> None:
         if param_search not in ("direct", "grid"):
@@ -175,16 +166,15 @@ class RPMClassifier(BaseEstimator):
         self.n_jobs = n_jobs
         self.parallel_backend = parallel_backend
         self.kernel_backend = kernel_backend
-        self.cache_size = cache_size
-        self.discretize_cache_size = discretize_cache_size
-        self.selection_cache_size = selection_cache_size
         # ``trace`` is kept verbatim for get_params()/clone(); the
         # resolved tracer is what the pipeline actually uses.
         self.trace = trace
         self.tracer = resolve_tracer(trace)
-        self._stats_cache = WindowStatsCache(cache_size)
-        self._discretize_cache = DiscretizationCache(discretize_cache_size)
-        self._selection_cache = SelectionCache(selection_cache_size)
+        # The window-statistics cache is shared by this classifier's
+        # transforms, the discretization cache by the parameter search
+        # and mining.
+        self._stats_cache = WindowStatsCache()
+        self._discretize_cache = DiscretizationCache()
 
         self.patterns_: list[RepresentativePattern] = []
         self.params_by_class_: dict = {}
@@ -216,6 +206,7 @@ class RPMClassifier(BaseEstimator):
         y = np.asarray(y)
         if X.ndim != 2 or X.shape[0] != y.shape[0]:
             raise ValueError("X must be (n, m) with matching y")
+        _require_finite(X)
         self.classes_ = np.unique(y)
         if self.classes_.size < 2:
             raise ValueError("need at least two classes")
@@ -236,7 +227,6 @@ class RPMClassifier(BaseEstimator):
                     rotation_invariant=self.rotation_invariant,
                     executor=executor,
                     cache=self._stats_cache,
-                    selection_cache=self._selection_cache,
                     tracer=tracer,
                     kernel_backend=self.kernel_backend,
                 )
@@ -273,7 +263,6 @@ class RPMClassifier(BaseEstimator):
             executor=executor,
             tracer=self.tracer,
             discretize_cache=self._discretize_cache,
-            selection_cache=self._selection_cache,
         )
         if self.param_search == "direct":
             params = selector.select_direct(max_evaluations=self.direct_budget)
@@ -330,6 +319,10 @@ class RPMClassifier(BaseEstimator):
         """Pattern-distance features of new series (n, K)."""
         if not self.patterns_:
             raise RuntimeError("classifier used before fit()")
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise ValueError(f"X must be 2-D, got shape {X.shape}")
+        _require_finite(X)
         with self._make_executor() as executor:
             return pattern_features(
                 X,

@@ -235,7 +235,6 @@ def find_distinct(
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
     executor=None,
     cache=None,
-    selection_cache=None,
     tracer=NOOP,
     kernel_backend: str = "auto",
 ) -> SelectionResult:
@@ -246,14 +245,11 @@ def find_distinct(
     downstream classifier without recomputing distances).
 
     ``executor``/``cache`` are forwarded to the training-set feature
-    transform (stage 3), the step that dominates Algorithm 2's cost;
-    ``selection_cache`` (a
-    :class:`~repro.runtime.selection_cache.SelectionCache`) memoizes
-    the CFS stage's per-column discretization and SU blocks across
-    calls with overlapping candidate pools. ``tracer`` records a
-    ``select`` span with ``tau`` / ``dedup`` / ``transform`` / ``cfs``
-    children; de-duplication and CFS drop counts go to the metrics
-    registry (``candidates.dropped_dedup``, ``patterns.selected``).
+    transform (stage 3), the step that dominates Algorithm 2's cost.
+    ``tracer`` records a ``select`` span with ``tau`` / ``dedup`` /
+    ``transform`` / ``cfs`` children; de-duplication and CFS drop counts
+    go to the metrics registry (``candidates.dropped_dedup``,
+    ``patterns.selected``).
     """
     if not candidates:
         raise ValueError("no candidates to select from")
@@ -281,7 +277,7 @@ def find_distinct(
             kernel_backend=kernel_backend,
         )
         with tracer.span("cfs") as cfs_span:
-            result = cfs_select(features, y, cache=selection_cache)
+            result = cfs_select(features, y)
             cfs_span.add("patterns.selected", len(result.selected))
         metrics.inc("patterns.selected", len(result.selected))
     patterns = [

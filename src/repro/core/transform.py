@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ..obs.tracer import NOOP
-from ..runtime.cache import WindowStatsCache, default_cache
+from ..runtime.cache import WindowStatsCache, default_cache, fingerprint
 from ..runtime.kernel import sliding_best_distances
 
 __all__ = ["pattern_features", "pattern_feature_row", "pattern_values", "rotate_halves"]
@@ -39,10 +39,6 @@ def pattern_values(pattern) -> np.ndarray:
     """
     values = getattr(pattern, "values", pattern)
     return np.asarray(values, dtype=float)
-
-
-# Backwards-compatible private alias (pre-serve callers).
-_pattern_values = pattern_values
 
 
 def rotate_halves(X: np.ndarray) -> np.ndarray:
@@ -153,8 +149,8 @@ def pattern_features(
         serial = executor is None or executor.backend == "serial"
         if serial or executor.backend == "thread":
             shared_cache = cache if cache is not None else default_cache()
-            token = shared_cache.token(X)
-            token_rot = shared_cache.token(X_rot) if X_rot is not None else None
+            token = fingerprint(X)
+            token_rot = fingerprint(X_rot) if X_rot is not None else None
         else:
             # Process workers rebuild statistics locally; chunking by
             # contiguous blocks keeps each (length, chunk) rebuilt once.

@@ -20,32 +20,25 @@ The number of selected features is *dynamic* — whatever subset
 maximizes the merit — which is exactly how RPM ends up with a different
 number of representative patterns per dataset.
 
-Two SU implementations share the best-first search. The default
-``'blocked'`` path discretizes every column in one vectorized pass and
-builds contingency tables for whole blocks of (feature, feature) /
-(feature, class) pairs with a single ``np.bincount`` over fused joint
-codes, bounded by :data:`SU_SCRATCH_BYTES` of scratch. The ``'scalar'``
-path is the pre-vectorization reference — one ``np.unique`` pass per
-pair through :class:`_MeritEvaluator` — kept for the parity suite and
-the old-vs-new benchmark (:func:`su_implementation` switches). Both
-produce bitwise-identical selections: the blocked kernel sums each
-contingency row's nonzero cells in the same ascending-code order the
-``np.unique`` path does, expression for expression.
+Symmetrical uncertainty is computed by a blocked kernel: every column
+is discretized in one vectorized pass, and the contingency tables for
+whole blocks of (feature, feature) / (feature, class) pairs come from a
+single ``np.bincount`` over fused joint codes, bounded by
+:data:`SU_SCRATCH_BYTES` of scratch. Each contingency row's nonzero
+cells are summed in the same ascending-code order as the per-pair
+``np.unique`` reference (:func:`symmetrical_uncertainty`), expression
+for expression, so every SU value is bitwise equal to it.
 """
 
 from __future__ import annotations
 
 import heapq
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from ..obs.metrics import registry
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runtime imports ml)
-    from ..runtime.selection_cache import SelectionCache
 
 __all__ = [
     "CfsResult",
@@ -54,7 +47,6 @@ __all__ = [
     "discretize_features",
     "feature_class_su",
     "feature_feature_su_matrix",
-    "su_implementation",
     "symmetrical_uncertainty",
 ]
 
@@ -136,9 +128,10 @@ def symmetrical_uncertainty(a: np.ndarray, b: np.ndarray) -> float:
 # pair in the block is shifted into its own disjoint code range, and a
 # single ``np.bincount`` over the raveled block yields all the tables.
 # The global stride only widens each pair's code range relative to the
-# per-pair ``b.max() + 1`` the scalar path uses — the nonzero cells stay
-# in the same (a, b)-lexicographic order, so summing each row's nonzero
-# cells reproduces the ``np.unique`` entropies bitwise.
+# per-pair ``b.max() + 1`` of :func:`symmetrical_uncertainty` — the
+# nonzero cells stay in the same (a, b)-lexicographic order, so summing
+# each row's nonzero cells reproduces the ``np.unique`` entropies
+# bitwise.
 
 
 def _entropies_from_counts(counts: np.ndarray, n_rows: int) -> np.ndarray:
@@ -146,7 +139,7 @@ def _entropies_from_counts(counts: np.ndarray, n_rows: int) -> np.ndarray:
 
     Each row's nonzero cells are compacted (row-major, so ascending
     joint code within the row) before the ``-Σ p·log2 p`` reduction —
-    the same operand order as the scalar ``np.unique`` path, which is
+    the same operand order as the per-pair ``np.unique`` path, which is
     what keeps the results bitwise identical.
     """
     mask = counts > 0
@@ -195,14 +188,12 @@ def feature_class_su(
     y_codes: np.ndarray,
     *,
     entropies: np.ndarray | None = None,
-    class_entropy: float | None = None,
 ) -> np.ndarray:
     """Feature-class SU for every column at once (blocked bincount).
 
     Bitwise-identical to ``[symmetrical_uncertainty(codes[:, j],
     y_codes) for j in range(d)]``. Precomputed per-column ``entropies``
-    and the ``class_entropy`` can be passed to skip those stages (the
-    :class:`~repro.runtime.selection_cache.SelectionCache` does).
+    can be passed to skip that stage.
     """
     codes = np.asarray(codes)
     y_codes = np.asarray(y_codes)
@@ -210,8 +201,8 @@ def feature_class_su(
     if y_codes.shape != (n,):
         raise ValueError("y_codes must be 1-D with one entry per row")
     h_cols = column_entropies(codes) if entropies is None else np.asarray(entropies)
-    h_y = _entropy(y_codes) if class_entropy is None else class_entropy
-    # The scalar path fuses with stride ``y_codes.max() + 1`` — the same
+    h_y = _entropy(y_codes)
+    # The per-pair path fuses with stride ``y_codes.max() + 1`` — the same
     # for every column, so the blocked fuse matches it exactly.
     y_stride = int(y_codes.max()) + 1 if y_codes.size else 1
     cap = (int(codes.max()) + 1 if codes.size else 1) * y_stride
@@ -237,10 +228,11 @@ def feature_feature_su_matrix(
     ``out[p, q]`` is the SU between columns ``indices[p]`` and
     ``indices[q]`` (diagonal left at 0; the search never reads it).
     Every pair is fused in original-index order — ``(min(i, j),
-    max(i, j))``, the scalar :class:`_MeritEvaluator` key convention —
-    so each cell is bitwise what the per-pair path returns. ``entropies``
-    optionally supplies precomputed per-*original-column* entropies for
-    the ``indices`` columns (positionally aligned with ``indices``).
+    max(i, j))``, the orientation of the per-pair reference — so each
+    cell is bitwise what :func:`symmetrical_uncertainty` returns.
+    ``entropies`` optionally supplies precomputed per-*original-column*
+    entropies for the ``indices`` columns (positionally aligned with
+    ``indices``).
     """
     codes = np.asarray(codes)
     n = codes.shape[0]
@@ -272,31 +264,6 @@ def feature_feature_su_matrix(
     return out
 
 
-# -- implementation switch -----------------------------------------------------
-
-_IMPLEMENTATION = "blocked"
-
-
-@contextmanager
-def su_implementation(name: str):
-    """Temporarily force the ``'blocked'`` or ``'scalar'`` SU path.
-
-    The scalar path is the pre-vectorization reference (one
-    ``np.unique`` pass per pair through :class:`_MeritEvaluator`). It
-    exists for the parity suite and the old-vs-new benchmark; both
-    paths produce bitwise-identical :func:`cfs_select` results.
-    """
-    global _IMPLEMENTATION
-    if name not in ("blocked", "scalar"):
-        raise ValueError(f"implementation must be 'blocked' or 'scalar', got {name!r}")
-    previous = _IMPLEMENTATION
-    _IMPLEMENTATION = name
-    try:
-        yield
-    finally:
-        _IMPLEMENTATION = previous
-
-
 @dataclass
 class CfsResult:
     """Outcome of :func:`cfs_select`."""
@@ -309,65 +276,20 @@ class CfsResult:
         return len(self.selected)
 
 
-class _MeritEvaluator:
-    """Caches SU values and scores subsets by Hall's merit.
+def merit_from_sums(k: int, sum_fc: float, sum_ff: float) -> float:
+    """Hall merit of a ``k``-feature subset from its running SU sums.
 
-    Subsets are scored incrementally: a search node carries the running
-    sums ``Σ su_fc`` and ``Σ su_ff`` of its subset, so extending a
-    subset by one feature costs ``k`` cached SU lookups instead of
-    re-evaluating all ``k²`` pairs.
-
-    This is the scalar reference: :func:`cfs_select` only routes
-    through it under ``su_implementation('scalar')``, and the test
-    suite uses :meth:`merit` as the oracle for both paths.
+    ``sum_fc`` is the subset's summed feature-class SU and ``sum_ff``
+    its summed feature-feature SU over unordered pairs.
     """
-
-    def __init__(self, codes: np.ndarray, y_codes: np.ndarray) -> None:
-        self.codes = codes
-        self.d = codes.shape[1]
-        self.su_fc = np.array(
-            [symmetrical_uncertainty(codes[:, j], y_codes) for j in range(self.d)]
-        )
-        self._su_ff: dict[tuple[int, int], float] = {}
-
-    def su_ff(self, i: int, j: int) -> float:
-        """Cached feature-feature symmetrical uncertainty."""
-        key = (i, j) if i < j else (j, i)
-        value = self._su_ff.get(key)
-        if value is None:
-            value = symmetrical_uncertainty(self.codes[:, key[0]], self.codes[:, key[1]])
-            self._su_ff[key] = value
-        return value
-
-    @staticmethod
-    def merit_from_sums(k: int, sum_fc: float, sum_ff: float) -> float:
-        """Hall merit from running correlation sums."""
-        if k == 0:
-            return 0.0
-        rcf = sum_fc / k
-        if k == 1:
-            return rcf
-        rff = sum_ff / (k * (k - 1) / 2.0)
-        denom = np.sqrt(k + k * (k - 1) * rff)
-        return float(rcf * k / denom)
-
-    def extend_sums(
-        self, subset: frozenset[int], sum_fc: float, sum_ff: float, j: int
-    ) -> tuple[float, float]:
-        """Running sums after adding feature *j* to *subset*."""
-        new_fc = sum_fc + float(self.su_fc[j])
-        new_ff = sum_ff + sum(self.su_ff(i, j) for i in subset)
-        return new_fc, new_ff
-
-    def merit(self, subset: frozenset[int]) -> float:
-        """Direct (non-incremental) merit; used by tests as the oracle."""
-        members = sorted(subset)
-        sum_fc = float(np.sum(self.su_fc[members])) if members else 0.0
-        sum_ff = 0.0
-        for a_idx in range(len(members)):
-            for b_idx in range(a_idx + 1, len(members)):
-                sum_ff += self.su_ff(members[a_idx], members[b_idx])
-        return self.merit_from_sums(len(members), sum_fc, sum_ff)
+    if k == 0:
+        return 0.0
+    rcf = sum_fc / k
+    if k == 1:
+        return rcf
+    rff = sum_ff / (k * (k - 1) / 2.0)
+    denom = np.sqrt(k + k * (k - 1) * rff)
+    return float(rcf * k / denom)
 
 
 DEFAULT_MAX_FEATURES = 64
@@ -387,12 +309,14 @@ def _best_first_search(
     searchable: list[int],
     max_stale: int,
 ) -> tuple[frozenset[int], float]:
-    """Best-first subset search over precomputed/lazy SU oracles.
+    """Best-first subset search over an SU oracle.
 
-    Shared by both implementations: only the ``su_ff`` oracle differs
-    (matrix lookup vs lazy scalar), so the traversal — heap order,
-    visited set, tie-breaks — is identical and the selected subset
-    depends only on the SU values.
+    A search node carries the running sums ``Σ su_fc`` and ``Σ su_ff``
+    of its subset, so extending a subset by one feature costs ``k``
+    ``su_ff`` lookups instead of re-evaluating all ``k²`` pairs. The
+    traversal — heap order, visited set, tie-breaks — depends only on
+    the SU values, so any oracle returning the same values selects the
+    same subset.
     """
     start: frozenset[int] = frozenset()
     best_subset = start
@@ -417,7 +341,7 @@ def _best_first_search(
             visited.add(child)
             child_fc = sum_fc + float(su_fc[j])
             child_ff = sum_ff + sum(su_ff(i, j) for i in subset)
-            merit = _MeritEvaluator.merit_from_sums(len(child), child_fc, child_ff)
+            merit = merit_from_sums(len(child), child_fc, child_ff)
             counter += 1
             heapq.heappush(open_heap, (-merit, counter, child, child_fc, child_ff))
             if merit > best_merit + 1e-12:
@@ -435,7 +359,6 @@ def cfs_select(
     bins: int = DEFAULT_BINS,
     max_stale: int = DEFAULT_MAX_STALE,
     max_features: int = DEFAULT_MAX_FEATURES,
-    cache: "SelectionCache | None" = None,
 ) -> CfsResult:
     """Select a feature subset maximizing Hall's CFS merit.
 
@@ -455,12 +378,6 @@ def cfs_select(
         SU enter the search (an engineering cap for very wide candidate
         pools; CFS would never pick a feature uncorrelated with the
         class anyway). Pass ``None`` to disable.
-    cache:
-        Optional :class:`~repro.runtime.selection_cache.SelectionCache`
-        memoizing per-column codes and SU blocks across calls with
-        overlapping feature columns (the DIRECT parameter search).
-        Ignored by the scalar reference implementation; never changes
-        results.
 
     Returns
     -------
@@ -477,35 +394,21 @@ def cfs_select(
         raise ValueError("no features to select from")
     _, y_codes = np.unique(labels, return_inverse=True)
 
-    if _IMPLEMENTATION == "scalar":
-        codes = discretize_features(X, bins=bins)
-        evaluator = _MeritEvaluator(codes, y_codes)
-        su_fc = evaluator.su_fc
-        searchable = _searchable_indices(su_fc, max_features)
-        su_ff: Callable[[int, int], float] = evaluator.su_ff
-    elif cache is not None:
-        su_fc, searchable, ff_matrix = cache.prepare(
-            X, y_codes, bins=bins, max_features=max_features
-        )
-        su_ff = _matrix_oracle(ff_matrix, searchable)
-    else:
-        codes = discretize_features(X, bins=bins)
-        h_cols = column_entropies(codes)
-        su_fc = feature_class_su(codes, y_codes, entropies=h_cols)
-        searchable = _searchable_indices(su_fc, max_features)
-        ff_matrix = feature_feature_su_matrix(
-            codes, searchable, entropies=h_cols[searchable]
-        )
-        su_ff = _matrix_oracle(ff_matrix, searchable)
+    codes = discretize_features(X, bins=bins)
+    h_cols = column_entropies(codes)
+    su_fc = feature_class_su(codes, y_codes, entropies=h_cols)
+    searchable = _searchable_indices(su_fc, max_features)
+    ff_matrix = feature_feature_su_matrix(
+        codes, searchable, entropies=h_cols[searchable]
+    )
+    su_ff = _matrix_oracle(ff_matrix, searchable)
 
     best_subset, best_merit = _best_first_search(su_fc, su_ff, searchable, max_stale)
 
     if not best_subset:
         best_subset = frozenset({int(np.argmax(su_fc))})
         members = sorted(best_subset)
-        best_merit = _MeritEvaluator.merit_from_sums(
-            len(members), float(np.sum(su_fc[members])), 0.0
-        )
+        best_merit = merit_from_sums(len(members), float(np.sum(su_fc[members])), 0.0)
     return CfsResult(
         selected=sorted(best_subset),
         merit=float(best_merit),

@@ -16,32 +16,27 @@ window length. This package factors that out:
     MASS-style FFT backend — one shared series spectrum plus
     O(n log n) per pattern (``resolve_backend`` picks per workload).
 ``cache``
-    :class:`WindowStatsCache` — LRU cache of kernel statistics keyed on
-    (series fingerprint, window length), so every pattern of a given
-    length reuses one precomputation.
-``discretize_cache``
-    :class:`DiscretizationCache` — LRU cache of discretization pre-work
-    (z-normalized window matrix + per-``paa_size`` PAA reductions)
-    keyed on (series fingerprint, window size), so parameter-search
-    evaluations sharing a window skip straight to the breakpoint
-    lookup.
-``selection_cache``
-    :class:`SelectionCache` — LRU cache of CFS selection pre-work
-    (per-column discretized codes, entropies and feature-class SU, plus
-    fully prepared SU blocks per feature-matrix fingerprint), so
-    parameter-search evaluations with overlapping candidate pools skip
-    re-scoring shared feature columns.
+    One generic LRU and one content fingerprint behind the two caches:
+    :class:`WindowStatsCache` holds kernel statistics keyed on (series
+    fingerprint, window length), so every pattern of a given length
+    reuses one precomputation; :class:`DiscretizationCache` holds
+    discretization pre-work (z-normalized window matrix +
+    per-``paa_size`` PAA reductions) keyed on (series fingerprint,
+    window size), so parameter-search evaluations sharing a window skip
+    straight to the breakpoint lookup. Both have fixed sizes.
 
 Determinism guarantee: parallelism only changes *scheduling*, never the
 floating-point expressions, so results are bitwise identical across
 backends and ``n_jobs`` values (see ``docs/runtime.md``).
 """
 
-from .cache import DEFAULT_CACHE_SIZE, WindowStatsCache, default_cache
-from .discretize_cache import (
+from .cache import (
+    DEFAULT_CACHE_SIZE,
     DEFAULT_DISCRETIZE_CACHE_SIZE,
     DiscretizationCache,
     DiscretizationEntry,
+    WindowStatsCache,
+    default_cache,
 )
 from .executor import ParallelExecutor, resolve_n_jobs
 from .kernel import (
@@ -55,23 +50,15 @@ from .kernel import (
     tie_break_argmin,
     tie_break_argmin_rows,
 )
-from .selection_cache import (
-    DEFAULT_SELECTION_CACHE_SIZE,
-    SelectionCache,
-    SelectionColumn,
-)
 
 __all__ = [
     "DEFAULT_CACHE_SIZE",
     "DEFAULT_DISCRETIZE_CACHE_SIZE",
-    "DEFAULT_SELECTION_CACHE_SIZE",
     "DiscretizationCache",
     "DiscretizationEntry",
     "KERNEL_BACKENDS",
     "ParallelExecutor",
     "PrenormalizedPattern",
-    "SelectionCache",
-    "SelectionColumn",
     "SlidingWindowStats",
     "WindowStatsCache",
     "default_cache",

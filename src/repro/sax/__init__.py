@@ -20,7 +20,6 @@ from .discretize import (
     SaxParams,
     SaxRecord,
     discretize,
-    discretize_implementation,
     sliding_windows,
 )
 from .paa import paa, paa_rows
@@ -36,7 +35,6 @@ __all__ = [
     "SaxRecord",
     "breakpoints",
     "discretize",
-    "discretize_implementation",
     "indices_to_letters",
     "letters_to_indices",
     "mindist",

@@ -21,22 +21,19 @@ rendered lazily — once per *distinct* word — only when something
 actually asks for :attr:`SaxRecord.words`.
 
 The pre-vectorization implementation (one Python string per window, a
-Python-loop reduction) is kept as the reference oracle: wrap a call in
-:func:`discretize_implementation` ``('legacy')`` to run it. The parity
-suite (``tests/test_discretize_parity.py``) pins the two paths
-bitwise-identical; ``benchmarks/bench_discretize.py`` measures the gap.
+Python-loop reduction) is the reference oracle in ``tests/oracles.py``;
+the parity suite (``tests/test_discretize_parity.py``) pins this module
+to it bitwise, and ``benchmarks/bench_discretize.py`` measures the gap.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .alphabet import breakpoints
 from .paa import paa_rows
-from .sax import sax_words_for_rows
 from .znorm import znorm_rows
 
 __all__ = [
@@ -44,7 +41,6 @@ __all__ = [
     "SaxRecord",
     "sliding_windows",
     "discretize",
-    "discretize_implementation",
     "REDUCTIONS",
 ]
 
@@ -89,8 +85,7 @@ class SaxRecord:
         Number of window positions excluded by the ``valid_start`` mask.
     codes:
         ``(len(self), paa_size)`` ``uint8`` matrix of breakpoint-region
-        indices for the surviving windows, or ``None`` for records built
-        directly from strings (the legacy path).
+        indices for the surviving windows.
 
     Derived views — all computed lazily and cached:
 
@@ -119,19 +114,16 @@ class SaxRecord:
 
     def __init__(
         self,
-        words: list[str] | None = None,
-        offsets: np.ndarray | None = None,
-        params: SaxParams | None = None,
+        offsets: np.ndarray,
+        params: SaxParams,
         series_length: int = 0,
         dropped: int = 0,
         *,
-        codes: np.ndarray | None = None,
+        codes: np.ndarray,
     ) -> None:
-        if words is None and codes is None:
-            raise ValueError("SaxRecord needs either words or a code matrix")
-        self._words = list(words) if words is not None else None
+        self._words: list[str] | None = None
         self.codes = codes
-        self.offsets = np.asarray(offsets if offsets is not None else [], dtype=int)
+        self.offsets = np.asarray(offsets, dtype=int)
         self.params = params
         self.series_length = int(series_length)
         self.dropped = int(dropped)
@@ -151,17 +143,8 @@ class SaxRecord:
     # -- lazy token views -----------------------------------------------------
 
     def _build_tokens(self) -> None:
-        if self._token_ids is not None:
-            return
-        if self.codes is not None and self._words is None:
+        if self._token_ids is None:
             self._token_ids, self._token_rows = _row_token_ids(self.codes)
-        else:
-            mapping: dict[str, int] = {}
-            ids = np.empty(len(self._words), dtype=np.int64)
-            for i, word in enumerate(self._words):
-                ids[i] = mapping.setdefault(word, len(mapping))
-            self._vocabulary = tuple(mapping)
-            self._token_ids = ids
 
     @property
     def token_ids(self) -> np.ndarray:
@@ -246,13 +229,6 @@ def sliding_windows(
 REDUCTIONS = ("exact", "mindist", "none")
 
 
-def _mindist_zero(word_a: str, word_b: str) -> bool:
-    """True when MINDIST(word_a, word_b) == 0 (all letters adjacent)."""
-    return len(word_a) == len(word_b) and all(
-        abs(ord(a) - ord(b)) <= 1 for a, b in zip(word_a, word_b)
-    )
-
-
 def _resolve_reduction(numerosity_reduction: bool | str) -> str:
     if isinstance(numerosity_reduction, bool):
         return "exact" if numerosity_reduction else "none"
@@ -277,31 +253,6 @@ def _check_valid_start(
     return valid_start
 
 
-# -- implementation switch ----------------------------------------------------
-
-_IMPLEMENTATION = "vectorized"
-
-
-@contextmanager
-def discretize_implementation(name: str):
-    """Temporarily force the ``'vectorized'`` or ``'legacy'`` discretize path.
-
-    The legacy path is the pre-vectorization reference (per-window
-    Python strings, Python-loop numerosity reduction). It exists for the
-    parity suite and the old-vs-new benchmark; both paths produce
-    bitwise-identical :class:`SaxRecord` contents.
-    """
-    global _IMPLEMENTATION
-    if name not in ("vectorized", "legacy"):
-        raise ValueError(f"implementation must be 'vectorized' or 'legacy', got {name!r}")
-    previous = _IMPLEMENTATION
-    _IMPLEMENTATION = name
-    try:
-        yield
-    finally:
-        _IMPLEMENTATION = previous
-
-
 # -- numerosity reduction over the code matrix --------------------------------
 
 
@@ -310,13 +261,13 @@ def _kept_positions(
 ) -> tuple[np.ndarray, int]:
     """Surviving window positions under *reduction* and the junction mask.
 
-    Semantics match the legacy scan exactly: an invalid position breaks
-    the reduction run (the next valid word is always kept), ``exact``
-    collapses a word equal to its predecessor, and ``mindist`` collapses
-    a word within one breakpoint step of the *last kept* word — the
-    chain comparison is against the kept anchor, not the adjacent row,
-    so ``mindist`` keeps its small sequential scan (over plain int rows,
-    not strings).
+    Semantics match the reference string scan exactly: an invalid
+    position breaks the reduction run (the next valid word is always
+    kept), ``exact`` collapses a word equal to its predecessor, and
+    ``mindist`` collapses a word within one breakpoint step of the *last
+    kept* word — the chain comparison is against the kept anchor, not
+    the adjacent row, so ``mindist`` keeps its small sequential scan
+    (over plain int rows, not strings).
     """
     n_positions = codes.shape[0]
     if valid_start is None:
@@ -357,79 +308,6 @@ def _kept_positions(
         kept.append(k)
         previous = row
     return valid_idx[np.asarray(kept, dtype=valid_idx.dtype)], dropped
-
-
-# -- the two implementations --------------------------------------------------
-
-
-def _discretize_vectorized(
-    values: np.ndarray,
-    params: SaxParams,
-    reduction: str,
-    valid_start: np.ndarray | None,
-    cache,
-) -> SaxRecord:
-    if cache is not None:
-        entry = cache.windows(values, params.window_size)
-        n_positions = entry.normalized.shape[0]
-        segments = entry.paa(params.paa_size)
-    else:
-        normalized = znorm_rows(sliding_windows(values, params.window_size))
-        n_positions = normalized.shape[0]
-        segments = paa_rows(normalized, params.paa_size)
-    valid_start = _check_valid_start(valid_start, n_positions)
-    cuts = breakpoints(params.alphabet_size)
-    codes = np.searchsorted(cuts, segments, side="left").astype(np.uint8)
-    positions, dropped = _kept_positions(codes, valid_start, reduction)
-    return SaxRecord(
-        offsets=positions,
-        params=params,
-        series_length=values.size,
-        dropped=dropped,
-        codes=np.ascontiguousarray(codes[positions]),
-    )
-
-
-def _discretize_legacy(
-    values: np.ndarray,
-    params: SaxParams,
-    reduction: str,
-    valid_start: np.ndarray | None,
-) -> SaxRecord:
-    """The pre-vectorization reference path (strings + Python loop)."""
-    windows = sliding_windows(values, params.window_size)
-    n_positions = windows.shape[0]
-    valid_start = _check_valid_start(valid_start, n_positions)
-
-    normalized = znorm_rows(windows)
-    all_words = sax_words_for_rows(normalized, params.paa_size, params.alphabet_size)
-
-    words: list[str] = []
-    offsets: list[int] = []
-    dropped = 0
-    previous: str | None = None
-    for position, word in enumerate(all_words):
-        if valid_start is not None and not valid_start[position]:
-            # A junction breaks the run: the next valid word is always kept.
-            previous = None
-            dropped += 1
-            continue
-        if previous is not None:
-            if reduction == "exact" and word == previous:
-                continue
-            if reduction == "mindist" and _mindist_zero(word, previous):
-                continue
-        words.append(word)
-        offsets.append(position)
-        previous = word
-
-    return SaxRecord(
-        words=words,
-        offsets=np.asarray(offsets, dtype=int),
-        params=params,
-        series_length=values.size,
-        dropped=dropped,
-    )
 
 
 def discretize(
@@ -476,6 +354,22 @@ def discretize(
     """
     reduction = _resolve_reduction(numerosity_reduction)
     values = np.asarray(series, dtype=float)
-    if _IMPLEMENTATION == "legacy":
-        return _discretize_legacy(values, params, reduction, valid_start)
-    return _discretize_vectorized(values, params, reduction, valid_start, cache)
+    if cache is not None:
+        entry = cache.windows(values, params.window_size)
+        n_positions = entry.normalized.shape[0]
+        segments = entry.paa(params.paa_size)
+    else:
+        normalized = znorm_rows(sliding_windows(values, params.window_size))
+        n_positions = normalized.shape[0]
+        segments = paa_rows(normalized, params.paa_size)
+    valid_start = _check_valid_start(valid_start, n_positions)
+    cuts = breakpoints(params.alphabet_size)
+    codes = np.searchsorted(cuts, segments, side="left").astype(np.uint8)
+    positions, dropped = _kept_positions(codes, valid_start, reduction)
+    return SaxRecord(
+        offsets=positions,
+        params=params,
+        series_length=values.size,
+        dropped=dropped,
+        codes=np.ascontiguousarray(codes[positions]),
+    )

@@ -14,19 +14,14 @@ dataclass:
   namespace onto a config, so adding a knob is one field + one flag;
 * ``to_dict`` / ``replace`` make configs loggable and derivable
   (``config.replace(max_batch=64)``) without mutation.
-
-The old per-knob constructor keywords still work for one release
-through a :func:`repro.base.keyword_only`-style shim that emits a
-:class:`DeprecationWarning` — see the service constructors.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-__all__ = ["ServeConfig", "apply_legacy_kwargs"]
+__all__ = ["ServeConfig"]
 
 
 @dataclass(frozen=True)
@@ -146,11 +141,6 @@ class ServeConfig:
     # -- construction helpers --------------------------------------------------
 
     @classmethod
-    def field_names(cls) -> tuple[str, ...]:
-        """Every knob name, in declaration order."""
-        return tuple(f.name for f in fields(cls))
-
-    @classmethod
     def from_args(cls, args) -> "ServeConfig":
         """Build a config from the ``rpm predict`` / ``rpm serve``
         argparse namespace (missing attributes keep their defaults)."""
@@ -193,37 +183,3 @@ class ServeConfig:
         """A new config with ``changes`` applied (re-validated)."""
         return dataclasses.replace(self, **changes)
 
-
-def apply_legacy_kwargs(
-    config: ServeConfig | None, legacy: dict, *, owner: str
-) -> ServeConfig:
-    """Fold deprecated per-knob constructor keywords into a config.
-
-    The service constructors accept ``config=ServeConfig(...)`` as the
-    one supported spelling; the historical per-knob keywords
-    (``max_batch=…``, ``n_shards=…``, …) still work for one release
-    through this shim — same migration pattern as
-    :func:`repro.base.keyword_only`. Unknown keywords raise
-    :class:`TypeError` exactly like a normal signature mismatch; mixing
-    ``config=`` with legacy keywords is ambiguous and also raises.
-    """
-    unknown = sorted(set(legacy) - set(ServeConfig.field_names()))
-    if unknown:
-        raise TypeError(
-            f"{owner}() got unexpected keyword arguments: {', '.join(unknown)}"
-        )
-    if not legacy:
-        return config if config is not None else ServeConfig()
-    if config is not None:
-        raise TypeError(
-            f"{owner}(): pass either config=ServeConfig(...) or the legacy "
-            f"per-knob keywords, not both"
-        )
-    warnings.warn(
-        f"{owner}({', '.join(sorted(legacy))}=...) per-knob constructor "
-        f"keywords are deprecated and will be removed next release; pass "
-        f"config=ServeConfig(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return ServeConfig(**legacy)

@@ -55,7 +55,7 @@ from ..obs.metrics import MetricsRegistry, registry
 from ..obs.tracer import Tracer
 from .admin import AdminServer
 from .compiled import CompiledModel
-from .config import ServeConfig, apply_legacy_kwargs
+from .config import ServeConfig
 from .flight import FlightRecord, FlightRecorder
 from .lifecycle import ModelHandle, ShadowReport, ShadowScorer
 from .monitor import DriftMonitor, resolve_reference
@@ -82,9 +82,7 @@ class PredictionService:
     config:
         The one :class:`~repro.serve.config.ServeConfig` carrying every
         serving knob (batching window, deadlines, flight capture, admin
-        endpoint, shadow fraction). The historical per-knob keywords
-        (``max_batch=…``, ``slow_ms=…``, …) still work for one release
-        and emit a :class:`DeprecationWarning`.
+        endpoint, shadow fraction); ``None`` means the defaults.
     trace / metrics:
         Observability wiring; defaults to the no-op tracer and the
         process-wide registry.
@@ -97,9 +95,8 @@ class PredictionService:
         config: ServeConfig | None = None,
         trace=None,
         metrics: MetricsRegistry | None = None,
-        **legacy,
     ) -> None:
-        config = apply_legacy_kwargs(config, legacy, owner="PredictionService")
+        config = config if config is not None else ServeConfig()
         self.config = config
         self.handle = model if isinstance(model, ModelHandle) else ModelHandle(model)
         self.max_batch = config.max_batch

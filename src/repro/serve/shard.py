@@ -60,7 +60,7 @@ from ..obs import resolve_tracer
 from ..obs.metrics import MetricsRegistry, registry
 from .admin import AdminServer
 from .compiled import CompiledModel, _Bucket
-from .config import ServeConfig, apply_legacy_kwargs
+from .config import ServeConfig
 from .flight import FlightRecord, FlightRecorder
 from .lifecycle import ModelHandle, ShadowReport, ShadowScorer
 from .monitor import DriftMonitor, resolve_reference
@@ -459,8 +459,7 @@ class ShardedPredictionService:
         tier reads the whole config, including ``n_shards`` (``0`` =
         this tier's default of 2), ``admission_budget_ms``,
         ``max_queue_per_shard``, ``mp_context`` and
-        ``start_timeout_s``. The historical per-knob keywords still
-        work for one release and emit a :class:`DeprecationWarning`.
+        ``start_timeout_s``; ``None`` means the defaults.
     trace / metrics:
         Observability wiring; defaults to the no-op tracer and the
         process-wide registry.
@@ -479,9 +478,8 @@ class ShardedPredictionService:
         config: ServeConfig | None = None,
         trace=None,
         metrics: MetricsRegistry | None = None,
-        **legacy,
     ) -> None:
-        config = apply_legacy_kwargs(config, legacy, owner="ShardedPredictionService")
+        config = config if config is not None else ServeConfig()
         self.config = config
         self.handle = model if isinstance(model, ModelHandle) else ModelHandle(model)
         self.n_shards = config.n_shards or 2

@@ -20,17 +20,38 @@ alignment within tolerance of the row minimum is a tie and the lowest
 index wins, so positions are *exactly* equal across backends even when
 the distances differ in the last bits.
 
-The module also keeps the greedy per-probe de-duplication
-(:func:`greedy_remove_similar`) that ``repro.core.selection`` replaced
-with one distance matrix per pool: it is the reference the matrix walk
-must reproduce, kept list for kept list.
+The module also keeps the slow references that faster production
+paths replaced and must reproduce bitwise:
+
+* the greedy per-probe de-duplication (:func:`greedy_remove_similar`)
+  that ``repro.core.selection`` replaced with one distance matrix per
+  pool — kept list for kept list;
+* the string-per-window SAX discretization (:func:`legacy_discretize`)
+  that ``repro.sax.discretize`` replaced with integer code matrices —
+  same words, offsets and dropped count;
+* the per-pair CFS scorer (:class:`MeritEvaluator`,
+  :func:`scalar_cfs_select`) that ``repro.ml.cfs`` replaced with the
+  blocked-SU kernel — same SU values, subsets and merits.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.distance.best_match import batch_best_distances
+from repro.ml.cfs import (
+    DEFAULT_BINS,
+    DEFAULT_MAX_FEATURES,
+    DEFAULT_MAX_STALE,
+    CfsResult,
+    _best_first_search,
+    _searchable_indices,
+    discretize_features,
+    merit_from_sums,
+    symmetrical_uncertainty,
+)
 from repro.runtime.kernel import (
     PrenormalizedPattern,
     SlidingWindowStats,
@@ -38,7 +59,14 @@ from repro.runtime.kernel import (
     resample_pattern,
     tie_break_argmin_rows,
 )
-from repro.sax.znorm import znorm
+from repro.sax.discretize import (
+    SaxParams,
+    _check_valid_start,
+    _resolve_reduction,
+    sliding_windows,
+)
+from repro.sax.sax import sax_words_for_rows
+from repro.sax.znorm import znorm, znorm_rows
 
 __all__ = [
     "DISTANCE_RTOL",
@@ -51,6 +79,11 @@ __all__ = [
     "assert_argmin_equal",
     "greedy_remove_similar",
     "probe_distance",
+    "LegacySaxRecord",
+    "mindist_zero",
+    "legacy_discretize",
+    "MeritEvaluator",
+    "scalar_cfs_select",
 ]
 
 #: Shared tolerance model for cross-backend distance comparisons.
@@ -263,3 +296,140 @@ def probe_distance(kept, probe) -> float:
     )
     position = tie_break_argmin_rows(profiles)[0, 0]
     return float(profiles[0, 0, position])
+
+
+class LegacySaxRecord(NamedTuple):
+    """What :func:`legacy_discretize` produces, named like ``SaxRecord``."""
+
+    words: list
+    offsets: np.ndarray
+    params: SaxParams
+    series_length: int
+    dropped: int
+
+
+def mindist_zero(word_a: str, word_b: str) -> bool:
+    """True when MINDIST(word_a, word_b) == 0 (all letters adjacent)."""
+    return len(word_a) == len(word_b) and all(
+        abs(ord(a) - ord(b)) <= 1 for a, b in zip(word_a, word_b)
+    )
+
+
+def legacy_discretize(
+    series: np.ndarray,
+    params: SaxParams,
+    *,
+    numerosity_reduction: bool | str = True,
+    valid_start: np.ndarray | None = None,
+) -> LegacySaxRecord:
+    """The pre-vectorization SAX discretization: strings + a Python loop.
+
+    One letter string per window, then numerosity reduction as a scan
+    over the strings: an invalid position breaks the run, ``exact``
+    drops a word equal to its predecessor, ``mindist`` drops a word at
+    MINDIST zero from the last *kept* word.
+    """
+    reduction = _resolve_reduction(numerosity_reduction)
+    values = np.asarray(series, dtype=float)
+    windows = sliding_windows(values, params.window_size)
+    valid_start = _check_valid_start(valid_start, windows.shape[0])
+    all_words = sax_words_for_rows(
+        znorm_rows(windows), params.paa_size, params.alphabet_size
+    )
+
+    words: list[str] = []
+    offsets: list[int] = []
+    dropped = 0
+    previous: str | None = None
+    for position, word in enumerate(all_words):
+        if valid_start is not None and not valid_start[position]:
+            # A junction breaks the run: the next valid word is always kept.
+            previous = None
+            dropped += 1
+            continue
+        if previous is not None:
+            if reduction == "exact" and word == previous:
+                continue
+            if reduction == "mindist" and mindist_zero(word, previous):
+                continue
+        words.append(word)
+        offsets.append(position)
+        previous = word
+    return LegacySaxRecord(
+        words, np.asarray(offsets, dtype=int), params, values.size, dropped
+    )
+
+
+class MeritEvaluator:
+    """Per-pair symmetrical uncertainty, cached, and Hall's merit.
+
+    Every SU value is one :func:`~repro.ml.cfs.symmetrical_uncertainty`
+    call (an ``np.unique`` pass), each feature-feature pair oriented by
+    original column index.
+    """
+
+    def __init__(self, codes: np.ndarray, y_codes: np.ndarray) -> None:
+        self.codes = codes
+        self.d = codes.shape[1]
+        self.su_fc = np.array(
+            [symmetrical_uncertainty(codes[:, j], y_codes) for j in range(self.d)]
+        )
+        self._su_ff: dict[tuple[int, int], float] = {}
+
+    def su_ff(self, i: int, j: int) -> float:
+        """Cached feature-feature symmetrical uncertainty."""
+        key = (i, j) if i < j else (j, i)
+        value = self._su_ff.get(key)
+        if value is None:
+            value = symmetrical_uncertainty(
+                self.codes[:, key[0]], self.codes[:, key[1]]
+            )
+            self._su_ff[key] = value
+        return value
+
+    def extend_sums(
+        self, subset: frozenset[int], sum_fc: float, sum_ff: float, j: int
+    ) -> tuple[float, float]:
+        """Running sums after adding feature *j* to *subset*."""
+        new_fc = sum_fc + float(self.su_fc[j])
+        new_ff = sum_ff + sum(self.su_ff(i, j) for i in subset)
+        return new_fc, new_ff
+
+    def merit(self, subset: frozenset[int]) -> float:
+        """Direct (non-incremental) merit of *subset*."""
+        members = sorted(subset)
+        sum_fc = float(np.sum(self.su_fc[members])) if members else 0.0
+        sum_ff = 0.0
+        for a_idx in range(len(members)):
+            for b_idx in range(a_idx + 1, len(members)):
+                sum_ff += self.su_ff(members[a_idx], members[b_idx])
+        return merit_from_sums(len(members), sum_fc, sum_ff)
+
+
+def scalar_cfs_select(
+    X: np.ndarray,
+    y: np.ndarray,
+    *,
+    bins: int = DEFAULT_BINS,
+    max_stale: int = DEFAULT_MAX_STALE,
+    max_features: int = DEFAULT_MAX_FEATURES,
+) -> CfsResult:
+    """:func:`~repro.ml.cfs.cfs_select` scored through :class:`MeritEvaluator`.
+
+    The same discretization and best-first search, with every SU value
+    computed per pair and on demand instead of by the blocked kernel.
+    """
+    X = np.asarray(X, dtype=float)
+    _, y_codes = np.unique(np.asarray(y), return_inverse=True)
+    evaluator = MeritEvaluator(discretize_features(X, bins=bins), y_codes)
+    su_fc = evaluator.su_fc
+    searchable = _searchable_indices(su_fc, max_features)
+    best_subset, best_merit = _best_first_search(
+        su_fc, evaluator.su_ff, searchable, max_stale
+    )
+    if not best_subset:
+        best_subset = frozenset({int(np.argmax(su_fc))})
+        best_merit = merit_from_sums(1, float(su_fc[min(best_subset)]), 0.0)
+    return CfsResult(
+        selected=sorted(best_subset), merit=float(best_merit), feature_class_su=su_fc
+    )

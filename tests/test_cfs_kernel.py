@@ -1,11 +1,9 @@
-"""Parity and cache tests for the blocked-SU CFS kernel.
+"""Parity tests for the blocked-SU CFS kernel.
 
 The blocked contingency kernel must be *bitwise* interchangeable with
-the scalar ``np.unique``-per-pair reference: same discretized codes,
-same SU values expression for expression, same selected subsets and
-merits. The :class:`SelectionCache` must never change results either —
-only skip repeated pre-work — mirroring the guarantees (and the test
-shape) of the discretization cache suite.
+the scalar ``np.unique``-per-pair reference in ``tests/oracles.py``:
+same discretized codes, same SU values expression for expression, same
+selected subsets and merits.
 """
 
 from __future__ import annotations
@@ -16,17 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ml.cfs import (
-    _MeritEvaluator,
     cfs_select,
     column_entropies,
     discretize_features,
     feature_class_su,
     feature_feature_su_matrix,
-    su_implementation,
     symmetrical_uncertainty,
 )
-from repro.obs.metrics import MetricsRegistry, registry, scoped_registry
-from repro.runtime import SelectionCache
+from repro.obs.metrics import MetricsRegistry, scoped_registry
+from tests.oracles import MeritEvaluator, scalar_cfs_select
 
 
 @pytest.fixture()
@@ -108,7 +104,7 @@ class TestBlockedSuParity:
         expected = np.zeros((k, k))
         for p in range(k):
             for q in range(p + 1, k):
-                # The scalar path (``_MeritEvaluator.su_ff``) orients every
+                # The scalar path (``MeritEvaluator.su_ff``) orients every
                 # pair by original column index; joint-entropy fuse order
                 # matters at the last ulp, so the oracle must match it.
                 lo, hi = sorted((indices[p], indices[q]))
@@ -173,34 +169,19 @@ class TestCfsSelectParity:
     def test_blocked_matches_scalar_bitwise(self, rng):
         for X, y in self._datasets(rng):
             blocked = cfs_select(X, y)
-            with su_implementation("scalar"):
-                scalar = cfs_select(X, y)
+            scalar = scalar_cfs_select(X, y)
             assert blocked.selected == scalar.selected
             assert blocked.merit == scalar.merit
             np.testing.assert_array_equal(
                 blocked.feature_class_su, scalar.feature_class_su
             )
 
-    def test_cached_matches_scalar_cold_and_warm(self, rng):
-        cache = SelectionCache(max_entries=256, metrics=MetricsRegistry())
-        for X, y in self._datasets(rng):
-            with su_implementation("scalar"):
-                scalar = cfs_select(X, y)
-            for _ in range(2):  # cold, then fully warm
-                cached = cfs_select(X, y, cache=cache)
-                assert cached.selected == scalar.selected
-                assert cached.merit == scalar.merit
-                np.testing.assert_array_equal(
-                    cached.feature_class_su, scalar.feature_class_su
-                )
-        assert cache.hits > 0
-
     def test_merit_matches_evaluator_oracle(self, rng):
         for X, y in self._datasets(rng):
             result = cfs_select(X, y)
             codes = discretize_features(np.asarray(X, dtype=float))
             _, y_codes = np.unique(y, return_inverse=True)
-            oracle = _MeritEvaluator(codes, y_codes).merit(frozenset(result.selected))
+            oracle = MeritEvaluator(codes, y_codes).merit(frozenset(result.selected))
             assert result.merit == pytest.approx(oracle, rel=1e-12)
 
     def test_seed_dataset_pipeline_features(self):
@@ -211,144 +192,6 @@ class TestCfsSelectParity:
         )
         y = np.array([0] * 40 + [1] * 40)
         blocked = cfs_select(X, y)
-        with su_implementation("scalar"):
-            scalar = cfs_select(X, y)
+        scalar = scalar_cfs_select(X, y)
         assert blocked.selected == scalar.selected
         assert blocked.merit == scalar.merit
-
-    def test_implementation_switch_validates_and_restores(self):
-        with pytest.raises(ValueError, match="implementation"):
-            with su_implementation("simd"):
-                pass  # pragma: no cover
-        from repro.ml import cfs
-
-        assert cfs._IMPLEMENTATION == "blocked"
-        with su_implementation("scalar"):
-            assert cfs._IMPLEMENTATION == "scalar"
-        assert cfs._IMPLEMENTATION == "blocked"
-
-
-class TestSelectionCache:
-    def _problem(self, rng, d=6):
-        X = rng.standard_normal((30, d))
-        y_codes = rng.integers(0, 2, size=30)
-        return X, y_codes
-
-    def test_matrix_hit_on_repeat(self, rng):
-        X, y_codes = self._problem(rng)
-        cache = SelectionCache(max_entries=64, metrics=MetricsRegistry())
-        first = cache.prepare(X, y_codes, bins=10, max_features=64)
-        # Cold: one matrix miss + one miss per column.
-        assert (cache.hits, cache.misses) == (0, 1 + X.shape[1])
-        second = cache.prepare(X, y_codes, bins=10, max_features=64)
-        assert second is first
-        assert (cache.hits, cache.misses) == (1, 1 + X.shape[1])
-        assert cache.n_matrices == 1
-
-    def test_column_hits_across_overlapping_matrices(self, rng):
-        X, y_codes = self._problem(rng, d=5)
-        cache = SelectionCache(max_entries=64, metrics=MetricsRegistry())
-        cache.prepare(X, y_codes, bins=10, max_features=64)
-        shuffled = X[:, [4, 3, 2, 1, 0]]
-        cache.prepare(shuffled, y_codes, bins=10, max_features=64)
-        # New matrix (miss) but every column fingerprint is already held.
-        assert cache.hits == 5
-        assert cache.misses == (1 + 5) + 1
-        assert len(cache) == 5
-        assert cache.n_matrices == 2
-
-    def test_results_identical_regardless_of_cache_state(self, rng):
-        X, y_codes = self._problem(rng)
-        cold = SelectionCache(max_entries=0, metrics=MetricsRegistry())
-        warm = SelectionCache(max_entries=64, metrics=MetricsRegistry())
-        expected = cold.prepare(X, y_codes, bins=10, max_features=64)
-        warm.prepare(X[:, :3], y_codes, bins=10, max_features=64)  # partial overlap
-        got = warm.prepare(X, y_codes, bins=10, max_features=64)
-        np.testing.assert_array_equal(got[0], expected[0])
-        assert got[1] == expected[1]
-        np.testing.assert_array_equal(got[2], expected[2])
-
-    def test_lru_eviction_of_columns(self, rng):
-        cache = SelectionCache(max_entries=4, metrics=MetricsRegistry())
-        X, y_codes = self._problem(rng, d=3)
-        cache.prepare(X, y_codes, bins=10, max_features=64)
-        other, _ = self._problem(rng, d=3)
-        cache.prepare(other, y_codes, bins=10, max_features=64)  # 6 columns > 4
-        assert cache.evictions >= 2
-        assert len(cache) == 4
-
-    def test_different_data_never_aliases(self, rng):
-        X, y_codes = self._problem(rng)
-        other = X.copy()
-        other[0, 0] += 1.0
-        assert SelectionCache.token(X) != SelectionCache.token(other)
-        assert SelectionCache.token(X) == SelectionCache.token(X.copy())
-        # Same bytes, different dtype/shape must not alias either.
-        ints = np.arange(4, dtype=np.int64)
-        assert SelectionCache.token(ints) != SelectionCache.token(
-            ints.view(np.float64)
-        )
-        assert SelectionCache.token(ints) != SelectionCache.token(
-            ints.reshape(2, 2)
-        )
-
-    def test_per_label_su_memo_rides_column_entry(self, rng):
-        X, y_codes = self._problem(rng, d=2)
-        cache = SelectionCache(max_entries=64, metrics=MetricsRegistry())
-        cache.prepare(X, y_codes, bins=10, max_features=64)
-        flipped = 1 - y_codes
-        cache.prepare(X, flipped, bins=10, max_features=64)
-        (_, entry), *_ = list(cache._columns.items())
-        assert entry.n_labelings == 2
-
-    def test_zero_size_disables_caching(self, rng):
-        X, y_codes = self._problem(rng)
-        cache = SelectionCache(max_entries=0, metrics=MetricsRegistry())
-        a = cache.prepare(X, y_codes, bins=10, max_features=64)
-        b = cache.prepare(X, y_codes, bins=10, max_features=64)
-        assert a is not b
-        assert len(cache) == 0 and cache.n_matrices == 0
-        assert cache.misses == 2 and cache.hits == 0
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(ValueError, match="max_entries"):
-            SelectionCache(max_entries=-1)
-
-    def test_metrics_published(self, rng):
-        metrics = MetricsRegistry()
-        X, y_codes = self._problem(rng, d=3)
-        cache = SelectionCache(max_entries=2, metrics=metrics)
-        cache.prepare(X, y_codes, bins=10, max_features=64)
-        cache.prepare(X, y_codes, bins=10, max_features=64)
-        assert metrics.counter_value("select.cache.hits") == cache.hits
-        assert metrics.counter_value("select.cache.misses") == cache.misses
-        assert metrics.counter_value("select.cache.evictions") == cache.evictions
-        assert cache.evictions >= 1  # 3 columns through a 2-entry table
-
-    def test_bins_part_of_key(self, rng):
-        X, y_codes = self._problem(rng, d=2)
-        cache = SelectionCache(max_entries=64, metrics=MetricsRegistry())
-        cache.prepare(X, y_codes, bins=10, max_features=64)
-        cache.prepare(X, y_codes, bins=5, max_features=64)
-        assert cache.hits == 0
-        assert len(cache) == 4  # 2 columns × 2 bin settings
-
-    def test_clear_drops_entries_keeps_counters(self, rng):
-        X, y_codes = self._problem(rng)
-        cache = SelectionCache(max_entries=64, metrics=MetricsRegistry())
-        cache.prepare(X, y_codes, bins=10, max_features=64)
-        misses = cache.misses
-        cache.clear()
-        assert len(cache) == 0 and cache.n_matrices == 0
-        assert cache.misses == misses
-
-
-class TestDefaultRegistryWiring:
-    def test_cache_defaults_to_process_registry(self, rng):
-        metrics = MetricsRegistry()
-        with scoped_registry(metrics):
-            cache = SelectionCache(max_entries=8)
-            X = rng.standard_normal((20, 2))
-            cache.prepare(X, rng.integers(0, 2, size=20), bins=10, max_features=64)
-        assert metrics.counter_value("select.cache.misses") == cache.misses
-        assert cache.misses > 0

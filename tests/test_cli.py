@@ -22,21 +22,32 @@ class TestParser:
 class TestFlagValidation:
     """Numeric flags fail at the parser, not deep inside the pipeline."""
 
+    SERVE = ["serve", "--model", "m.npz", "--max-batch"]
+
     @pytest.mark.parametrize("value", ["0", "-5"])
-    def test_cache_size_rejects_non_positive(self, value, capsys):
+    def test_max_batch_rejects_non_positive(self, value, capsys):
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["train", "CBF", "--cache-size", value])
+            build_parser().parse_args([*self.SERVE, value])
         assert exc.value.code == 2
         assert "must be a positive integer" in capsys.readouterr().err
 
-    def test_cache_size_rejects_garbage(self, capsys):
+    def test_max_batch_rejects_garbage(self, capsys):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["train", "CBF", "--cache-size", "many"])
+            build_parser().parse_args([*self.SERVE, "many"])
         assert "expected an integer" in capsys.readouterr().err
 
-    def test_cache_size_accepts_positive(self):
-        args = build_parser().parse_args(["train", "CBF", "--cache-size", "7"])
-        assert args.cache_size == 7
+    def test_max_batch_accepts_positive(self):
+        args = build_parser().parse_args([*self.SERVE, "7"])
+        assert args.max_batch == 7
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize(
+        "flag", ["--cache-size", "--discretize-cache-size", "--selection-cache-size"]
+    )
+    def test_cache_size_flags_are_gone(self, command, flag, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "CBF", flag, "7"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_jobs_rejects_zero_and_below_minus_one(self, value, capsys):

@@ -1,10 +1,12 @@
 """Parity and cache tests for the vectorized discretization pipeline.
 
 The integer-coded path must be *bitwise* interchangeable with the
-legacy string path: same words, same offsets (values and dtype), same
-dropped count, under every numerosity-reduction mode, junction mask and
-degenerate input. The :class:`DiscretizationCache` must never change
-results either — only skip repeated pre-work.
+string-per-window reference (:func:`tests.oracles.legacy_discretize`):
+same words, same offsets (values and dtype), same dropped count, under
+every numerosity-reduction mode, junction mask and degenerate input.
+The :class:`DiscretizationCache` must never change results either —
+only skip repeated pre-work (its LRU is pinned in
+``tests/test_runtime_cache.py``).
 """
 
 from __future__ import annotations
@@ -14,16 +16,10 @@ import pytest
 
 from repro.core.params import ParamRanges, ParamSelector
 from repro.grammar.inference import find_token_occurrences, find_word_occurrences
-from repro.obs.metrics import MetricsRegistry
 from repro.runtime import DiscretizationCache
 from repro.runtime.executor import ParallelExecutor
-from repro.sax.discretize import (
-    REDUCTIONS,
-    SaxParams,
-    SaxRecord,
-    discretize,
-    discretize_implementation,
-)
+from repro.sax.discretize import REDUCTIONS, SaxParams, SaxRecord, discretize
+from tests.oracles import LegacySaxRecord, legacy_discretize
 
 
 @pytest.fixture()
@@ -34,7 +30,7 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240806)
 
 
-def _assert_records_equal(a: SaxRecord, b: SaxRecord) -> None:
+def _assert_records_equal(a: SaxRecord, b: SaxRecord | LegacySaxRecord) -> None:
     assert a.words == b.words
     assert a.offsets.dtype == b.offsets.dtype
     np.testing.assert_array_equal(a.offsets, b.offsets)
@@ -62,8 +58,7 @@ class TestVectorizedLegacyParity:
     def test_random_series_all_modes(self, rng, reduction):
         for params in self.PARAM_GRID:
             series = rng.standard_normal(90)
-            with discretize_implementation("legacy"):
-                expected = discretize(series, params, numerosity_reduction=reduction)
+            expected = legacy_discretize(series, params, numerosity_reduction=reduction)
             got = discretize(series, params, numerosity_reduction=reduction)
             _assert_records_equal(got, expected)
 
@@ -73,10 +68,9 @@ class TestVectorizedLegacyParity:
         for _ in range(10):
             series = rng.standard_normal(70)
             mask = _random_mask(rng, series.size - params.window_size + 1)
-            with discretize_implementation("legacy"):
-                expected = discretize(
-                    series, params, numerosity_reduction=reduction, valid_start=mask
-                )
+            expected = legacy_discretize(
+                series, params, numerosity_reduction=reduction, valid_start=mask
+            )
             got = discretize(
                 series, params, numerosity_reduction=reduction, valid_start=mask
             )
@@ -89,8 +83,7 @@ class TestVectorizedLegacyParity:
         saw = np.tile([0.0, 1.0, 0.0, -1.0], 15).astype(float)
         steps = np.repeat([0.0, 5.0, 0.0], 20).astype(float)
         for series in (flat, saw, steps):
-            with discretize_implementation("legacy"):
-                expected = discretize(series, params, numerosity_reduction=reduction)
+            expected = legacy_discretize(series, params, numerosity_reduction=reduction)
             got = discretize(series, params, numerosity_reduction=reduction)
             _assert_records_equal(got, expected)
 
@@ -100,8 +93,7 @@ class TestVectorizedLegacyParity:
         # Guards against "compare adjacent rows" shortcuts.
         series = np.linspace(0.0, 1.0, 60) ** 2
         params = SaxParams(8, 4, 6)
-        with discretize_implementation("legacy"):
-            expected = discretize(series, params, numerosity_reduction="mindist")
+        expected = legacy_discretize(series, params, numerosity_reduction="mindist")
         got = discretize(series, params, numerosity_reduction="mindist")
         _assert_records_equal(got, expected)
 
@@ -120,11 +112,6 @@ class TestVectorizedLegacyParity:
                 _assert_records_equal(cached, plain)
                 _assert_records_equal(again, plain)
         assert cache.hits > 0
-
-    def test_unknown_implementation_rejected(self):
-        with pytest.raises(ValueError, match="implementation"):
-            with discretize_implementation("cython"):
-                pass
 
 
 class TestTokenIds:
@@ -145,16 +132,6 @@ class TestTokenIds:
         for word, token in zip(record.words, record.token_ids.tolist()):
             ids_by_word.setdefault(word, set()).add(token)
         assert all(len(ids) == 1 for ids in ids_by_word.values())
-
-    def test_words_constructed_record_has_tokens(self):
-        record = SaxRecord(
-            words=["ab", "cd", "ab"],
-            offsets=np.array([0, 1, 2]),
-            params=SaxParams(4, 2, 4),
-            series_length=7,
-        )
-        assert record.token_ids.tolist() == [0, 1, 0]
-        assert record.vocabulary == ("ab", "cd")
 
     @staticmethod
     def _unique_rows_reference(codes):
@@ -213,65 +190,6 @@ class TestTokenIds:
 
 
 class TestDiscretizationCache:
-    def test_hit_and_miss_counters(self, rng):
-        series = rng.standard_normal(60)
-        cache = DiscretizationCache(max_entries=4)
-        first = cache.windows(series, 8)
-        assert (cache.hits, cache.misses) == (0, 1)
-        second = cache.windows(series, 8)
-        assert second is first
-        assert (cache.hits, cache.misses) == (1, 1)
-        cache.windows(series, 12)
-        assert (cache.hits, cache.misses) == (1, 2)
-
-    def test_lru_eviction(self, rng):
-        series = rng.standard_normal(60)
-        cache = DiscretizationCache(max_entries=2)
-        a = cache.windows(series, 4)
-        cache.windows(series, 5)
-        cache.windows(series, 6)  # evicts window-4 entry (LRU)
-        assert cache.evictions == 1
-        assert len(cache) == 2
-        assert cache.windows(series, 5) is not None  # still cached
-        assert cache.hits == 1
-        refetched = cache.windows(series, 4)  # rebuilt, not the old object
-        assert refetched is not a
-
-    def test_recency_updates_on_hit(self, rng):
-        series = rng.standard_normal(60)
-        cache = DiscretizationCache(max_entries=2)
-        a = cache.windows(series, 4)
-        cache.windows(series, 5)
-        assert cache.windows(series, 4) is a  # touch 4 → 5 is now LRU
-        cache.windows(series, 6)
-        assert cache.windows(series, 4) is a  # survived the eviction
-        assert cache.evictions == 1
-
-    def test_different_data_never_aliases(self, rng):
-        series = rng.standard_normal(60)
-        other = series.copy()
-        other[0] += 1.0
-        cache = DiscretizationCache(max_entries=8)
-        cache.windows(series, 8)
-        cache.windows(other, 8)
-        assert cache.misses == 2 and cache.hits == 0
-        assert DiscretizationCache.token(series) != DiscretizationCache.token(other)
-        assert DiscretizationCache.token(series) == DiscretizationCache.token(
-            series.copy()
-        )
-
-    def test_zero_size_disables_caching(self, rng):
-        series = rng.standard_normal(40)
-        cache = DiscretizationCache(max_entries=0)
-        a = cache.windows(series, 5)
-        b = cache.windows(series, 5)
-        assert a is not b
-        assert len(cache) == 0 and cache.misses == 2
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(ValueError, match="max_entries"):
-            DiscretizationCache(max_entries=-1)
-
     def test_paa_memoized_per_entry(self, rng):
         series = rng.standard_normal(60)
         cache = DiscretizationCache(max_entries=4)
@@ -280,17 +198,6 @@ class TestDiscretizationCache:
         assert entry.paa(5) is first
         entry.paa(4)
         assert entry.n_paa_sizes == 2
-
-    def test_metrics_published(self, rng):
-        metrics = MetricsRegistry()
-        series = rng.standard_normal(60)
-        cache = DiscretizationCache(max_entries=1, metrics=metrics)
-        cache.windows(series, 8)
-        cache.windows(series, 8)
-        cache.windows(series, 9)  # evicts window-8
-        assert metrics.counter_value("discretize.cache.hits") == 1
-        assert metrics.counter_value("discretize.cache.misses") == 2
-        assert metrics.counter_value("discretize.cache.evictions") == 1
 
 
 class TestParamSelectorParallelEquivalence:

@@ -3,10 +3,10 @@
 Guards the integer-coded pipeline from silently rotting: the
 vectorized path (PAA + breakpoint lookup on the whole window matrix,
 row-wise numerosity reduction on code arrays) must never fall behind
-the legacy per-window string path. The margin is deliberately generous
-— this is a tripwire against accidental de-vectorization, not a
-benchmark (``benchmarks/bench_discretize.py`` measures the real
-speedup). Marked ``slow`` — run with ``pytest -m slow``.
+the per-window string reference in ``tests/oracles.py``. The margin is
+deliberately generous — this is a tripwire against accidental
+de-vectorization, not a benchmark (``benchmarks/bench_discretize.py``
+measures the real speedup). Marked ``slow`` — run with ``pytest -m slow``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.sax.discretize import SaxParams, discretize, discretize_implementation
+from repro.sax.discretize import SaxParams, discretize
+from tests.oracles import legacy_discretize
 
 
 def _best_of(fn, repeats: int = 3) -> float:
@@ -36,8 +37,7 @@ def test_vectorized_discretize_not_slower_than_legacy(reduction):
     params = SaxParams(48, 6, 5)
 
     def legacy():
-        with discretize_implementation("legacy"):
-            return discretize(series, params, numerosity_reduction=reduction)
+        return legacy_discretize(series, params, numerosity_reduction=reduction)
 
     def vectorized():
         return discretize(series, params, numerosity_reduction=reduction)

@@ -6,6 +6,8 @@ behaves — either a clean error or a sensible result, never silent
 corruption.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,33 @@ class TestNaNs:
         # is arbitrary but the call must not crash.
         preds = clf.predict(query)
         assert preds.shape == (1,)
+
+    # Unchecked, one NaN in one training series gives a chance-level
+    # model and no error, and an inf the same model with dozens of
+    # RuntimeWarnings.
+    def test_rpm_fit_rejects_nan(self, tiny_cbf):
+        X = tiny_cbf.X_train.copy()
+        X[3, 40] = np.nan
+        with pytest.raises(ValueError, match="row 3 of X contains 1 non-finite"):
+            RPMClassifier(sax_params=SaxParams(24, 5, 4)).fit(X, tiny_cbf.y_train)
+
+    def test_rpm_fit_rejects_inf_without_warnings(self, tiny_cbf):
+        X = tiny_cbf.X_train.copy()
+        X[3, 40] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="row 3 of X contains 1 non-finite"):
+                RPMClassifier(sax_params=SaxParams(24, 5, 4)).fit(X, tiny_cbf.y_train)
+
+    def test_rpm_predict_rejects_nan_row(self, tiny_cbf):
+        clf = RPMClassifier(sax_params=SaxParams(24, 5, 4))
+        clf.fit(tiny_cbf.X_train, tiny_cbf.y_train)
+        query = tiny_cbf.X_test[:3].copy()
+        query[1, 0] = np.nan
+        with pytest.raises(ValueError, match="row 1 of X"):
+            clf.predict(query)
+        with pytest.raises(ValueError, match="row 1 of X"):
+            clf.transform(query)
 
 
 class TestCandidateMiningEdges:

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro import BaseEstimator, Estimator, RPMClassifier, SaxParams, clone
-from repro.base import keyword_only
 from repro.baselines import (
     BagOfPatternsClassifier,
     FastShapeletsClassifier,
@@ -107,40 +106,28 @@ class TestProtocol:
         assert twin.X_ is None and twin.y_ is None
 
 
-class TestKeywordOnlyShim:
-    def test_rpm_positional_sax_params_warns(self):
-        with pytest.warns(DeprecationWarning, match="sax_params"):
-            clf = RPMClassifier(PARAMS)
-        assert clf.sax_params is PARAMS
+# Every estimator that takes configuration (all but NearestNeighborED).
+CONFIGURED = [est for est in ESTIMATORS if est.get_params()]
 
-    def test_baseline_positional_warns(self):
-        with pytest.warns(DeprecationWarning, match="params"):
-            model = BagOfPatternsClassifier(PARAMS)
-        assert model.params is PARAMS
 
-    def test_keyword_call_is_silent(self, recwarn):
-        RPMClassifier(sax_params=PARAMS)
-        BagOfPatternsClassifier(params=PARAMS)
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-    def test_too_many_positionals_raise(self):
+class TestKeywordOnlyConstructors:
+    @pytest.mark.parametrize(
+        "est", CONFIGURED, ids=[type(est).__name__ for est in CONFIGURED]
+    )
+    def test_positional_argument_is_a_type_error(self, est):
+        # The value of the first parameter, passed positionally.
+        first = next(iter(est.get_params().values()))
         with pytest.raises(TypeError, match="positional"):
-            NearestNeighborDTW((0.1,), None, "extra")
+            type(est)(first)
 
-    def test_positional_and_keyword_duplicate_raises(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="params"):
-                BagOfPatternsClassifier(PARAMS, params=PARAMS)
-
-    def test_decorator_preserves_signature_for_introspection(self):
-        @keyword_only("a", "b")
-        def init(self, *, a=1, b=2):
-            return a, b
-
+    @pytest.mark.parametrize("est", ESTIMATORS, ids=ids)
+    def test_signature_is_keyword_only_for_introspection(self, est):
         import inspect
 
-        names = list(inspect.signature(init).parameters)
-        assert names == ["self", "a", "b"]
+        parameters = list(inspect.signature(type(est).__init__).parameters.values())
+        assert parameters[0].name == "self"
+        assert all(p.kind is p.KEYWORD_ONLY for p in parameters[1:])
+        assert list(est.get_params()) == [p.name for p in parameters[1:]]
 
 
 class TestModuleClone:

@@ -16,8 +16,8 @@ Contracts under test:
    disagreement or latency regression exceeds the thresholds —
    including the float32-quantized bank variant.
 4. **ServeConfig is the one validated knob surface** — bad values are
-   rejected in ``__post_init__``; the legacy per-knob constructor
-   keywords still work behind a DeprecationWarning for one release.
+   rejected in ``__post_init__``, and the service constructors take no
+   per-knob keywords: ``max_batch=8`` is a plain ``TypeError``.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from repro.serve import (
     ServeConfig,
     ShadowReport,
     ShadowScorer,
+    ShardedPredictionService,
 )
 
 
@@ -417,21 +418,15 @@ class TestServeConfig:
         assert config.max_batch == 64
         assert config.to_dict()["max_batch"] == 64
 
-    def test_legacy_keywords_warn_and_still_work(self, fitted):
+    @pytest.mark.parametrize(
+        "service_class", [PredictionService, ShardedPredictionService]
+    )
+    def test_per_knob_keyword_is_a_type_error(self, fitted, service_class):
+        # Rejected while binding the signature: no worker or shard starts.
         model = CompiledModel.from_classifier(fitted)
         try:
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                service = PredictionService(model, max_batch=8, warmup=False)
-            assert service.config.max_batch == 8
-            assert service.config.warmup is False
-        finally:
-            model.close()
-
-    def test_config_plus_legacy_is_a_type_error(self, fitted):
-        model = CompiledModel.from_classifier(fitted)
-        try:
-            with pytest.raises(TypeError, match="not both"):
-                PredictionService(model, config=ServeConfig(), max_batch=8)
+            with pytest.raises(TypeError, match="max_batch"):
+                service_class(model, max_batch=8)
         finally:
             model.close()
 

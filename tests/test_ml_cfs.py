@@ -115,18 +115,19 @@ class TestCfsSelect:
 
     def test_merit_matches_direct_evaluation(self, rng):
         # The incremental merit must equal the direct formula.
-        from repro.ml.cfs import _MeritEvaluator
+        from repro.ml.cfs import merit_from_sums
+        from tests.oracles import MeritEvaluator
 
         X, y = self._data(rng, n=100)
         codes = discretize_features(X)
         _, y_codes = np.unique(y, return_inverse=True)
-        ev = _MeritEvaluator(codes, y_codes)
+        ev = MeritEvaluator(codes, y_codes)
         subset: frozenset[int] = frozenset()
         fc = ff = 0.0
         for j in (0, 2, 3):
             fc, ff = ev.extend_sums(subset, fc, ff, j)
             subset = subset | {j}
-            assert ev.merit_from_sums(len(subset), fc, ff) == pytest.approx(
+            assert merit_from_sums(len(subset), fc, ff) == pytest.approx(
                 ev.merit(subset)
             )
 

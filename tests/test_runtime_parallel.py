@@ -16,10 +16,17 @@ import pytest
 
 from repro import RPMClassifier, SaxParams
 from repro.core.candidates import find_candidates
+from repro.core.params import ParamSelector
+from repro.core.selection import find_distinct
 from repro.core.transform import pattern_features
 from repro.data import cbf
 from repro.obs.metrics import MetricsRegistry
-from repro.runtime import ParallelExecutor, resolve_n_jobs
+from repro.runtime import (
+    DiscretizationCache,
+    ParallelExecutor,
+    WindowStatsCache,
+    resolve_n_jobs,
+)
 
 FIXED_PARAMS = SaxParams(window_size=24, paa_size=5, alphabet_size=4)
 
@@ -124,13 +131,12 @@ def dataset():
     return cbf(n_train_per_class=8, n_test_per_class=10, length=96, seed=7)
 
 
-def _fit_outputs(dataset, n_jobs, backend, **kwargs):
+def _fit_outputs(dataset, n_jobs, backend):
     clf = RPMClassifier(
         sax_params=FIXED_PARAMS,
         seed=0,
         n_jobs=n_jobs,
         parallel_backend=backend,
-        **kwargs,
     )
     clf.fit(dataset.X_train, dataset.y_train)
     return {
@@ -169,9 +175,50 @@ class TestFitTransformEquivalence:
         assert np.array_equal(first["transform"], second["transform"])
         assert np.array_equal(first["predictions"], second["predictions"])
 
-    def test_cache_disabled_is_equivalent(self, dataset, serial_reference):
-        outputs = _fit_outputs(dataset, 1, "serial", cache_size=0)
-        assert np.array_equal(serial_reference["transform"], outputs["transform"])
+    def test_cache_disabled_is_equivalent(self, dataset):
+        """The caches change no bit of the search, selection or transform."""
+        metrics = MetricsRegistry()
+
+        def run(max_entries):
+            stats = WindowStatsCache(max_entries, metrics=metrics)
+            windows = DiscretizationCache(max_entries, metrics=metrics)
+            selector = ParamSelector(
+                dataset.X_train, dataset.y_train, n_splits=2, cv_folds=3, seed=0,
+                discretize_cache=windows,
+            )
+            # The cache of the search's validation transforms.
+            selector._stats_cache = stats
+            params = selector.select_direct(max_evaluations=8, max_iterations=4)
+            candidates = find_candidates(
+                dataset.X_train, dataset.y_train, params, discretize_cache=windows
+            )
+            selection = find_distinct(
+                dataset.X_train, dataset.y_train, candidates, cache=stats
+            )
+            features = pattern_features(dataset.X_test, selection.patterns, cache=stats)
+            return {
+                "caches": (stats, windows),
+                "evaluations": selector._cache,
+                "params": params,
+                "selection": selection,
+                "features": features,
+            }
+
+        cached = run(16)
+        uncached = run(0)
+        assert all(cache.hits > 0 for cache in cached["caches"])
+        assert all(len(cache) == cache.hits == 0 for cache in uncached["caches"])
+        assert cached["params"] == uncached["params"]
+        assert list(cached["evaluations"]) == list(uncached["evaluations"])
+        for key, evaluation in cached["evaluations"].items():
+            assert evaluation.f1_by_class == uncached["evaluations"][key].f1_by_class
+        a, b = cached["selection"], uncached["selection"]
+        assert a.tau == b.tau and a.cfs_merit == b.cfs_merit
+        assert np.array_equal(a.train_features, b.train_features)
+        assert [p.label for p in a.patterns] == [p.label for p in b.patterns]
+        for p, q in zip(a.patterns, b.patterns):
+            assert np.array_equal(p.values, q.values)
+        assert np.array_equal(cached["features"], uncached["features"])
 
     def test_param_search_equivalence(self, dataset):
         """The DIRECT search (Algorithm 3) is scheduling-independent too."""
