@@ -11,10 +11,13 @@ that directly on a small trained model:
   ``max_batch``;
 * compiled transform, serial executor vs thread fan-out.
 
-The bitwise-equivalence assertion (batched labels == the in-process
-``RPMClassifier.predict``) is always on. The ≥2× throughput gate only
-arms on hosts with at least 4 CPUs — tiny shared runners make wall-
-clock ratios meaningless.
+Two bitwise-equivalence assertions are always on: batched labels ==
+the in-process ``RPMClassifier.predict``, and ``CompiledModel.transform``
+== ``RPMClassifier.transform`` on a 128-point CBF fit whose largest
+length bucket goes to the FFT under ``auto`` (the ItalyPowerSim
+requests are too short to leave the mat-vec). The ≥2× throughput gate
+only arms on hosts with at least 4 CPUs — tiny shared runners make
+wall-clock ratios meaningless.
 
 Run stand-alone (CI fast lane) with ``python benchmarks/bench_serve.py``
 or through pytest-benchmark alongside the other benches.
@@ -33,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import harness  # noqa: E402
 from repro import RPMClassifier, SaxParams  # noqa: E402
-from repro.data import load  # noqa: E402
+from repro.data import cbf, load  # noqa: E402
 from repro.obs import registry, scoped_registry  # noqa: E402
 from repro.serve import CompiledModel, PredictionService, ServeConfig  # noqa: E402
 
@@ -57,6 +60,22 @@ def _throughput(service: PredictionService, X: np.ndarray, *, coalesce: bool) ->
     elapsed = time.perf_counter() - start
     assert all(r.ok for r in results)
     return X.shape[0] / elapsed, np.array([r.label for r in results])
+
+
+def _check_features_above_fft_crossover() -> str:
+    """Served features == ``RPMClassifier.transform``, bitwise, with FFT buckets."""
+    data = cbf(n_train_per_class=10, n_test_per_class=20, length=128, seed=1)
+    clf = RPMClassifier(sax_params=SaxParams(45, 4, 6)).fit(data.X_train, data.y_train)
+    with scoped_registry() as reg:
+        expected = clf.transform(data.X_test)
+        fft_calls = reg.counter_value("kernel.backend.fft")
+    assert fft_calls > 0, "no length bucket went to the FFT; the check lost its point"
+    with CompiledModel.from_classifier(clf) as model:
+        np.testing.assert_array_equal(model.transform(data.X_test), expected)
+    return (
+        "equivalence: CompiledModel.transform bitwise-identical to "
+        f"RPMClassifier.transform on 128-point CBF ({fft_calls} FFT bucket call(s))"
+    )
 
 
 def run_bench() -> str:
@@ -107,6 +126,7 @@ def run_bench() -> str:
             f"\nbatched/single speedup: {speedup:.2f}x "
             f"(gate {'armed' if gated else 'off — <4 CPUs'})",
             "equivalence: batched labels bitwise-identical to RPMClassifier.predict",
+            _check_features_above_fft_crossover(),
         ]
     )
     if gated:

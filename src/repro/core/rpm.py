@@ -37,9 +37,43 @@ from .candidates import find_candidates
 from .params import ParamRanges, ParamSelector, default_ranges
 from .patterns import PatternCandidate, RepresentativePattern
 from .selection import SelectionResult, find_distinct
-from .transform import pattern_features
+from .transform import PatternBank, pattern_features, pattern_values
 
 __all__ = ["RPMClassifier"]
+
+
+def _as_matrix(X) -> np.ndarray:
+    """``X`` as a float array, naming the first row of a ragged input."""
+    try:
+        return np.asarray(X, dtype=float)
+    except ValueError:
+        lengths = [np.size(row) for row in X]
+        for row, length in enumerate(lengths):
+            if length != lengths[0]:
+                raise ValueError(
+                    f"row {row} of X has {length} points, but row 0 has {lengths[0]}"
+                ) from None
+        raise
+
+
+def _require_trainable_classes(X: np.ndarray, y: np.ndarray, classes: np.ndarray) -> None:
+    """Reject a class with fewer than two series or only constant ones.
+
+    Such a class yields no pattern of its own, and the model then
+    silently misclassifies every real series of it. A class of
+    near-flat series (below the z-normalization threshold, but not
+    constant) still fits: the other classes' patterns separate it.
+    """
+    constant = (X == X[:, :1]).all(axis=1)
+    for label in classes:
+        members = y == label
+        count = int(np.count_nonzero(members))
+        if count < 2:
+            raise ValueError(
+                f"class {label} has {count} training series; every class needs at least 2"
+            )
+        if constant[members].all():
+            raise ValueError(f"every training series of class {label} is constant")
 
 
 def _require_finite(X: np.ndarray) -> None:
@@ -90,8 +124,9 @@ class RPMClassifier(BaseEstimator):
         Algorithm 3 budget knobs (see :class:`ParamSelector`).
     n_jobs:
         Worker count for the parallel runtime: per-class candidate
-        mining and the per-pattern transform columns fan out across
-        this many workers (``-1`` = all CPUs, ``1`` = serial). Results
+        mining, the fit's per-pattern transform columns and the length
+        buckets of ``transform``/``predict`` fan out across this many
+        workers (``-1`` = all CPUs, ``1`` = serial). Results
         are bitwise identical for every value — see ``docs/runtime.md``.
     parallel_backend:
         ``'thread'`` (default), ``'process'`` or ``'serial'``.
@@ -170,11 +205,12 @@ class RPMClassifier(BaseEstimator):
         # resolved tracer is what the pipeline actually uses.
         self.trace = trace
         self.tracer = resolve_tracer(trace)
-        # The window-statistics cache is shared by this classifier's
-        # transforms, the discretization cache by the parameter search
-        # and mining.
+        # The window-statistics cache serves the fit's per-pattern
+        # transforms, the discretization cache the parameter search and
+        # mining. Inference runs the pattern bank, built on first use.
         self._stats_cache = WindowStatsCache()
         self._discretize_cache = DiscretizationCache()
+        self._bank: tuple[list | None, PatternBank | None] = (None, None)
 
         self.patterns_: list[RepresentativePattern] = []
         self.params_by_class_: dict = {}
@@ -202,7 +238,7 @@ class RPMClassifier(BaseEstimator):
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RPMClassifier":
         """Run the full RPM training pipeline (Algorithms 1-3)."""
-        X = np.asarray(X, dtype=float)
+        X = _as_matrix(X)
         y = np.asarray(y)
         if X.ndim != 2 or X.shape[0] != y.shape[0]:
             raise ValueError("X must be (n, m) with matching y")
@@ -210,6 +246,7 @@ class RPMClassifier(BaseEstimator):
         self.classes_ = np.unique(y)
         if self.classes_.size < 2:
             raise ValueError("need at least two classes")
+        _require_trainable_classes(X, y, self.classes_)
         self.n_timesteps_ = int(X.shape[1])
 
         tracer = self.tracer
@@ -315,21 +352,33 @@ class RPMClassifier(BaseEstimator):
 
     # -- inference ----------------------------------------------------------------
 
+    def _pattern_bank(self) -> PatternBank:
+        """The compiled bank of ``patterns_``, rebuilt when they change."""
+        patterns, bank = self._bank
+        if patterns is not self.patterns_:
+            bank = PatternBank([pattern_values(p) for p in self.patterns_])
+            self._bank = (self.patterns_, bank)
+        return bank
+
     def transform(self, X: np.ndarray) -> np.ndarray:
-        """Pattern-distance features of new series (n, K)."""
+        """Pattern-distance features of new series (n, K).
+
+        Runs the pattern bank over one window-statistics prefix per
+        batch: the path :class:`~repro.serve.CompiledModel` serves, so
+        the two agree bitwise.
+        """
         if not self.patterns_:
             raise RuntimeError("classifier used before fit()")
-        X = np.asarray(X, dtype=float)
+        X = _as_matrix(X)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
         _require_finite(X)
         with self._make_executor() as executor:
             return pattern_features(
                 X,
-                self.patterns_,
+                self._pattern_bank(),
                 rotation_invariant=self.rotation_invariant,
                 executor=executor,
-                cache=self._stats_cache,
                 tracer=self.tracer,
                 kernel_backend=self.kernel_backend,
             )

@@ -10,11 +10,12 @@ window length. This package factors that out:
     :class:`ParallelExecutor` — one ``map`` abstraction over serial,
     thread and process backends with ordered, chunked work submission.
 ``kernel``
-    :class:`SlidingWindowStats` — per-(series matrix, window length)
-    rolling statistics (cumulative sums) that turn each pattern's
+    :class:`SeriesPrefix` — per-series-matrix centred rows, cumulative
+    sums and one lazily built series spectrum — and its per-length
+    :class:`SlidingWindowStats` views, which turn each pattern's
     distance profile into a single mat-vec, or — through the batched
-    MASS-style FFT backend — one shared series spectrum plus
-    O(n log n) per pattern (``resolve_backend`` picks per workload).
+    MASS-style FFT backend — O(n log n) per pattern against the shared
+    spectrum (``resolve_backend`` picks per workload).
 ``cache``
     One generic LRU and one content fingerprint behind the two caches:
     :class:`WindowStatsCache` holds kernel statistics keyed on (series
@@ -42,6 +43,7 @@ from .executor import ParallelExecutor, resolve_n_jobs
 from .kernel import (
     KERNEL_BACKENDS,
     PrenormalizedPattern,
+    SeriesPrefix,
     SlidingWindowStats,
     prenormalize_pattern,
     resample_pattern,
@@ -59,6 +61,7 @@ __all__ = [
     "KERNEL_BACKENDS",
     "ParallelExecutor",
     "PrenormalizedPattern",
+    "SeriesPrefix",
     "SlidingWindowStats",
     "WindowStatsCache",
     "default_cache",

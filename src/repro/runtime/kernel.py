@@ -1,17 +1,22 @@
 """Vectorized sliding-window distance kernel.
 
 The z-normalized distance profile of a pattern ``q`` against every
-window of every series decomposes into two parts:
+window of every series decomposes into three parts:
 
-* statistics that depend only on the *series matrix and window length*
-  — rolling window mean/std via cumulative sums, the flat-window mask,
-  and the strided window view;
+* statistics that depend only on the *series matrix*: the centred rows,
+  their cumulative sums and sums of squares, the RMS flatness floor and
+  the FFT series spectrum (:class:`SeriesPrefix`, one per matrix);
+* statistics that also depend on the *window length*: the rolling
+  window sd, the flat-window mask and the strided window view
+  (:class:`SlidingWindowStats`, a cheap view over the prefix);
 * a per-pattern cross-correlation ``⟨w, q⟩`` plus O(1) arithmetic.
 
-:class:`SlidingWindowStats` precomputes the first part once so that
-every pattern of a given length pays only the cross-correlation (the
+Every pattern of a given length pays only the cross-correlation, and
+every length of a pattern bank shares one prefix and one spectrum (the
 paper's transform evaluates *all* patterns against *all* series, so the
-reuse factor is the number of patterns per length).
+reuse factor is the number of patterns per matrix).
+``SlidingWindowStats(X, L)`` builds a private prefix, so its arrays are
+bitwise those of ``SlidingWindowStats(SeriesPrefix(X), L)``.
 
 Two backends compute the cross-correlation:
 
@@ -23,14 +28,15 @@ Two backends compute the cross-correlation:
 ``fft``
     The MASS trick: ``QT = irfft(rfft(X) · rfft(reverse(q)))`` computes
     every alignment of every pattern in O(n log n) per series instead
-    of O(n·L) per pattern. The series spectrum is computed once per
-    (matrix, length) and shared by the whole per-length pattern bucket;
-    patterns are stacked into one ``(k, L)`` matrix and transformed in
-    a single batched FFT. Downstream arithmetic (the ``2L − 2·QT/σ_w``
-    distance identity, flat-window/flat-pattern branches) is the exact
-    mat-vec expression — only the dot products differ, by FFT rounding
-    (relative error ~1e-12), so distances agree to ~1e-9 relative with
-    a small absolute floor near zero (see ``docs/runtime.md``).
+    of O(n·L) per pattern. ``nfft`` depends only on the series length,
+    so the prefix computes the series spectrum once per matrix and
+    every per-length bucket shares it; a bucket's patterns are stacked
+    into one ``(k, L)`` matrix and transformed in a single batched FFT.
+    Downstream arithmetic (the ``2L − 2·QT/σ_w`` distance identity,
+    flat-window/flat-pattern branches) is the exact mat-vec expression
+    — only the dot products differ, by FFT rounding (relative error
+    ~1e-12), so distances agree to ~1e-9 relative with a small absolute
+    floor near zero (see ``docs/runtime.md``).
 
 ``resolve_backend`` picks between them: ``auto`` selects FFT only above
 a calibrated series-length × pattern-length × bucket-size crossover, so
@@ -51,6 +57,7 @@ from ..sax.znorm import NORM_THRESHOLD, is_flat, znorm
 __all__ = [
     "KERNEL_BACKENDS",
     "PrenormalizedPattern",
+    "SeriesPrefix",
     "SlidingWindowStats",
     "prenormalize_pattern",
     "resample_pattern",
@@ -77,8 +84,13 @@ FFT_LENGTH_CROSSOVER = 6.0  # use FFT when L ≥ crossover · log2(m)
 
 #: Complex scratch budget for one batched-FFT chunk. Patterns are
 #: processed in chunks so the ``(chunk, n, nfft/2+1)`` spectrum product
-#: never balloons with the bucket size.
-_FFT_SCRATCH_BYTES = 32 * 1024 * 1024
+#: never balloons with the bucket size. Each row's transform is computed
+#: on its own, so the chunking never changes a bit. Small chunks stay in
+#: cache: on a 2-vCPU Xeon VM, a 14-pattern bucket of length 129 against
+#: 512 rows of 1,024 points took 71-79 ms per call at 1-4 MB against
+#: 118 ms at 32 MB, and batches of a few rows still stack many patterns
+#: per chunk.
+_FFT_SCRATCH_BYTES = 2 * 1024 * 1024
 
 #: Tie-breaking tolerance for best-match positions: every alignment
 #: whose distance is within ``TIE_ATOL + TIE_RTOL·min`` of the row
@@ -213,130 +225,161 @@ def _next_pow2(n: int) -> int:
     return 1 << max(int(n) - 1, 0).bit_length()
 
 
-class SlidingWindowStats:
-    """Rolling statistics of every length-``L`` window of a series matrix.
+class SeriesPrefix:
+    """The window-length-independent statistics of a series matrix.
 
     Parameters
     ----------
     X:
-        ``(n, m)`` series matrix.
-    length:
-        Window length ``L`` with ``2 <= L <= m``.
+        ``(n, m)`` series matrix, ``m >= 2``.
 
-    The constructor performs the O(n·m) cumulative-sum precomputation;
-    :meth:`profiles` then costs one ``(n, J, L) @ (L,)`` mat-vec per
-    pattern — or, through the batched FFT backend
-    (:meth:`batch_profiles_prenormalized`), one shared series spectrum
-    plus O(n log n) per pattern. Instances are immutable after
-    construction (the lazily-built series spectrum is idempotent and
-    lock-guarded) and safe to share across threads.
+    Holds the centred rows, both cumulative sums (each with a leading
+    zero column), the per-row RMS flatness floor and, built lazily and
+    at most once, the rfft of every centred row. None of it depends on
+    a window length: ``nfft`` is the next power of two ``>= m``, so one
+    spectrum serves every length. ``SlidingWindowStats(prefix, L)``
+    derives a per-length view from these arrays, which lets a pattern
+    bank with several lengths pay for one prefix, and one spectrum, per
+    batch. Immutable after construction (the spectrum build is
+    idempotent and lock-guarded) and safe to share across threads; it
+    pickles without its spectrum.
     """
 
     __slots__ = (
-        "length",
-        "series_length",
         "n_series",
-        "n_windows",
-        "_windows",
-        "_centered",
-        "_sd",
-        "_flat",
-        "_safe_sd",
+        "series_length",
+        "nfft",
+        "centered",
+        "cumsum",
+        "cumsum2",
+        "floor",
         "_xf",
-        "_nfft",
         "_fft_lock",
     )
 
-    def __init__(self, X: np.ndarray, length: int) -> None:
+    def __init__(self, X: np.ndarray) -> None:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
-            raise ValueError(f"SlidingWindowStats expects a 2-D matrix, got {X.shape}")
+            raise ValueError(f"window statistics need a 2-D series matrix, got shape {X.shape}")
         n_rows, m = X.shape
-        length = int(length)
-        if not 2 <= length <= m:
-            raise ValueError(f"window length must be in [2, {m}], got {length}")
-        self.length = length
-        self.series_length = m
-        self.n_series = n_rows
-        self.n_windows = m - length + 1
-
+        if m < 2:
+            raise ValueError(f"series need >= 2 points, got {m}")
         # Centering the rows before the cumulative sums avoids the
         # catastrophic cancellation of sum(x²)/L − mean² for series
         # with a large offset; window z-normalization is unaffected.
         # The pattern side is z-normalized (Σq = 0), so the per-row
         # shift also leaves every ⟨w, q⟩ dot product unchanged.
         X = X - X.mean(axis=1, keepdims=True)
-
-        cumsum = np.cumsum(X, axis=1)
-        cumsum = np.concatenate([np.zeros((n_rows, 1)), cumsum], axis=1)
-        cumsum2 = np.cumsum(X * X, axis=1)
-        cumsum2 = np.concatenate([np.zeros((n_rows, 1)), cumsum2], axis=1)
-        window_sum = cumsum[:, length:] - cumsum[:, :-length]
-        window_sum2 = cumsum2[:, length:] - cumsum2[:, :-length]
-        mean = window_sum / length
-        var = window_sum2 / length - mean * mean
-        np.maximum(var, 0.0, out=var)
-        sd = np.sqrt(var)
+        zeros = np.zeros((n_rows, 1))
+        cumsum = np.concatenate([zeros, np.cumsum(X, axis=1)], axis=1)
+        cumsum2 = np.concatenate([zeros, np.cumsum(X * X, axis=1)], axis=1)
         # Flatness threshold with a magnitude-relative noise floor: the
         # cumulative-sum variance estimate carries cancellation noise
         # proportional to the series' squared magnitude.
-        rms = np.sqrt(cumsum2[:, -1:] / max(m, 1))
-        self._flat = is_flat(sd, np.maximum(NORM_THRESHOLD, 1e-7 * rms))
-        self._sd = sd
-        self._safe_sd = np.where(self._flat, 1.0, sd)
-        # The centered copy backs both the strided window view (matvec)
-        # and the lazily-computed series spectrum (fft).
-        self._centered = X
-        self._windows = np.lib.stride_tricks.sliding_window_view(X, length, axis=1)
+        rms = np.sqrt(cumsum2[:, -1:] / m)
+        self.__setstate__((X, cumsum, cumsum2, np.maximum(NORM_THRESHOLD, 1e-7 * rms)))
+
+    def __getstate__(self):
+        # Process workers receive the arrays by value and rebuild the
+        # spectrum (and a fresh lock) on first use.
+        return (self.centered, self.cumsum, self.cumsum2, self.floor)
+
+    def __setstate__(self, state) -> None:
+        self.centered, self.cumsum, self.cumsum2, self.floor = state
+        self.n_series, self.series_length = self.centered.shape
+        # nfft ≥ m keeps the circular convolution free of wrap-around in
+        # the retained lags; the next power of two keeps rfft on its
+        # fastest path.
+        self.nfft = _next_pow2(self.series_length)
         self._xf = None
-        self._nfft = 0
         self._fft_lock = threading.Lock()
 
-    def nbytes(self) -> int:
-        """Approximate resident size (for cache accounting/debugging)."""
-        total = int(
-            self._sd.nbytes + self._flat.nbytes + self._safe_sd.nbytes
-            + self._centered.nbytes
-        )
-        if self._xf is not None:
-            total += int(self._xf.nbytes)
-        return total
+    def series_fft(self) -> np.ndarray:
+        """The rfft of every centred row, built once per matrix.
 
-    # -- FFT backend -----------------------------------------------------------
-
-    def _series_fft(self) -> np.ndarray:
-        """The rfft of every (centered) row, built once and shared.
-
-        One spectrum serves every pattern of this length and every
-        backend call on this instance — the per-(length, batch) cost
-        the MASS trick amortizes. Idempotent under races; the lock just
-        keeps concurrent first callers from duplicating the work.
+        One spectrum serves every pattern of every window length. The
+        build is idempotent under races; the lock only keeps concurrent
+        first callers from duplicating the work.
         """
         xf = self._xf
         if xf is None:
             with self._fft_lock:
                 xf = self._xf
                 if xf is None:
-                    # nfft ≥ m keeps the circular convolution free of
-                    # wrap-around in the J retained lags; the next power
-                    # of two keeps rfft on its fastest path.
-                    self._nfft = _next_pow2(self.series_length)
-                    xf = np.fft.rfft(self._centered, self._nfft, axis=1)
-                    self._xf = xf
+                    xf = self._xf = np.fft.rfft(self.centered, self.nfft, axis=1)
                     registry().inc("kernel.fft.series_ffts")
         return xf
 
-    def _fft_profile_chunks(self, pres: Sequence[PrenormalizedPattern]):
-        """Yield ``(lo, hi, profiles)`` blocks of the batched FFT path.
 
+class SlidingWindowStats:
+    """Rolling statistics of every length-``L`` window of a series matrix.
+
+    Parameters
+    ----------
+    X:
+        ``(n, m)`` series matrix, or the :class:`SeriesPrefix` of one.
+    length:
+        Window length ``L`` with ``2 <= L <= m``.
+
+    A per-length view over a :class:`SeriesPrefix`: the window sd from
+    the prefix's cumulative sums, the flat-window mask, the safe sd
+    divisor and the strided window view. Given a matrix it builds the
+    prefix first, so ``SlidingWindowStats(X, L)`` and
+    ``SlidingWindowStats(SeriesPrefix(X), L)`` hold bitwise-equal arrays.
+    :meth:`profiles` then costs one ``(n, J, L) @ (L,)`` mat-vec per
+    pattern or, through the batched FFT backend
+    (:meth:`batch_profiles_prenormalized`), O(n log n) per pattern
+    against the prefix's one series spectrum. Instances are immutable
+    after construction and safe to share across threads.
+    """
+
+    __slots__ = (
+        "prefix",
+        "length",
+        "series_length",
+        "n_series",
+        "n_windows",
+        "sd",
+        "flat",
+        "safe_sd",
+        "windows",
+    )
+
+    def __init__(self, X, length: int) -> None:
+        prefix = X if isinstance(X, SeriesPrefix) else SeriesPrefix(X)
+        m = prefix.series_length
+        length = int(length)
+        if not 2 <= length <= m:
+            raise ValueError(f"window length must be in [2, {m}], got {length}")
+        self.prefix = prefix
+        self.length = length
+        self.series_length = m
+        self.n_series = prefix.n_series
+        self.n_windows = m - length + 1
+        window_sum = prefix.cumsum[:, length:] - prefix.cumsum[:, :-length]
+        window_sum2 = prefix.cumsum2[:, length:] - prefix.cumsum2[:, :-length]
+        mean = window_sum / length
+        var = window_sum2 / length - mean * mean
+        np.maximum(var, 0.0, out=var)
+        self.sd = np.sqrt(var)
+        self.flat = is_flat(self.sd, prefix.floor)
+        self.safe_sd = np.where(self.flat, 1.0, self.sd)
+        self.windows = np.lib.stride_tricks.sliding_window_view(prefix.centered, length, axis=1)
+
+    # -- FFT backend -----------------------------------------------------------
+
+    def _fft_squared_chunks(self, pres: Sequence[PrenormalizedPattern]):
+        """Yield ``(lo, hi, d2)`` blocks of the batched FFT path.
+
+        ``d2`` holds the squared distance profiles, clipped at 0.
         Patterns are stacked into one matrix per chunk so a single
         batched rfft/irfft covers the whole block; chunking bounds the
         ``(chunk, n, nfft)`` scratch at :data:`_FFT_SCRATCH_BYTES`.
         """
         L = self.length
         m = self.series_length
-        xf = self._series_fft()
-        nfft = self._nfft
+        xf = self.prefix.series_fft()
+        nfft = self.prefix.nfft
         per_pattern = self.n_series * (nfft // 2 + 1) * 16
         chunk = max(1, _FFT_SCRATCH_BYTES // max(per_pattern, 1))
         for lo in range(0, len(pres), chunk):
@@ -347,20 +390,66 @@ class SlidingWindowStats:
             # QT[j] = ⟨x[j:j+L], q⟩ for every alignment j at once.
             qf = np.fft.rfft(Q[:, ::-1], nfft, axis=1)
             conv = np.fft.irfft(qf[:, None, :] * xf[None, :, :], nfft, axis=2)
-            dot = conv[:, :, L - 1 : m]
             # From here down the arithmetic is the mat-vec path's,
-            # expression for expression — only ``dot`` differs, by FFT
-            # rounding.
-            d2 = 2.0 * L - 2.0 * dot / self._safe_sd
+            # expression for expression — only the dot products differ,
+            # by FFT rounding.
+            d2 = self._squared_from_dots(conv[:, :, L - 1 : m])
             qq = np.array([0.0 if pre.q_is_flat else pre.qq for pre in block])
-            d2[:, self._flat] = qq[:, None]
+            d2[:, self.flat] = qq[:, None]
             for i, pre in enumerate(block):
                 if pre.q_is_flat:
-                    d2[i][~self._flat] = float(L)
+                    d2[i][~self.flat] = float(L)
             np.maximum(d2, 0.0, out=d2)
-            yield lo, lo + len(block), np.sqrt(d2)
+            yield lo, lo + len(block), d2
 
     # -- profiles --------------------------------------------------------------
+
+    def _dispatch(self, pres: Sequence[PrenormalizedPattern], backend: str) -> str:
+        """Check the bucket's lengths, resolve and count the backend."""
+        for pre in pres:
+            if pre.length != self.length:
+                raise ValueError(
+                    f"pattern must have {self.length} points, got {pre.length}"
+                )
+        resolved = resolve_backend(
+            backend,
+            length=self.length,
+            series_length=self.series_length,
+            batch_size=len(pres),
+        )
+        registry().inc(f"kernel.backend.{resolved}")
+        return resolved
+
+    def _squared_from_dots(self, dot: np.ndarray) -> np.ndarray:
+        """``2L − 2·dot/σ_w`` in one fresh array, bit for bit.
+
+        The pattern is z-normalized, so this is the squared distance of
+        every non-flat window. Evaluated in place, in the order of the
+        expression ``2.0 * L - 2.0 * dot / safe_sd``, without its
+        temporaries.
+        """
+        d2 = np.multiply(dot, 2.0)
+        np.divide(d2, self.safe_sd, out=d2)
+        np.subtract(2.0 * self.length, d2, out=d2)
+        return d2
+
+    def _matvec_squared(self, pre: PrenormalizedPattern) -> np.ndarray:
+        """The mat-vec arithmetic, the reference for every backend.
+
+        Returns the squared profiles ``(n, J)``, clipped at 0. Callers
+        take the square root of the profiles, or of their row minima:
+        sqrt is monotone and correctly rounded, so both orders give the
+        same bits.
+        """
+        L = self.length
+        d2 = self._squared_from_dots(self.windows @ pre.q)
+        # Flat window vs pattern: ẑ(w) = 0, so dist² = Σ q².
+        d2[self.flat] = 0.0 if pre.q_is_flat else pre.qq
+        if pre.q_is_flat:
+            # Pattern flat vs non-flat window: dist² = Σ ẑ(w)² = L.
+            d2[~self.flat] = float(L)
+        np.maximum(d2, 0.0, out=d2)
+        return d2
 
     def profiles(self, pattern: np.ndarray, backend: str = "matvec") -> np.ndarray:
         """Distance profiles ``(n, J)`` of one pattern against all rows.
@@ -380,92 +469,42 @@ class SlidingWindowStats:
     ) -> np.ndarray:
         """Distance profiles for an already-normalized pattern.
 
-        The mat-vec arithmetic is the shared core of :meth:`profiles`;
-        callers holding a :class:`PrenormalizedPattern` (serving
-        engines, batch transforms over a fixed bank) skip the per-call
-        z-normalization without changing a single floating-point
-        expression. ``backend`` defaults to the bitwise-exact mat-vec;
-        ``"fft"``/``"auto"`` route through the batched FFT path.
+        Callers holding a :class:`PrenormalizedPattern` skip the
+        per-call z-normalization without changing a single
+        floating-point expression. ``backend`` defaults to the
+        bitwise-exact mat-vec; ``"fft"``/``"auto"`` route through the
+        batched FFT path.
         """
-        if pre.length != self.length:
-            raise ValueError(
-                f"pattern must have {self.length} points, got {pre.length}"
-            )
-        resolved = resolve_backend(
-            backend,
-            length=self.length,
-            series_length=self.series_length,
-            batch_size=1,
-        )
-        registry().inc(f"kernel.backend.{resolved}")
-        if resolved == "fft":
-            for _lo, _hi, block in self._fft_profile_chunks([pre]):
-                return block[0]
-        L = self.length
-        dot = self._windows @ pre.q  # (n, J)
-        d2 = 2.0 * L - 2.0 * dot / self._safe_sd
-        # Flat window vs pattern: ẑ(w) = 0, so dist² = Σ q².
-        d2[self._flat] = 0.0 if pre.q_is_flat else pre.qq
-        if pre.q_is_flat:
-            # Pattern flat vs non-flat window: dist² = Σ ẑ(w)² = L.
-            d2[~self._flat] = float(L)
-        np.maximum(d2, 0.0, out=d2)
-        return np.sqrt(d2)
+        if self._dispatch([pre], backend) == "fft":
+            for _lo, _hi, d2 in self._fft_squared_chunks([pre]):
+                return np.sqrt(d2[0])
+        return np.sqrt(self._matvec_squared(pre))
 
     def batch_profiles_prenormalized(
         self, pres: Sequence[PrenormalizedPattern], backend: str = "auto"
     ) -> np.ndarray:
         """Distance profiles ``(k, n, J)`` of a whole per-length bucket.
 
-        The FFT backend computes the series spectrum once and runs all
-        ``k`` patterns through one batched transform; the mat-vec
-        backend stacks ``k`` :meth:`profiles_prenormalized` results and
-        stays bitwise identical to the per-pattern path.
+        The FFT backend runs all ``k`` patterns against the prefix's
+        one series spectrum in batched transforms; the mat-vec backend
+        stacks ``k`` per-pattern results and stays bitwise identical to
+        :meth:`profiles_prenormalized`.
         """
         pres = list(pres)
-        for pre in pres:
-            if pre.length != self.length:
-                raise ValueError(
-                    f"pattern must have {self.length} points, got {pre.length}"
-                )
-        resolved = resolve_backend(
-            backend,
-            length=self.length,
-            series_length=self.series_length,
-            batch_size=len(pres),
-        )
-        registry().inc(f"kernel.backend.{resolved}")
         out = np.empty((len(pres), self.n_series, self.n_windows))
-        if resolved == "fft":
-            for lo, hi, block in self._fft_profile_chunks(pres):
-                out[lo:hi] = block
+        if self._dispatch(pres, backend) == "fft":
+            for lo, hi, d2 in self._fft_squared_chunks(pres):
+                np.sqrt(d2, out=out[lo:hi])
         else:
             for i, pre in enumerate(pres):
-                out[i] = self._matvec_profiles(pre)
+                np.sqrt(self._matvec_squared(pre), out=out[i])
         return out
-
-    def _matvec_profiles(self, pre: PrenormalizedPattern) -> np.ndarray:
-        """The mat-vec arithmetic without dispatch or counters."""
-        L = self.length
-        dot = self._windows @ pre.q  # (n, J)
-        d2 = 2.0 * L - 2.0 * dot / self._safe_sd
-        d2[self._flat] = 0.0 if pre.q_is_flat else pre.qq
-        if pre.q_is_flat:
-            d2[~self._flat] = float(L)
-        np.maximum(d2, 0.0, out=d2)
-        return np.sqrt(d2)
 
     # -- best-match reductions -------------------------------------------------
 
     def best_distances(self, pattern: np.ndarray, backend: str = "matvec") -> np.ndarray:
         """Closest-match distance of one pattern to every row."""
         return self.profiles(pattern, backend=backend).min(axis=1)
-
-    def best_distances_prenormalized(
-        self, pre: PrenormalizedPattern, backend: str = "matvec"
-    ) -> np.ndarray:
-        """Closest-match distance of a precompiled pattern to every row."""
-        return self.profiles_prenormalized(pre, backend=backend).min(axis=1)
 
     def batch_best_distances_prenormalized(
         self, pres: Sequence[PrenormalizedPattern], backend: str = "auto"
@@ -474,28 +513,16 @@ class SlidingWindowStats:
 
         Reduces each FFT chunk as it is produced, so the full
         ``(k, n, J)`` profile tensor never materializes for large
-        buckets.
+        buckets, and takes the square root of the row minima only.
         """
         pres = list(pres)
-        for pre in pres:
-            if pre.length != self.length:
-                raise ValueError(
-                    f"pattern must have {self.length} points, got {pre.length}"
-                )
-        resolved = resolve_backend(
-            backend,
-            length=self.length,
-            series_length=self.series_length,
-            batch_size=len(pres),
-        )
-        registry().inc(f"kernel.backend.{resolved}")
         out = np.empty((len(pres), self.n_series))
-        if resolved == "fft":
-            for lo, hi, block in self._fft_profile_chunks(pres):
-                out[lo:hi] = block.min(axis=2)
+        if self._dispatch(pres, backend) == "fft":
+            for lo, hi, d2 in self._fft_squared_chunks(pres):
+                np.sqrt(d2.min(axis=2), out=out[lo:hi])
         else:
             for i, pre in enumerate(pres):
-                out[i] = self._matvec_profiles(pre).min(axis=1)
+                np.sqrt(self._matvec_squared(pre).min(axis=1), out=out[i])
         return out
 
 

@@ -1,23 +1,19 @@
 """A fitted RPM model compiled for serving.
 
-Training-side transforms (:func:`repro.core.transform.pattern_features`)
-re-derive everything per call: pattern values are re-read, z-normalized
-and hashed into the statistics cache on every request. A
-:class:`CompiledModel` does that work once at load time instead:
+A :class:`CompiledModel` wraps the fitted model's
+:class:`~repro.core.transform.PatternBank`: the patterns are
+z-normalized once at load time and grouped into length buckets, and
+per request batch the bank builds one window-statistics prefix and
+makes one batched kernel call per bucket. ``RPMClassifier.transform``
+and ``predict`` run the same bank, so served features and labels are
+bitwise equal to theirs for every executor configuration. The fit's
+per-pattern training transform is another path: it agrees bitwise
+below the FFT crossover and by FFT rounding above it (see
+``docs/runtime.md``).
 
-* pattern values are grouped into **length buckets** and each pattern
-  is pre-z-normalized (:func:`repro.runtime.kernel.prenormalize_pattern`
-  — prototype, flatness flag and squared norm precomputed);
-* per request, the sliding-window statistics of the input batch are
-  built **once per bucket** and every pattern of that length reuses
-  them — the same reuse the training cache provides, without the
-  fingerprint hashing on the hot path;
-* buckets fan out across a persistent
-  :class:`~repro.runtime.executor.ParallelExecutor`.
-
-Every floating-point expression matches the training transform, so
-compiled predictions are bitwise identical to
-``RPMClassifier.predict`` — the serve test suite pins this.
+The model adds a *persistent*
+:class:`~repro.runtime.executor.ParallelExecutor` that fans the
+buckets out, the storage precision of the bank and the serving trace.
 """
 
 from __future__ import annotations
@@ -26,55 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core.transform import pattern_values, rotate_halves
+from ..core.transform import LengthBucket, PatternBank, pattern_values
 from ..obs import resolve_tracer
 from ..runtime.executor import BACKENDS, ParallelExecutor
-from ..runtime.kernel import (
-    KERNEL_BACKENDS,
-    PrenormalizedPattern,
-    SlidingWindowStats,
-    prenormalize_pattern,
-    resample_pattern,
-)
+from ..runtime.kernel import KERNEL_BACKENDS
 
 __all__ = ["CompiledModel"]
-
-
-class _Bucket:
-    """All precompiled patterns sharing one effective length."""
-
-    __slots__ = ("length", "cols", "pres")
-
-    def __init__(self, length: int, cols: list[int], pres: list[PrenormalizedPattern]):
-        self.length = length
-        self.cols = cols
-        self.pres = pres
-
-    def __reduce__(self):
-        # Process-backend workers receive buckets by value.
-        return (_Bucket, (self.length, self.cols, self.pres))
-
-
-def _bucket_block(args) -> tuple[list[int], np.ndarray]:
-    """Feature columns of one bucket (module-level: picklable worker).
-
-    Builds the bucket's sliding-window statistics for this batch and
-    runs the whole precompiled per-length bucket through them in one
-    batched kernel call — the bucket's patterns share one statistics
-    build and, on the FFT backend, one series spectrum. The mat-vec
-    backend's arithmetic is exactly the training transform's, so
-    scheduling never changes a bit; ``auto`` resolves per (series
-    length × bucket size) workload.
-    """
-    bucket, X, X_rot, backend = args
-    stats = SlidingWindowStats(X, bucket.length)
-    dists = stats.batch_best_distances_prenormalized(bucket.pres, backend=backend)
-    if X_rot is not None:
-        stats_rot = SlidingWindowStats(X_rot, bucket.length)
-        dists = np.minimum(
-            dists, stats_rot.batch_best_distances_prenormalized(bucket.pres, backend=backend)
-        )
-    return bucket.cols, dists.T
 
 
 class CompiledModel:
@@ -157,10 +110,6 @@ class CompiledModel:
             trace=trace,
         )
         self.dtype = dtype
-        # Plans are per input length m (resampling depends on m); the
-        # native plan — no pattern longer than the input — dominates in
-        # practice and is compiled eagerly.
-        self._native_plan = self._compile(self.max_pattern_length)
 
     def _init_runtime(
         self,
@@ -174,9 +123,10 @@ class CompiledModel:
         parallel_backend: str,
         kernel_backend: str,
         trace,
+        native_plan: list[LengthBucket] | None = None,
     ) -> None:
-        """Everything except native-plan compilation (shared with
-        :meth:`from_shared_bank`, which injects an already-built plan)."""
+        """Shared by :meth:`__init__` and :meth:`from_shared_bank`, which
+        injects an already-built native plan."""
         if parallel_backend not in BACKENDS:
             raise ValueError(
                 f"parallel_backend must be one of {BACKENDS}, got {parallel_backend!r}"
@@ -192,19 +142,23 @@ class CompiledModel:
         self.series_length = None if series_length is None else int(series_length)
         self.tracer = resolve_tracer(trace)
         self.dtype = "float64"  # __init__ overwrites after quantizing
-        self._values = values
-        self.n_patterns = len(self._values)
-        self.max_pattern_length = max(v.size for v in self._values)
+        self.bank = PatternBank(values, native_plan)
+        self.n_patterns = len(self.bank)
+        self.max_pattern_length = self.bank.max_pattern_length
         self._executor = ParallelExecutor(n_jobs, parallel_backend)
-        self._plans: dict[int, list[_Bucket]] = {}
 
     # -- construction ----------------------------------------------------------
 
     @classmethod
     def from_classifier(cls, clf, **runtime) -> "CompiledModel":
-        """Compile a fitted :class:`~repro.core.rpm.RPMClassifier`."""
+        """Compile a fitted :class:`~repro.core.rpm.RPMClassifier`.
+
+        The model takes the classifier's ``kernel_backend`` unless
+        ``runtime`` names one, so it serves ``clf.predict``'s numbers.
+        """
         if not getattr(clf, "patterns_", None) or clf.classifier_ is None:
             raise RuntimeError("cannot compile an unfitted RPMClassifier")
+        runtime.setdefault("kernel_backend", clf.kernel_backend)
         return cls(
             clf.patterns_,
             clf.classifier_,
@@ -232,7 +186,7 @@ class CompiledModel:
     def from_shared_bank(
         cls,
         values: list[np.ndarray],
-        native_plan: list[_Bucket],
+        native_plan: list[LengthBucket],
         classifier,
         *,
         rotation_invariant: bool = False,
@@ -266,29 +220,9 @@ class CompiledModel:
             parallel_backend=parallel_backend,
             kernel_backend=kernel_backend,
             trace=trace,
+            native_plan=native_plan,
         )
-        model._native_plan = list(native_plan)
         return model
-
-    def _compile(self, m: int) -> list[_Bucket]:
-        """Length-bucketed, pre-z-normalized bank for inputs of length ``m``."""
-        grouped: dict[int, _Bucket] = {}
-        for col, values in enumerate(self._values):
-            effective = resample_pattern(values, m) if values.size > m else values
-            bucket = grouped.get(effective.size)
-            if bucket is None:
-                bucket = grouped[effective.size] = _Bucket(effective.size, [], [])
-            bucket.cols.append(col)
-            bucket.pres.append(prenormalize_pattern(effective))
-        return [grouped[length] for length in sorted(grouped)]
-
-    def _plan_for(self, m: int) -> list[_Bucket]:
-        if m >= self.max_pattern_length:
-            return self._native_plan
-        plan = self._plans.get(m)
-        if plan is None:
-            plan = self._plans[m] = self._compile(m)
-        return plan
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -307,29 +241,22 @@ class CompiledModel:
     def transform(self, X: np.ndarray) -> np.ndarray:
         """Pattern-distance features ``(n, K)`` of a request batch.
 
-        Bitwise identical to the training-side
-        :func:`~repro.core.transform.pattern_features` on the same
-        rows, for every executor configuration.
+        Bitwise identical to ``RPMClassifier.transform`` on the same
+        rows (with the same kernel backend), for every executor
+        configuration.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
-        if X.shape[1] < 2:
-            raise ValueError(f"series need >= 2 points, got {X.shape[1]}")
         with self.tracer.span("compiled.transform") as span:
             span.add("transform.series", X.shape[0])
             span.add("transform.patterns", self.n_patterns)
-            plan = self._plan_for(X.shape[1])
-            X_rot = rotate_halves(X) if self.rotation_invariant else None
-            jobs = [(bucket, X, X_rot, self.kernel_backend) for bucket in plan]
-            if self._executor.backend == "serial" or len(jobs) == 1:
-                blocks = [_bucket_block(job) for job in jobs]
-            else:
-                blocks = self._executor.map(_bucket_block, jobs)
-            out = np.empty((X.shape[0], self.n_patterns))
-            for cols, block in blocks:
-                out[:, cols] = block
-        return out
+            return self.bank.transform(
+                X,
+                rotation_invariant=self.rotation_invariant,
+                backend=self.kernel_backend,
+                executor=self._executor,
+            )
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Class labels for every row of ``X``."""
@@ -353,7 +280,7 @@ class CompiledModel:
     def describe(self) -> str:
         """One-line bank summary for logs."""
         lengths = ", ".join(
-            f"{b.length}×{len(b.cols)}" for b in self._native_plan
+            f"{b.length}×{len(b.cols)}" for b in self.bank.native_plan
         )
         return (
             f"CompiledModel({self.n_patterns} patterns, "

@@ -56,10 +56,11 @@ from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
+from ..core.transform import LengthBucket
 from ..obs import resolve_tracer
 from ..obs.metrics import MetricsRegistry, registry
 from .admin import AdminServer
-from .compiled import CompiledModel, _Bucket
+from .compiled import CompiledModel
 from .config import ServeConfig
 from .flight import FlightRecord, FlightRecorder
 from .lifecycle import ModelHandle, ShadowReport, ShadowScorer
@@ -115,7 +116,7 @@ class SharedPatternBank:
         self._base = base
         self.values = [base[off : off + n] for off, n in spec["values"]]
         self.native_plan = [
-            _Bucket(
+            LengthBucket(
                 length,
                 list(cols),
                 [
@@ -129,8 +130,8 @@ class SharedPatternBank:
     @classmethod
     def build(cls, model: CompiledModel) -> "SharedPatternBank":
         """Pack ``model``'s values and native plan into fresh shm."""
-        values = model._values
-        plan = model._native_plan
+        values = model.bank.values
+        plan = model.bank.native_plan
         n_floats = sum(v.size for v in values) + sum(
             pre.q.size for bucket in plan for pre in bucket.pres
         )

@@ -31,7 +31,11 @@ paths replaced and must reproduce bitwise:
   same words, offsets and dropped count;
 * the per-pair CFS scorer (:class:`MeritEvaluator`,
   :func:`scalar_cfs_select`) that ``repro.ml.cfs`` replaced with the
-  blocked-SU kernel — same SU values, subsets and merits.
+  blocked-SU kernel — same SU values, subsets and merits;
+* the one-piece window-statistics constructor (:func:`legacy_window_stats`)
+  that ``repro.runtime.kernel`` split into a per-matrix
+  :class:`~repro.runtime.kernel.SeriesPrefix` and per-length views —
+  same centred rows, sd, flat mask and safe sd.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from repro.sax.discretize import (
     sliding_windows,
 )
 from repro.sax.sax import sax_words_for_rows
-from repro.sax.znorm import znorm, znorm_rows
+from repro.sax.znorm import NORM_THRESHOLD, is_flat, znorm, znorm_rows
 
 __all__ = [
     "DISTANCE_RTOL",
@@ -77,6 +81,8 @@ __all__ = [
     "naive_best_distances",
     "assert_profiles_close",
     "assert_argmin_equal",
+    "LegacyWindowStats",
+    "legacy_window_stats",
     "greedy_remove_similar",
     "probe_distance",
     "LegacySaxRecord",
@@ -207,6 +213,39 @@ def assert_argmin_equal(
     a = tie_break_argmin_rows(np.atleast_2d(np.asarray(actual_profiles)))
     b = tie_break_argmin_rows(np.atleast_2d(np.asarray(expected_profiles)))
     np.testing.assert_array_equal(a, b, err_msg=err_msg or "argmin positions diverged")
+
+
+class LegacyWindowStats(NamedTuple):
+    centered: np.ndarray
+    sd: np.ndarray
+    flat: np.ndarray
+    safe_sd: np.ndarray
+
+
+def legacy_window_stats(X: np.ndarray, length: int) -> LegacyWindowStats:
+    """The window statistics of ``(X, length)`` computed in one piece.
+
+    The arithmetic of the single-object ``SlidingWindowStats``
+    constructor, before the per-matrix half moved into
+    ``SeriesPrefix``: centre the rows, take both cumulative sums, the
+    window moments and the RMS flatness floor, all for one length.
+    """
+    X = np.asarray(X, dtype=float)
+    n_rows, m = X.shape
+    X = X - X.mean(axis=1, keepdims=True)
+    cumsum = np.cumsum(X, axis=1)
+    cumsum = np.concatenate([np.zeros((n_rows, 1)), cumsum], axis=1)
+    cumsum2 = np.cumsum(X * X, axis=1)
+    cumsum2 = np.concatenate([np.zeros((n_rows, 1)), cumsum2], axis=1)
+    window_sum = cumsum[:, length:] - cumsum[:, :-length]
+    window_sum2 = cumsum2[:, length:] - cumsum2[:, :-length]
+    mean = window_sum / length
+    var = window_sum2 / length - mean * mean
+    np.maximum(var, 0.0, out=var)
+    sd = np.sqrt(var)
+    rms = np.sqrt(cumsum2[:, -1:] / max(m, 1))
+    flat = is_flat(sd, np.maximum(NORM_THRESHOLD, 1e-7 * rms))
+    return LegacyWindowStats(X, sd, flat, np.where(flat, 1.0, sd))
 
 
 class _DedupBank:

@@ -154,6 +154,47 @@ class TestNaNs:
             clf.transform(query)
 
 
+
+class TestDegenerateTrainingInput:
+    """Input that fits silently into a broken model is rejected instead.
+
+    Unchecked, a class with one series and an all-constant class each
+    fit with no pattern of their own (43% and 37% test error on this
+    CBF split), and ragged rows surfaced numpy's inhomogeneous-shape
+    error.
+    """
+
+    PARAMS = SaxParams(24, 5, 4)
+
+    def test_single_series_class_is_named(self, tiny_cbf):
+        y = tiny_cbf.y_train
+        keep = (y != 1) | (np.arange(y.size) == np.flatnonzero(y == 1)[0])
+        with pytest.raises(ValueError, match="class 1 has 1 training series"):
+            RPMClassifier(sax_params=self.PARAMS).fit(tiny_cbf.X_train[keep], y[keep])
+
+    def test_constant_class_is_named(self, tiny_cbf):
+        X = tiny_cbf.X_train.copy()
+        y = tiny_cbf.y_train
+        X[y == 2] = np.arange(1, np.count_nonzero(y == 2) + 1)[:, None] * 3.5
+        with pytest.raises(ValueError, match="class 2 is constant"):
+            RPMClassifier(sax_params=self.PARAMS).fit(X, y)
+
+    def test_one_constant_series_still_fits(self, tiny_cbf):
+        X = tiny_cbf.X_train.copy()
+        X[np.flatnonzero(tiny_cbf.y_train == 2)[0]] = 4.0
+        RPMClassifier(sax_params=self.PARAMS).fit(X, tiny_cbf.y_train)
+
+    def test_ragged_rows_name_the_first_short_row(self, tiny_cbf):
+        rows = [list(row) for row in tiny_cbf.X_train]
+        rows[5] = rows[5][:-3]
+        rows[9] = rows[9][:-1]
+        clf = RPMClassifier(sax_params=self.PARAMS)
+        with pytest.raises(ValueError, match="row 5 of X has 93 points, but row 0 has 96"):
+            clf.fit(rows, tiny_cbf.y_train)
+        clf.fit(tiny_cbf.X_train, tiny_cbf.y_train)
+        with pytest.raises(ValueError, match="row 5 of X has 93 points"):
+            clf.predict(rows)
+
 class TestCandidateMiningEdges:
     PARAMS = SaxParams(10, 4, 4)
 

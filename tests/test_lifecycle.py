@@ -317,7 +317,7 @@ class TestQuantizedModel:
             assert model.dtype == "float32"
             assert "float32" in model.describe()
             # Quantized values are exactly float32-representable.
-            for values in model._values:
+            for values in model.bank.values:
                 np.testing.assert_array_equal(
                     values, values.astype(np.float32).astype(np.float64)
                 )

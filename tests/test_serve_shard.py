@@ -80,13 +80,13 @@ class TestSharedPatternBank:
         try:
             attached = SharedPatternBank.attach(bank.spec)
             try:
-                assert len(attached.values) == len(compiled._values)
-                for view, original in zip(attached.values, compiled._values):
+                assert len(attached.values) == len(compiled.bank.values)
+                for view, original in zip(attached.values, compiled.bank.values):
                     np.testing.assert_array_equal(view, original)
                     with pytest.raises(ValueError):
                         view[0] = 0.0
-                assert len(attached.native_plan) == len(compiled._native_plan)
-                for got, want in zip(attached.native_plan, compiled._native_plan):
+                assert len(attached.native_plan) == len(compiled.bank.native_plan)
+                for got, want in zip(attached.native_plan, compiled.bank.native_plan):
                     assert got.length == want.length
                     assert got.cols == want.cols
                     for pre_got, pre_want in zip(got.pres, want.pres):
