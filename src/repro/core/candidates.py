@@ -115,10 +115,16 @@ def find_class_candidates(
         dropped_support = 0
         with tracer.span("refine") as refine_span:
             for motif in motifs:
-                subsequences = _occurrence_subsequences(series, motif)
-                if len(subsequences) < 2:
+                # A cluster's members are a subset of its rule's
+                # occurrences, so a rule that covers fewer than
+                # min_support (>= 2) series, or occurrences, cannot yield
+                # a candidate: skip its alignment and refinement.
+                covered = (
+                    motif.support if support_mode == "instances" else motif.frequency
+                )
+                if covered < min_support:
                     continue
-                aligned = align_subsequences(subsequences)
+                aligned = align_subsequences(_occurrence_subsequences(series, motif))
                 clusters = bisect_refine(
                     aligned, min_split_fraction=min_split_fraction, tracer=tracer
                 )

@@ -8,19 +8,13 @@ from .inference import (
     find_word_occurrences,
     induce_motifs,
 )
-from .rules import Rule
-from .sequitur import Sequitur, induce_grammar
-from .symbols import Guard, NonTerminal, Symbol, Terminal
+from .sequitur import Rule, Sequitur, induce_grammar
 
 __all__ = [
-    "Guard",
-    "NonTerminal",
     "Occurrence",
     "Rule",
     "RuleMotif",
     "Sequitur",
-    "Symbol",
-    "Terminal",
     "concatenate_with_junctions",
     "discretize_class",
     "find_word_occurrences",

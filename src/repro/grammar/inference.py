@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "find_token_occurrences",
     "find_word_occurrences",
     "induce_motifs",
+    "rule_spans",
 ]
 
 
@@ -188,28 +189,10 @@ def induce_motifs(
     lengths = np.asarray(instance_lengths, dtype=int)
     start_list = starts.tolist()
     end_list = (starts + lengths).tolist()
-    offsets = record.offsets.tolist()
-    window = record.params.window_size
-
-    # Grammar induction consumes compact integer token ids; the letter
-    # strings are rendered only for the motifs that survive (display /
-    # saved-model metadata). Equal words share an id, so the grammar —
-    # and the dedup below — is identical to feeding the strings.
-    token_ids = record.token_ids
-    grammar = Sequitur().feed_all(token_ids.tolist())
     motifs: list[RuleMotif] = []
-    seen_expansions: set[tuple[int, ...]] = set()
-    for rule in grammar.non_start_rules():
-        expansion = tuple(rule.expansion())
-        if len(expansion) < min_word_count:
-            continue
-        if expansion in seen_expansions:
-            continue
-        seen_expansions.add(expansion)
+    for rule_id, expansion, spans in rule_spans(record, min_word_count=min_word_count):
         occurrences: list[Occurrence] = []
-        for word_index in find_token_occurrences(token_ids, expansion):
-            raw_start = offsets[word_index]
-            raw_end = offsets[word_index + len(expansion) - 1] + window
+        for raw_start, raw_end in spans:
             instance = bisect_right(start_list, raw_start) - 1
             # Drop occurrences crossing a junction (can happen when
             # numerosity reduction made two sides of a junction adjacent).
@@ -220,12 +203,47 @@ def induce_motifs(
             vocabulary = record.vocabulary
             motifs.append(
                 RuleMotif(
-                    rule_id=rule.rule_id,
+                    rule_id=rule_id,
                     words=tuple(vocabulary[i] for i in expansion),
                     occurrences=occurrences,
                 )
             )
     return motifs
+
+
+def rule_spans(
+    record: SaxRecord, *, min_word_count: int = 1
+) -> Iterator[tuple[int, tuple[int, ...], list[tuple[int, int]]]]:
+    """Induce a grammar over *record* and map each rule to raw spans.
+
+    Yields ``(rule_id, expansion, spans)`` in rule-id order, once per
+    distinct expansion of at least *min_word_count* token ids (the first
+    rule with an expansion wins). ``spans`` holds the raw ``(start,
+    end)`` of every occurrence of the expansion in the word stream,
+    overlapping ones included: from the first word's offset to the last
+    word's offset plus the window.
+
+    Grammar induction consumes compact integer token ids; callers render
+    the letter strings only for the motifs that survive (display /
+    saved-model metadata). Equal words share an id, so the grammar — and
+    the dedup — is identical to feeding the strings.
+    """
+    token_ids = record.token_ids
+    offsets = record.offsets.tolist()
+    window = record.params.window_size
+    grammar = Sequitur().feed_all(token_ids.tolist())
+    seen: set[tuple[int, ...]] = set()
+    for rule in grammar.non_start_rules():
+        expansion = tuple(rule.expansion())
+        if len(expansion) < min_word_count or expansion in seen:
+            continue
+        seen.add(expansion)
+        last = len(expansion) - 1
+        spans = [
+            (offsets[i], offsets[i + last] + window)
+            for i in find_token_occurrences(token_ids, expansion)
+        ]
+        yield rule.rule_id, expansion, spans
 
 
 def discretize_class(

@@ -21,8 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from ..cluster.refine import align_subsequences, bisect_refine, centroid_of
-from ..grammar.inference import find_token_occurrences
-from ..grammar.sequitur import Sequitur
+from ..grammar.inference import rule_spans
 from ..sax.discretize import SaxParams, discretize
 
 __all__ = ["Motif", "MotifOccurrence", "find_motifs", "rule_density"]
@@ -129,30 +128,18 @@ def find_motifs(
     if series.ndim != 1:
         raise ValueError("find_motifs expects a 1-D series")
     record = discretize(series, params, numerosity_reduction=numerosity_reduction)
-    # Induce over compact integer token ids; render the letter strings
-    # only for the motifs that survive filtering.
-    token_ids = record.token_ids
     vocabulary = record.vocabulary
-    grammar = Sequitur().feed_all(token_ids.tolist())
 
     motifs: list[Motif] = []
-    seen: set[tuple[int, ...]] = set()
-    for rule in grammar.non_start_rules():
-        expansion = tuple(rule.expansion())
-        if len(expansion) < min_words or expansion in seen:
-            continue
-        seen.add(expansion)
-        occurrences = []
-        for word_index in find_token_occurrences(token_ids, expansion):
-            start = int(record.offsets[word_index])
-            end = int(record.offsets[word_index + len(expansion) - 1]) + params.window_size
-            occurrences.append(MotifOccurrence(start=start, end=min(end, series.size)))
-        if len(occurrences) < min_frequency:
+    for rule_id, expansion, spans in rule_spans(record, min_word_count=min_words):
+        if len(spans) < min_frequency:
             continue
         motif = Motif(
-            rule_id=rule.rule_id,
+            rule_id=rule_id,
             words=tuple(vocabulary[i] for i in expansion),
-            occurrences=occurrences,
+            occurrences=[
+                MotifOccurrence(start=start, end=min(end, series.size)) for start, end in spans
+            ],
         )
         if refine:
             subs = motif.subsequences(series)

@@ -10,6 +10,8 @@ to an all-zero vector instead of being blown up by a near-zero divisor.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["is_flat", "znorm", "znorm_rows", "NORM_THRESHOLD"]
@@ -56,10 +58,14 @@ def znorm(series: np.ndarray, threshold: float = NORM_THRESHOLD) -> np.ndarray:
         raise ValueError(f"znorm expects a 1-D array, got shape {values.shape}")
     if values.size == 0:
         return values.copy()
-    sd = values.std()
+    # The mean and sd by the two reductions znorm_rows makes: the sums
+    # np.mean and np.std make, in the same order, so the result is
+    # bitwise theirs.
+    centered = values - np.add.reduce(values) / values.size
+    sd = math.sqrt(np.add.reduce(centered * centered) / values.size)
     if is_flat(sd, threshold):
         return np.zeros_like(values)
-    return (values - values.mean()) / sd
+    return centered / sd
 
 
 def znorm_rows(matrix: np.ndarray, threshold: float = NORM_THRESHOLD) -> np.ndarray:

@@ -35,16 +35,30 @@ paths replaced and must reproduce bitwise:
 * the one-piece window-statistics constructor (:func:`legacy_window_stats`)
   that ``repro.runtime.kernel`` split into a per-matrix
   :class:`~repro.runtime.kernel.SeriesPrefix` and per-length views —
-  same centred rows, sd, flat mask and safe sd.
+  same centred rows, sd, flat mask and safe sd;
+* the object Sequitur (:class:`ObjectSequitur`: one linked-list
+  :class:`Symbol` per token, tuple digram keys) that
+  ``repro.grammar.sequitur`` replaced with parallel int lists — same
+  rule ids, right-hand sides, refcounts and expansions;
+* ``np.std``-based z-normalization (:func:`std_znorm`) that
+  :func:`repro.sax.znorm.znorm` replaced with two plain reductions —
+  bitwise equal;
+* the unpruned refinement loop (:func:`unpruned_class_candidates`) that
+  ``repro.core.candidates`` replaced with one that skips rules covering
+  too few series — same candidates, bit for bit.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
 
+from repro.cluster.refine import align_subsequences, bisect_refine, medoid_of
+from repro.core.patterns import PatternCandidate
 from repro.distance.best_match import batch_best_distances
+from repro.grammar.inference import discretize_class, induce_motifs
 from repro.ml.cfs import (
     DEFAULT_BINS,
     DEFAULT_MAX_FEATURES,
@@ -90,6 +104,16 @@ __all__ = [
     "legacy_discretize",
     "MeritEvaluator",
     "scalar_cfs_select",
+    "Symbol",
+    "Terminal",
+    "NonTerminal",
+    "Guard",
+    "ObjectRule",
+    "ObjectSequitur",
+    "grammar_snapshot",
+    "recording_token_streams",
+    "std_znorm",
+    "unpruned_class_candidates",
 ]
 
 #: Shared tolerance model for cross-backend distance comparisons.
@@ -472,3 +496,373 @@ def scalar_cfs_select(
     return CfsResult(
         selected=sorted(best_subset), merit=float(best_merit), feature_class_su=su_fc
     )
+
+
+# -- the object Sequitur --------------------------------------------------------
+
+
+class Symbol:
+    """Base node of a rule's right-hand side linked list."""
+
+    __slots__ = ("prev", "next")
+
+    def __init__(self) -> None:
+        self.prev: Symbol | None = None
+        self.next: Symbol | None = None
+
+    def insert_after(self, symbol: "Symbol") -> None:
+        """Splice *symbol* into the list directly after ``self``."""
+        symbol.prev = self
+        symbol.next = self.next
+        if self.next is not None:
+            self.next.prev = symbol
+        self.next = symbol
+
+    def unlink(self) -> None:
+        """Remove ``self`` from its list (pointers of neighbours fixed up)."""
+        if self.prev is not None:
+            self.prev.next = self.next
+        if self.next is not None:
+            self.next.prev = self.prev
+        self.prev = None
+        self.next = None
+
+    def key(self):  # noqa: ANN201 - heterogeneous key
+        """Hashable identity used in the digram index."""
+        raise NotImplementedError
+
+    def is_guard(self) -> bool:
+        """True for the guard sentinel."""
+        return False
+
+
+class Terminal(Symbol):
+    """A terminal token (one SAX word)."""
+
+    __slots__ = ("token",)
+
+    def __init__(self, token) -> None:
+        super().__init__()
+        self.token = token
+
+    def key(self) -> tuple:
+        return ("t", self.token)
+
+
+class NonTerminal(Symbol):
+    """A reference to a rule; increments the rule's use count while linked."""
+
+    __slots__ = ("rule",)
+
+    def __init__(self, rule: "ObjectRule") -> None:
+        super().__init__()
+        self.rule = rule
+        rule.refcount += 1
+
+    def release(self) -> None:
+        """Drop the reference (called when this symbol is removed)."""
+        self.rule.refcount -= 1
+
+    def key(self) -> tuple:
+        return ("r", self.rule.rule_id)
+
+
+class Guard(Symbol):
+    """Sentinel owned by each rule; never part of a digram."""
+
+    __slots__ = ("rule",)
+
+    def __init__(self, rule: "ObjectRule") -> None:
+        super().__init__()
+        self.rule = rule
+        self.prev = self
+        self.next = self
+
+    def key(self) -> tuple:
+        return ("g", self.rule.rule_id)
+
+    def is_guard(self) -> bool:
+        return True
+
+
+class ObjectRule:
+    """A rule whose right-hand side is a circular list anchored at a guard."""
+
+    __slots__ = ("rule_id", "guard", "refcount")
+
+    def __init__(self, rule_id: int) -> None:
+        self.rule_id = rule_id
+        self.refcount = 0
+        self.guard = Guard(self)
+
+    @property
+    def first(self) -> Symbol:
+        return self.guard.next
+
+    @property
+    def last(self) -> Symbol:
+        return self.guard.prev
+
+    def is_empty(self) -> bool:
+        return self.guard.next is self.guard
+
+    def symbols(self):
+        """Iterate the right-hand side symbols (guard excluded)."""
+        node = self.guard.next
+        while node is not None and node is not self.guard:
+            yield node
+            node = node.next
+
+    def append(self, symbol: Symbol) -> None:
+        self.guard.prev.insert_after(symbol)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self.symbols())
+
+    def expansion(self) -> list:
+        out: list = []
+        for symbol in self.symbols():
+            if isinstance(symbol, Terminal):
+                out.append(symbol.token)
+            elif isinstance(symbol, NonTerminal):
+                out.extend(symbol.rule.expansion())
+        return out
+
+    def rhs_string(self) -> str:
+        parts = []
+        for symbol in self.symbols():
+            if isinstance(symbol, Terminal):
+                parts.append(str(symbol.token))
+            elif isinstance(symbol, NonTerminal):
+                parts.append(f"R{symbol.rule.rule_id}")
+        return " ".join(parts)
+
+
+class ObjectSequitur:
+    """Sequitur with one :class:`Symbol` object per node and tuple digram keys."""
+
+    def __init__(self) -> None:
+        self._digrams: dict = {}
+        self._next_id = 1
+        self.start = ObjectRule(0)
+        self._rules = {0: self.start}
+        self.tokens_fed = 0
+
+    def feed(self, token) -> None:
+        terminal = Terminal(token)
+        self.start.append(terminal)
+        self.tokens_fed += 1
+        prev = terminal.prev
+        if prev is not None and not prev.is_guard():
+            self._check(prev)
+
+    def feed_all(self, tokens) -> "ObjectSequitur":
+        for token in tokens:
+            self.feed(token)
+        return self
+
+    def rules(self) -> list[ObjectRule]:
+        return [self._rules[rid] for rid in sorted(self._rules)]
+
+    def non_start_rules(self) -> list[ObjectRule]:
+        return [rule for rule in self.rules() if rule.rule_id != 0]
+
+    def grammar_size(self) -> int:
+        return sum(len(rule) for rule in self.rules())
+
+    def to_string(self) -> str:
+        return "\n".join(f"R{r.rule_id} -> {r.rhs_string()}" for r in self.rules())
+
+    @staticmethod
+    def _digram_key(symbol: Symbol) -> tuple:
+        return (symbol.key(), symbol.next.key())
+
+    def _forget_digram(self, symbol: Symbol) -> None:
+        if symbol.is_guard() or symbol.next is None or symbol.next.is_guard():
+            return
+        key = self._digram_key(symbol)
+        if self._digrams.get(key) is symbol:
+            del self._digrams[key]
+
+    def _check(self, symbol: Symbol) -> bool:
+        if symbol.is_guard() or symbol.next is None or symbol.next.is_guard():
+            return False
+        key = self._digram_key(symbol)
+        found = self._digrams.get(key)
+        if found is None:
+            self._digrams[key] = symbol
+            return False
+        if found.next is not symbol:  # ignore the overlapping occurrence
+            self._match(symbol, found)
+        return True
+
+    def _remove_symbol(self, symbol: Symbol) -> None:
+        prev = symbol.prev
+        if prev is not None and not prev.is_guard() and not symbol.is_guard():
+            key = (prev.key(), symbol.key())
+            if self._digrams.get(key) is prev:
+                del self._digrams[key]
+        self._forget_digram(symbol)
+        symbol.unlink()
+        if isinstance(symbol, NonTerminal):
+            symbol.release()
+
+    def _substitute(self, symbol: Symbol, rule: ObjectRule) -> None:
+        prev = symbol.prev
+        second = symbol.next
+        self._remove_symbol(symbol)
+        self._remove_symbol(second)
+        reference = NonTerminal(rule)
+        prev.insert_after(reference)
+        if not self._check(prev):
+            self._check(reference)
+
+    @staticmethod
+    def _copy(symbol: Symbol) -> Symbol:
+        if isinstance(symbol, Terminal):
+            return Terminal(symbol.token)
+        return NonTerminal(symbol.rule)
+
+    def _match(self, new: Symbol, existing: Symbol) -> None:
+        existing_prev = existing.prev
+        existing_next = existing.next
+        if (
+            existing_prev.is_guard()
+            and existing_next.next is not None
+            and existing_next.next.is_guard()
+        ):
+            rule = existing_prev.rule
+            self._substitute(new, rule)
+        else:
+            rule = ObjectRule(self._next_id)
+            self._next_id += 1
+            self._rules[rule.rule_id] = rule
+            rule.append(self._copy(new))
+            rule.append(self._copy(new.next))
+            self._substitute(existing, rule)
+            self._substitute(new, rule)
+            self._digrams[self._digram_key(rule.first)] = rule.first
+        # Rule utility, checked at both endpoints of the rule.
+        first = rule.first
+        if isinstance(first, NonTerminal) and first.rule.refcount == 1:
+            self._expand(first)
+        last = rule.last
+        if isinstance(last, NonTerminal) and last.rule.refcount == 1:
+            self._expand(last)
+
+    def _expand(self, symbol: NonTerminal) -> None:
+        rule = symbol.rule
+        left = symbol.prev
+        right = symbol.next
+        first = rule.first
+        last = rule.last
+        if not left.is_guard():
+            key = (left.key(), symbol.key())
+            if self._digrams.get(key) is left:
+                del self._digrams[key]
+        self._forget_digram(symbol)
+        symbol.release()
+        left.next = first
+        first.prev = left
+        last.next = right
+        right.prev = last
+        del self._rules[rule.rule_id]
+        # Only the right seam is re-indexed, as in canonical Sequitur.
+        if not last.is_guard() and not right.is_guard():
+            self._digrams[(last.key(), right.key())] = last
+
+
+def grammar_snapshot(grammar) -> list:
+    """Every live rule of either Sequitur: id, refcount, right-hand side, expansion."""
+    return [
+        (rule.rule_id, rule.refcount, rule.rhs_string(), tuple(rule.expansion()))
+        for rule in grammar.rules()
+    ]
+
+
+@contextmanager
+def recording_token_streams():
+    """Collect the token stream of every ``induce_motifs`` call mining makes."""
+    from repro.core import candidates
+
+    streams: list[list] = []
+    induce = candidates.induce_motifs
+
+    def recording(record, *args, **kwargs):
+        streams.append(record.token_ids.tolist())
+        return induce(record, *args, **kwargs)
+
+    candidates.induce_motifs = recording
+    try:
+        yield streams
+    finally:
+        candidates.induce_motifs = induce
+
+
+# -- z-normalization and the unpruned refinement loop ------------------------------
+
+
+def std_znorm(series: np.ndarray, threshold: float = NORM_THRESHOLD) -> np.ndarray:
+    """Z-normalization through ``np.std`` and ``np.mean``."""
+    values = np.asarray(series, dtype=float)
+    if values.size == 0:
+        return values.copy()
+    sd = values.std()
+    if is_flat(sd, threshold):
+        return np.zeros_like(values)
+    return (values - values.mean()) / sd
+
+
+def unpruned_class_candidates(
+    instances,
+    label,
+    params: SaxParams,
+    *,
+    gamma: float = 0.2,
+    prototype: str = "centroid",
+    support_mode: str = "instances",
+    numerosity_reduction: bool = True,
+    min_split_fraction: float = 0.3,
+) -> list[PatternCandidate]:
+    """Algorithm 1's inner loop refining every rule, pruned or not.
+
+    Every rule with two or more occurrences is aligned and refined; the
+    support threshold is applied to each cluster afterwards. Centroids
+    go through :func:`std_znorm`.
+    """
+    record, starts, lengths = discretize_class(
+        instances, params, numerosity_reduction=numerosity_reduction
+    )
+    series = np.concatenate([np.asarray(inst, dtype=float).ravel() for inst in instances])
+    min_support = max(2, int(np.ceil(gamma * len(instances))))
+    candidates = []
+    for motif in induce_motifs(record, starts, lengths):
+        subsequences = [series[occ.start : occ.end] for occ in motif.occurrences]
+        if len(subsequences) < 2:
+            continue
+        clusters = bisect_refine(
+            align_subsequences(subsequences), min_split_fraction=min_split_fraction
+        )
+        for cluster in clusters:
+            covered = {motif.occurrences[i].instance for i in cluster.member_indices}
+            measure = len(covered) if support_mode == "instances" else cluster.size
+            if measure < min_support:
+                continue
+            values = (
+                std_znorm(cluster.aligned.mean(axis=0))
+                if prototype == "centroid"
+                else medoid_of(cluster)
+            )
+            candidates.append(
+                PatternCandidate(
+                    values=values,
+                    label=label,
+                    frequency=cluster.size,
+                    support=len(covered),
+                    rule_id=motif.rule_id,
+                    words=motif.words,
+                    sax_params=params,
+                    within_distances=cluster.within_distances(),
+                )
+            )
+    return candidates

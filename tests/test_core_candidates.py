@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from repro.core import candidates as candidates_module
 from repro.core.candidates import find_candidates, find_class_candidates
 from repro.core.patterns import PatternCandidate
+from repro.data import cbf, italy_power_sim
 from repro.sax.discretize import SaxParams
+from tests import oracles
 
 PARAMS = SaxParams(16, 4, 4)
 
@@ -94,3 +97,82 @@ class TestFindCandidates:
         candidates = find_candidates(X, y, params, gamma=0.3)
         for candidate in candidates:
             assert candidate.sax_params == params[candidate.label]
+
+
+def _tiny_classes():
+    """(name, instances, params) for every class of tiny CBF and ItalyPowerSim."""
+    out = []
+    for name, data, params in [
+        ("cbf", cbf(n_train_per_class=8, n_test_per_class=2, length=96, seed=7),
+         SaxParams(24, 5, 4)),
+        ("italy", italy_power_sim(n_train_per_class=12, n_test_per_class=2, seed=12),
+         SaxParams(9, 4, 4)),
+    ]:
+        for label in np.unique(data.y_train):
+            out.append((f"{name}-{label}", list(data.X_train[data.y_train == label]), params))
+    return out
+
+
+TINY_CLASSES = _tiny_classes()
+
+
+def _fields(candidate) -> tuple:
+    return (
+        candidate.values.tobytes(),
+        candidate.label,
+        candidate.frequency,
+        candidate.support,
+        candidate.rule_id,
+        candidate.words,
+        candidate.within_distances.tobytes(),
+    )
+
+
+class _CountingRefine:
+    def __init__(self, refine):
+        self.refine = refine
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.refine(*args, **kwargs)
+
+
+class TestSupportPruning:
+    """Rules covering fewer than min_support series are never refined."""
+
+    @pytest.mark.parametrize("prototype", ["centroid", "medoid"])
+    @pytest.mark.parametrize("gamma", [0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("support_mode", ["instances", "occurrences"])
+    def test_equals_unpruned_loop(self, support_mode, gamma, prototype):
+        options = dict(gamma=gamma, prototype=prototype, support_mode=support_mode)
+        total = 0
+        for name, instances, params in TINY_CLASSES:
+            got = find_class_candidates(instances, name, params, **options)
+            want = oracles.unpruned_class_candidates(instances, name, params, **options)
+            assert [_fields(c) for c in got] == [_fields(c) for c in want], name
+            total += len(got)
+        if gamma < 1.0:
+            assert total > 0
+
+    @pytest.mark.parametrize("support_mode", ["instances", "occurrences"])
+    def test_refines_fewer_rules(self, support_mode, monkeypatch):
+        pruned = _CountingRefine(candidates_module.bisect_refine)
+        unpruned = _CountingRefine(oracles.bisect_refine)
+        monkeypatch.setattr(candidates_module, "bisect_refine", pruned)
+        monkeypatch.setattr(oracles, "bisect_refine", unpruned)
+        for name, instances, params in TINY_CLASSES:
+            options = dict(gamma=0.5, support_mode=support_mode)
+            find_class_candidates(instances, name, params, **options)
+            oracles.unpruned_class_candidates(instances, name, params, **options)
+        assert 0 < pruned.calls < unpruned.calls
+
+    def test_no_refinement_when_no_rule_is_supported(self, monkeypatch):
+        # Two instances with nothing in common: every rule lives in one.
+        counting = _CountingRefine(candidates_module.bisect_refine)
+        monkeypatch.setattr(candidates_module, "bisect_refine", counting)
+        rng = np.random.default_rng(3)
+        instances = [np.sin(np.arange(80) / 3.0), rng.standard_normal(80)]
+        out = find_class_candidates(instances, 0, PARAMS, gamma=1.0)
+        assert out == []
+        assert counting.calls == 0

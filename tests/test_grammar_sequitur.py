@@ -2,9 +2,16 @@ import random
 
 import pytest
 
-from repro.grammar.rules import Rule
 from repro.grammar.sequitur import Sequitur, induce_grammar
-from repro.grammar.symbols import Guard, NonTerminal, Terminal
+from tests.oracles import (
+    Guard,
+    NonTerminal,
+    ObjectSequitur,
+    Terminal,
+    grammar_snapshot,
+    recording_token_streams,
+)
+from tests.oracles import ObjectRule as Rule
 
 
 class TestSymbols:
@@ -146,3 +153,84 @@ class TestSequitur:
     def test_feed_all_returns_self(self):
         g = Sequitur()
         assert g.feed_all("ab") is g
+
+
+def _assert_same_grammar(tokens) -> None:
+    array = induce_grammar(tokens)
+    reference = ObjectSequitur().feed_all(tokens)
+    assert grammar_snapshot(array) == grammar_snapshot(reference)
+    assert array.start.expansion() == list(tokens)
+    assert array.grammar_size() == reference.grammar_size()
+    assert array.to_string() == reference.to_string()
+    assert array.tokens_fed == reference.tokens_fed == len(tokens)
+
+
+def _random_stream(seed: int) -> list:
+    """A seeded stream: 1-40 distinct string or int tokens, 0-3,000 long."""
+    rnd = random.Random(seed)
+    size = rnd.randint(1, 40)
+    alphabet = [f"w{i}" for i in range(size)] if seed % 2 else list(range(size))
+    length = rnd.randint(0, 3000)
+    if seed % 3 == 0:
+        # Runs of one token, as numerosity-free SAX streams have.
+        tokens = []
+        while len(tokens) < length:
+            tokens += [rnd.choice(alphabet)] * rnd.randint(1, 60)
+        return tokens[:length]
+    weights = [rnd.random() ** 3 for _ in alphabet]
+    return rnd.choices(alphabet, weights=weights, k=length)
+
+
+def _tiny_fit_streams() -> list[list[int]]:
+    """The token streams the tiny benchmark fits feed Sequitur."""
+    from repro import RPMClassifier
+    from tests.test_fit_fingerprint import WORKLOADS
+
+    with recording_token_streams() as streams:
+        for workload in WORKLOADS.TINY.values():
+            for training_set in workload.fits:
+                data = training_set.make()
+                RPMClassifier(**training_set.classifier_kwargs()).fit(
+                    data.X_train, data.y_train
+                )
+    return streams
+
+
+class TestArrayMatchesObjectSequitur:
+    """The array Sequitur against the object reference in tests/oracles.py."""
+
+    @pytest.mark.parametrize("seed", range(36))
+    def test_random_streams(self, seed):
+        _assert_same_grammar(_random_stream(seed))
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 255, 1024, 3000])
+    def test_single_token_runs(self, length):
+        # Every digram of a run overlaps the previous one.
+        _assert_same_grammar(["a"] * length)
+        _assert_same_grammar([0] * length + [1] + [0] * length)
+
+    def test_alternating_runs(self):
+        tokens = []
+        for length in range(1, 80):
+            tokens += ["x"] * length + ["y"] * (80 - length)
+        _assert_same_grammar(tokens)
+
+    def test_tiny_benchmark_fit_streams(self):
+        streams = _tiny_fit_streams()
+        assert len(streams) > 40
+        for tokens in streams:
+            _assert_same_grammar(tokens)
+
+    def test_incremental_feeding_matches_one_shot(self):
+        tokens = _random_stream(7)
+        grammar = Sequitur()
+        for token in tokens:
+            grammar.feed(token)
+        assert grammar_snapshot(grammar) == grammar_snapshot(induce_grammar(tokens))
+
+    def test_expansions_return_fed_tokens(self):
+        tokens = [("x", 1), ("y", 2)] * 5
+        grammar = induce_grammar(tokens)
+        assert grammar.start.expansion() == tokens
+        for rule in grammar.non_start_rules():
+            assert all(isinstance(token, tuple) for token in rule.expansion())

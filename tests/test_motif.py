@@ -9,9 +9,51 @@ from repro.motif import (
     find_motifs,
     rule_density,
 )
-from repro.sax.discretize import SaxParams
+from repro.cluster.refine import align_subsequences, bisect_refine, centroid_of
+from repro.grammar.inference import find_token_occurrences
+from repro.sax.discretize import SaxParams, discretize
+from tests.oracles import ObjectSequitur
 
 PARAMS = SaxParams(24, 4, 4)
+
+
+def _reference_motifs(series, params, *, min_frequency=2, min_words=1, rank_by="frequency",
+                      numerosity_reduction=True):
+    """find_motifs with its own rule-to-occurrence loop over the object Sequitur."""
+    record = discretize(series, params, numerosity_reduction=numerosity_reduction)
+    token_ids = record.token_ids
+    grammar = ObjectSequitur().feed_all(token_ids.tolist())
+    motifs = []
+    seen = set()
+    for rule in grammar.non_start_rules():
+        expansion = tuple(rule.expansion())
+        if len(expansion) < min_words or expansion in seen:
+            continue
+        seen.add(expansion)
+        occurrences = []
+        for word_index in find_token_occurrences(token_ids, expansion):
+            start = int(record.offsets[word_index])
+            end = int(record.offsets[word_index + len(expansion) - 1]) + params.window_size
+            occurrences.append(MotifOccurrence(start=start, end=min(end, series.size)))
+        if len(occurrences) < min_frequency:
+            continue
+        motif = Motif(
+            rule_id=rule.rule_id,
+            words=tuple(record.vocabulary[i] for i in expansion),
+            occurrences=occurrences,
+        )
+        subs = motif.subsequences(series)
+        if all(s.size >= 2 for s in subs):
+            clusters = bisect_refine(align_subsequences(subs))
+            motif.prototype = centroid_of(max(clusters, key=lambda c: c.size))
+        motifs.append(motif)
+    key = {
+        "frequency": lambda m: (m.frequency, m.mean_length()),
+        "length": lambda m: (m.mean_length(), m.frequency),
+        "coverage": lambda m: (m.covered_points(), m.frequency),
+    }[rank_by]
+    motifs.sort(key=key, reverse=True)
+    return motifs
 
 
 def _periodic(rng, n=500, period=40, noise=0.1):
@@ -110,6 +152,35 @@ class TestFindMotifs:
         top_p = motifs_p[0].frequency if motifs_p else 0
         top_w = motifs_w[0].frequency if motifs_w else 0
         assert top_p >= top_w
+
+
+class TestFindMotifsPinned:
+    """find_motifs' output, field by field, against a loop of its own."""
+
+    @pytest.mark.parametrize("rank_by", ["frequency", "length", "coverage"])
+    @pytest.mark.parametrize("kind", ["periodic", "walk", "bumps"])
+    def test_equals_reference_loop(self, kind, rank_by):
+        local = np.random.default_rng(29)
+        if kind == "periodic":
+            series = _periodic(local, n=700)
+        elif kind == "walk":
+            series = np.cumsum(local.standard_normal(600))
+        else:
+            series = local.standard_normal(600) * 0.1
+            for start in (40, 200, 330, 480):
+                series[start : start + 30] += np.hanning(30) * 2.0
+        for params, options in [
+            (PARAMS, {}),
+            (SaxParams(16, 4, 3), {"min_frequency": 3, "min_words": 2}),
+            (SaxParams(30, 6, 5), {"numerosity_reduction": False}),
+        ]:
+            got = find_motifs(series, params, rank_by=rank_by, **options)
+            want = _reference_motifs(series, params, rank_by=rank_by, **options)
+            assert [(m.rule_id, m.words, m.occurrences) for m in got] == [
+                (m.rule_id, m.words, m.occurrences) for m in want
+            ]
+            for a, b in zip(got, want):
+                assert a.prototype.tobytes() == b.prototype.tobytes()
 
 
 class TestRuleDensity:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from repro.sax.znorm import NORM_THRESHOLD, znorm, znorm_rows
+from tests.oracles import std_znorm
 
 
 class TestZnorm:
@@ -38,6 +39,35 @@ class TestZnorm:
 
     def test_single_point_is_flat(self):
         assert np.array_equal(znorm(np.array([5.0])), np.array([0.0]))
+
+
+class TestZnormMatchesStd:
+    """znorm's two reductions against the np.std-based reference, bitwise."""
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 7, 8, 9, 15, 16, 17, 127, 128, 129,
+                                        255, 256, 257, 1000, 1024, 2049, 4096])
+    def test_bitwise_over_offsets_and_scales(self, length):
+        local = np.random.default_rng(length)
+        for scale in (1e-9, 1e-6, 1e-3, 0.5, 1.0, 37.0, 1e3, 1e6):
+            for offset in (0.0, -1.0, 3.5, 250.0, -1e4, 1e4):
+                series = local.standard_normal(length) * scale + offset
+                assert znorm(series).tobytes() == std_znorm(series).tobytes()
+
+    def test_flat_and_near_threshold(self):
+        local = np.random.default_rng(5)
+        for length in (2, 5, 64, 777):
+            base = local.standard_normal(length)
+            base = (base - base.mean()) / base.std()
+            for sd in (0.0, NORM_THRESHOLD * 0.999, NORM_THRESHOLD,
+                       NORM_THRESHOLD * 1.001, NORM_THRESHOLD * (1 + 1e-12)):
+                for offset in (0.0, 42.0, -1e4):
+                    series = base * sd + offset
+                    assert znorm(series).tobytes() == std_znorm(series).tobytes()
+            assert znorm(np.full(length, 7.25)).tobytes() == np.zeros(length).tobytes()
+
+    def test_integer_and_list_input(self):
+        for series in ([1, 2, 3, 4], np.arange(12), [5.0]):
+            assert znorm(series).tobytes() == std_znorm(series).tobytes()
 
 
 class TestZnormRows:
