@@ -26,7 +26,7 @@ from repro.core.selection import find_distinct  # noqa: E402
 from repro.core.transform import pattern_features  # noqa: E402
 from repro.data import load  # noqa: E402
 from repro.grammar import inference  # noqa: E402
-from repro.runtime import DiscretizationCache, ParallelExecutor  # noqa: E402
+from repro.runtime import DiscretizationCache  # noqa: E402
 from repro.sax.discretize import SaxRecord  # noqa: E402
 from tests.oracles import legacy_discretize  # noqa: E402
 
@@ -99,12 +99,13 @@ def _legacy_record(
     )
 
 
-def _mine_and_transform(dataset, *, legacy: bool, executor, discretize_cache):
+def _mine_and_transform(dataset, *, legacy: bool, discretize_cache):
     """One full Algorithm 3 run + downstream mining/transform.
 
     Returns ``(seconds, selected params, transformed test features)``.
     ``legacy=True`` reproduces the pre-vectorization pipeline: string
-    discretization, no discretization cache, serial DIRECT.
+    discretization and, with ``DiscretizationCache(0)``, no
+    discretization cache.
     """
 
     def run():
@@ -114,7 +115,6 @@ def _mine_and_transform(dataset, *, legacy: bool, executor, discretize_cache):
             n_splits=2,
             cv_folds=3,
             seed=0,
-            executor=executor,
             discretize_cache=discretize_cache,
         )
         t0 = time.perf_counter()
@@ -123,15 +123,10 @@ def _mine_and_transform(dataset, *, legacy: bool, executor, discretize_cache):
             dataset.X_train,
             dataset.y_train,
             params,
-            executor=executor,
             discretize_cache=discretize_cache,
         )
-        selection = find_distinct(
-            dataset.X_train, dataset.y_train, candidates, executor=executor
-        )
-        features = pattern_features(
-            dataset.X_test, selection.patterns, executor=executor
-        )
+        selection = find_distinct(dataset.X_train, dataset.y_train, candidates)
+        features = pattern_features(dataset.X_test, selection.patterns)
         return time.perf_counter() - t0, params, features
 
     if not legacy:
@@ -145,7 +140,7 @@ def _mine_and_transform(dataset, *, legacy: bool, executor, discretize_cache):
 
 
 def test_direct_mining_speedup(benchmark):
-    """Pre-PR mining path vs vectorized + cached + parallel DIRECT.
+    """Reference mining path vs the vectorized + cached one, both serial.
 
     The equivalence assertions (identical selected ``SaxParams`` per
     class, bitwise-identical transformed features) are always on; the
@@ -153,18 +148,15 @@ def test_direct_mining_speedup(benchmark):
     ``SPEEDUP_GATE_MIN_CPUS`` CPUs — elsewhere the measured ratio is
     still reported.
     """
-    dataset = load("SyntheticControl")  # 6 classes — widest fan-out
+    dataset = load("SyntheticControl")  # 6 classes
 
     def run_both():
         old_time, old_params, old_features = _mine_and_transform(
-            dataset, legacy=True, executor=None,
-            discretize_cache=DiscretizationCache(0),
+            dataset, legacy=True, discretize_cache=DiscretizationCache(0)
         )
-        with ParallelExecutor(4, "thread") as executor:
-            new_time, new_params, new_features = _mine_and_transform(
-                dataset, legacy=False, executor=executor,
-                discretize_cache=DiscretizationCache(),
-            )
+        new_time, new_params, new_features = _mine_and_transform(
+            dataset, legacy=False, discretize_cache=DiscretizationCache()
+        )
         return old_time, old_params, old_features, new_time, new_params, new_features
 
     old_time, old_params, old_features, new_time, new_params, new_features = (
@@ -182,13 +174,13 @@ def test_direct_mining_speedup(benchmark):
         "direct_mining_speedup",
         "\n".join(
             [
-                f"Algorithm 3 mining: pre-PR path vs vectorized+cached+parallel "
-                f"({cpus} CPUs)",
+                f"Algorithm 3 mining: reference path vs vectorized+cached, "
+                f"both serial ({cpus} CPUs)",
                 harness.format_table(
                     ["path", "seconds"],
                     [
                         ["legacy strings, no cache, serial", f"{old_time:.2f}"],
-                        ["integer codes, cache, 4 threads", f"{new_time:.2f}"],
+                        ["integer codes, cache, serial", f"{new_time:.2f}"],
                     ],
                 ),
                 f"\nspeedup: {speedup:.2f}x "

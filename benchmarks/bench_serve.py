@@ -9,7 +9,7 @@ that directly on a small trained model:
   its own model call (the lower bound batching must beat);
 * **batched** — requests submitted together and coalesced up to
   ``max_batch``;
-* compiled transform, serial executor vs thread fan-out.
+* compiled transform on one thread vs its buckets on two.
 
 Two bitwise-equivalence assertions are always on: batched labels ==
 the in-process ``RPMClassifier.predict``, and ``CompiledModel.transform``
@@ -88,18 +88,16 @@ def run_bench() -> str:
     rows = []
     throughputs = {}
     configs = [
-        ("single", dict(max_batch=1, max_delay_ms=0.0), "serial", 1, False),
-        ("batched-serial", dict(max_batch=64, max_delay_ms=2.0), "serial", 1, True),
-        ("batched-threads", dict(max_batch=64, max_delay_ms=2.0), "thread", 2, True),
+        ("single", dict(max_batch=1, max_delay_ms=0.0), 1, False),
+        ("batched-serial", dict(max_batch=64, max_delay_ms=2.0), 1, True),
+        ("batched-threads", dict(max_batch=64, max_delay_ms=2.0), 2, True),
     ]
-    for name, knobs, backend, jobs, coalesce in configs:
+    for name, knobs, jobs, coalesce in configs:
         # Each config gets its own scoped registry so latency quantiles
         # measure this run only, with the warm-up excluded via a
         # post-start baseline snapshot + delta.
         with scoped_registry():
-            with CompiledModel.from_classifier(
-                clf, n_jobs=jobs, parallel_backend=backend
-            ) as model:
+            with CompiledModel.from_classifier(clf, n_jobs=jobs) as model:
                 with PredictionService(model, config=ServeConfig(**knobs)) as service:
                     baseline = registry().snapshot()
                     rate, labels = _throughput(service, X, coalesce=coalesce)

@@ -11,9 +11,6 @@ so the ratio is smaller but the ordering LS ≫ RPM ≈ FS holds).
 
 from __future__ import annotations
 
-import os
-import time
-
 import numpy as np
 
 import harness
@@ -73,114 +70,3 @@ def test_table2_runtime(benchmark, suite_results, suite_names):
         assert times["RPM"].sum() < times["LS"].sum(), {
             m: t.sum() for m, t in times.items()
         }
-
-
-#: Top-level pipeline stages reported in the speedup table. ``mine``
-#: and ``transform`` are the parallel stages; ``select`` and
-#: ``classifier`` run serially and bound the achievable speedup.
-STAGES = ("mine", "select", "classifier", "transform")
-
-#: Breakdown columns nested *inside* a top-level stage: ``cfs`` is the
-#: feature-selection child of ``select`` (the blocked-SU kernel's
-#: target), so it is reported alongside its parent rather than summed
-#: as a disjoint stage.
-SUBSTAGES = ("cfs",)
-
-
-def _stage_seconds(tracer) -> dict[str, float]:
-    """Per-stage wall time extracted from a traced run's span forest.
-
-    Sums same-named spans at any depth under the roots, so the ``fit``
-    children (``mine``/``select``/``classifier``) and the standalone
-    ``transform`` roots of later calls land in one dict. ``SUBSTAGES``
-    are accumulated by bare name — they nest under a counted stage, so
-    the disjointness filter below would otherwise drop them.
-    """
-    totals = {stage: 0.0 for stage in STAGES}
-    nested = {stage: 0.0 for stage in SUBSTAGES}
-    for root in tracer.roots:
-        for span, _depth in root.walk():
-            if span.name in nested:
-                nested[span.name] += span.duration
-            elif span.name in totals and (
-                span.parent is None or span.parent.name not in totals
-            ):
-                totals[span.name] += span.duration
-    totals.update(nested)
-    return totals
-
-
-def _timed_rpm_run(dataset, n_jobs: int, backend: str):
-    """Fit + transform RPM once; returns (seconds, predictions, stages)."""
-    from repro import RPMClassifier, SaxParams
-    from repro.obs import Tracer
-
-    tracer = Tracer()
-    clf = RPMClassifier(
-        sax_params=SaxParams(window_size=18, paa_size=5, alphabet_size=4),
-        seed=0,
-        n_jobs=n_jobs,
-        parallel_backend=backend,
-        trace=tracer,
-    )
-    t0 = time.perf_counter()
-    clf.fit(dataset.X_train, dataset.y_train)
-    clf.transform(dataset.X_test)
-    elapsed = time.perf_counter() - t0
-    return elapsed, clf.predict(dataset.X_test), _stage_seconds(tracer)
-
-
-def test_rpm_parallel_speedup(benchmark):
-    """Serial vs parallel RPM training on the multi-class benchmark.
-
-    The parallel runtime fans per-class mining and per-pattern
-    transform columns across workers. Predictions must be identical at
-    every worker count (the equivalence guarantee); the ≥2× wall-clock
-    target at ``n_jobs=4`` is asserted only on hardware that can
-    deliver it (≥4 CPUs) — on smaller machines the table still records
-    the measured ratio.
-    """
-    from repro.data import load
-
-    dataset = load("SyntheticControl")  # 6 classes — widest per-class fan-out
-    backend = harness.bench_backend()
-    if backend == "serial":
-        backend = "thread"
-
-    serial_time, serial_preds, serial_stages = benchmark.pedantic(
-        lambda: _timed_rpm_run(dataset, 1, "serial"), rounds=1, iterations=1
-    )
-
-    def stage_cells(stages):
-        return [f"{stages[s]:.2f}" for s in (*STAGES, *SUBSTAGES)]
-
-    rows = [["serial", f"{serial_time:.2f}", "1.00", *stage_cells(serial_stages)]]
-    speedups = {}
-    for n_jobs in (2, 4):
-        elapsed, preds, stages = _timed_rpm_run(dataset, n_jobs, backend)
-        assert np.array_equal(serial_preds, preds), (
-            f"parallel predictions diverged at n_jobs={n_jobs}"
-        )
-        speedups[n_jobs] = serial_time / max(elapsed, 1e-9)
-        rows.append(
-            [f"n_jobs={n_jobs}", f"{elapsed:.2f}", f"{speedups[n_jobs]:.2f}",
-             *stage_cells(stages)]
-        )
-
-    cpus = os.cpu_count() or 1
-    report = "\n".join(
-        [
-            f"RPM train+transform, SyntheticControl, backend={backend}, {cpus} CPUs",
-            "(per-stage columns are wall seconds from the repro.obs span tree;",
-            " 'cfs' is the feature-selection slice of 'select')",
-            harness.format_table(
-                ["config", "seconds", "speedup", *STAGES, *SUBSTAGES], rows
-            ),
-        ]
-    )
-    harness.write_report("table2_parallel_speedup", report)
-
-    if cpus >= 4:
-        assert speedups[4] >= 2.0, (
-            f"expected >= 2x speedup at n_jobs=4 on {cpus} CPUs, got {speedups[4]:.2f}x"
-        )

@@ -80,16 +80,6 @@ def bench_scale() -> str:
     return scale
 
 
-def bench_jobs() -> int:
-    """Parallel workers for RPM runs (``RPM_BENCH_JOBS``, default serial)."""
-    return int(os.environ.get("RPM_BENCH_JOBS", "1"))
-
-
-def bench_backend() -> str:
-    """Executor backend for RPM runs (``RPM_BENCH_BACKEND``)."""
-    return os.environ.get("RPM_BENCH_BACKEND", "thread")
-
-
 def bench_metrics_path() -> Path | None:
     """Where to dump spans + metrics (``RPM_BENCH_METRICS``), if anywhere."""
     path = os.environ.get("RPM_BENCH_METRICS")
@@ -115,7 +105,7 @@ def flush_metrics() -> Path | None:
         path,
         tracer=BENCH_TRACER,
         metrics=registry(),
-        meta={"suite": bench_scale(), "jobs": bench_jobs(), "backend": bench_backend()},
+        meta={"suite": bench_scale()},
     )
 
 
@@ -161,8 +151,6 @@ def make_method(name: str):
             direct_budget=b["rpm_budget"],
             n_splits=b["rpm_splits"],
             seed=0,
-            n_jobs=bench_jobs(),
-            parallel_backend=bench_backend(),
             trace=BENCH_TRACER,
         )
     raise KeyError(name)

@@ -187,8 +187,6 @@ def _emit_observability(args, tracer: Tracer | None) -> None:
 
 def _build_rpm(args, tracer: Tracer | None = None) -> RPMClassifier:
     runtime = dict(
-        n_jobs=args.jobs,
-        parallel_backend=args.parallel_backend,
         kernel_backend=args.kernel_backend,
         numerosity_reduction=args.numerosity,
         trace=tracer,
@@ -286,7 +284,6 @@ def _open_handle(args, tracer: Tracer | None = None) -> ModelHandle:
     shards = getattr(args, "shards", 0)
     runtime = dict(
         n_jobs=1 if shards else args.jobs,
-        parallel_backend=args.parallel_backend,
         kernel_backend=args.kernel_backend,
         dtype=getattr(args, "model_dtype", "float64"),
         trace=tracer,
@@ -685,11 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fixed SAX window (skips parameter search)")
         p.add_argument("--paa", type=int, default=6, help="fixed PAA size")
         p.add_argument("--alphabet", type=int, default=5, help="fixed alphabet size")
-        p.add_argument("--jobs", type=_jobs_count, default=1,
-                       help="parallel workers (-1 = all CPUs); results are "
-                            "identical to serial")
-        p.add_argument("--parallel-backend", choices=["serial", "thread", "process"],
-                       default="thread", help="parallel execution backend")
         p.add_argument("--kernel-backend", choices=list(KERNEL_BACKENDS),
                        default="auto",
                        help="distance-kernel implementation: 'matvec' is the "
@@ -776,8 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hard cap on in-flight requests per shard; at "
                             "the cap, submits shed with OVERLOAD "
                             "(sharded tier only)")
-        p.add_argument("--parallel-backend", choices=["serial", "thread", "process"],
-                       default="thread", help="parallel execution backend")
         p.add_argument("--kernel-backend", choices=list(KERNEL_BACKENDS),
                        default="auto",
                        help="distance-kernel implementation for the compiled "

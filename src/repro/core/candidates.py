@@ -164,12 +164,6 @@ def find_class_candidates(
     return candidates
 
 
-def _class_job(args) -> list[PatternCandidate]:
-    """One class's mining run (module-level so process pools can pickle it)."""
-    instances, label, params, options = args
-    return find_class_candidates(instances, label, params, **options)
-
-
 def find_candidates(
     X: np.ndarray,
     y: np.ndarray,
@@ -179,49 +173,37 @@ def find_candidates(
     prototype: str = "centroid",
     support_mode: str = "instances",
     numerosity_reduction: bool = True,
-    executor=None,
     tracer=NOOP,
     discretize_cache=None,
 ) -> list[PatternCandidate]:
     """Algorithm 1 over the full training set.
 
     ``params_by_class`` maps each class label to its (possibly
-    class-specific, see §4.3) :class:`SaxParams`. Classes are mined
-    independently, so an ``executor``
-    (:class:`~repro.runtime.executor.ParallelExecutor`) fans them out
-    across workers; candidates are concatenated in class-label order
-    regardless of scheduling, matching the serial loop exactly.
+    class-specific, see §4.3) :class:`SaxParams`. Classes are mined one
+    after another in class-label order and their candidates
+    concatenated in that order.
 
     The whole call is one ``mine`` span; per-class ``discretize`` /
-    ``grammar`` / ``refine`` child spans nest under it — including from
-    thread-backend workers (the span is *adopted* as their ambient
-    parent). Process-backend workers run untraced (a tracer cannot
-    cross the process boundary), leaving only the chunk-level executor
-    timings.
+    ``grammar`` / ``refine`` child spans nest under it.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
-    # Tracer and cache state (locks, thread-locals) is not picklable:
-    # strip it from jobs that will be shipped to other processes.
-    in_process = executor is None or executor.backend != "process"
-    job_tracer = tracer if in_process else NOOP
-    job_cache = discretize_cache if in_process else None
-    options = dict(
-        gamma=gamma,
-        prototype=prototype,
-        support_mode=support_mode,
-        numerosity_reduction=numerosity_reduction,
-        tracer=job_tracer,
-        discretize_cache=job_cache,
-    )
-    jobs = [
-        ([row for row in X[y == label]], label, params_by_class[label], options)
-        for label in np.unique(y)
-    ]
-    with tracer.span("mine") as span, tracer.adopt(span):
-        span.add("mine.classes", len(jobs))
-        if executor is None:
-            per_class = [_class_job(job) for job in jobs]
-        else:
-            per_class = executor.map(_class_job, jobs)
-    return [candidate for group in per_class for candidate in group]
+    labels = np.unique(y)
+    candidates: list[PatternCandidate] = []
+    with tracer.span("mine") as span:
+        span.add("mine.classes", len(labels))
+        for label in labels:
+            candidates.extend(
+                find_class_candidates(
+                    [row for row in X[y == label]],
+                    label,
+                    params_by_class[label],
+                    gamma=gamma,
+                    prototype=prototype,
+                    support_mode=support_mode,
+                    numerosity_reduction=numerosity_reduction,
+                    tracer=tracer,
+                    discretize_cache=discretize_cache,
+                )
+            )
+    return candidates

@@ -19,7 +19,7 @@ The evaluator's unique-evaluation count is the ``R`` of §5.3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,7 +98,6 @@ class ParamSelector:
         cv_folds: int = 5,
         classifier_factory=None,
         seed: int = 0,
-        executor=None,
         tracer=NOOP,
         discretize_cache=None,
     ) -> None:
@@ -114,9 +113,6 @@ class ParamSelector:
         self.cv_folds = cv_folds
         self.classifier_factory = classifier_factory or (lambda: SVC(kernel="rbf", C=1.0))
         self.seed = seed
-        # Shared parallel runtime: per-class mining and validation
-        # transforms inside each evaluation fan out over this executor.
-        self.executor = executor
         self.tracer = tracer
         self._stats_cache = WindowStatsCache()
         # Shared discretization pre-work: evaluations revisiting a
@@ -156,39 +152,16 @@ class ParamSelector:
         """Score a batch of raw (float) parameter points, in order.
 
         Points are rounded and clipped to integer triples; distinct
-        uncached triples are evaluated — concurrently over the thread
-        executor when one is attached — and merged into the cache in
-        first-appearance order, exactly where the serial loop would
-        have inserted them. The per-label running best therefore sees
-        the same insertion sequence as serial evaluation, so tie-breaks
+        uncached triples are evaluated and cached in first-appearance
+        order, so the per-label running best sees the same insertion
+        sequence as one :meth:`evaluate` call per point, and tie-breaks
         (strict improvement, earliest triple wins) are identical.
         """
         keys = [self.ranges.clip(*(int(round(v)) for v in point)) for point in points]
-        new_keys: list[tuple[int, int, int]] = []
-        seen: set[tuple[int, int, int]] = set()
         for key in keys:
-            if key in self._cache or key in seen:
-                continue
-            seen.add(key)
-            new_keys.append(key)
-        fan_out = (
-            self.executor is not None
-            and self.executor.backend == "thread"
-            and len(new_keys) > 1
-        )
-        if fan_out:
-            registry().inc("direct.parallel_points", len(new_keys))
-            evaluations = self.executor.map(self._evaluate_batch_job, new_keys)
-        else:
-            evaluations = [self._evaluate_uncached(SaxParams(*key)) for key in new_keys]
-        for key, evaluation in zip(new_keys, evaluations):
-            self._record(key, evaluation)
+            if key not in self._cache:
+                self._record(key, self._evaluate_uncached(SaxParams(*key)))
         return [self._cache[key] for key in keys]
-
-    def _evaluate_batch_job(self, key: tuple[int, int, int]) -> _Evaluation:
-        # Worker threads must not re-enter the shared pool (the outer
-        # map already owns every slot): inner stages run serially.
-        return self._evaluate_uncached(SaxParams(*key), executor=None)
 
     def _record(self, key: tuple[int, int, int], evaluation: _Evaluation) -> None:
         """Insert an evaluation and maintain the per-label running best."""
@@ -201,16 +174,13 @@ class ParamSelector:
             if current is None or f1 > current[0]:
                 self._best[label] = (f1, key)
 
-    _UNSET = object()
-
-    def _evaluate_uncached(self, params: SaxParams, *, executor=_UNSET) -> _Evaluation:
+    def _evaluate_uncached(self, params: SaxParams) -> _Evaluation:
         # The R of §5.3: one increment per *unique* triple actually mined.
         registry().inc("direct.evaluations")
         with self.tracer.span("evaluate", params=params.as_tuple()):
-            return self._run_evaluation(params, executor=executor)
+            return self._run_evaluation(params)
 
-    def _run_evaluation(self, params: SaxParams, *, executor=_UNSET) -> _Evaluation:
-        executor = self.executor if executor is ParamSelector._UNSET else executor
+    def _run_evaluation(self, params: SaxParams) -> _Evaluation:
         sums = {label: 0.0 for label in self.classes_}
         useful_splits = 0
         for train_idx, val_idx in self._splits:
@@ -227,7 +197,6 @@ class ParamSelector:
                     gamma=self.gamma,
                     prototype=self.prototype,
                     support_mode=self.support_mode,
-                    executor=executor,
                     tracer=self.tracer,
                     discretize_cache=self._discretize_cache,
                 )
@@ -241,14 +210,12 @@ class ParamSelector:
                 y_tr,
                 candidates,
                 tau_percentile=self.tau_percentile,
-                executor=executor,
                 cache=self._stats_cache,
                 tracer=self.tracer,
             )
             X_val_t = pattern_features(
                 X_val,
                 selection.patterns,
-                executor=executor,
                 cache=self._stats_cache,
                 tracer=self.tracer,
             )
@@ -287,9 +254,9 @@ class ParamSelector:
         One DIRECT run per class; the shared cache means a triple
         visited while optimizing class A is free for class B. Each
         DIRECT iteration hands its full batch of candidate points to
-        :meth:`evaluate_batch`, which fans distinct uncached triples
-        over the attached thread executor — the search trajectory is
-        identical to the serial path (see :func:`direct_minimize`).
+        :meth:`evaluate_batch`, which evaluates the distinct uncached
+        triples once each — the search trajectory is identical to one
+        objective call per point (see :func:`direct_minimize`).
         """
         bounds = [
             (float(self.ranges.window[0]), float(self.ranges.window[1])),
@@ -297,7 +264,7 @@ class ParamSelector:
             (float(self.ranges.alphabet[0]), float(self.ranges.alphabet[1])),
         ]
         best: dict = {}
-        with self.tracer.span("direct") as span, self.tracer.adopt(span):
+        with self.tracer.span("direct") as span:
             for label in self.classes_:
 
                 def objective(x: np.ndarray, _label=label) -> float:

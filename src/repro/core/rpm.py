@@ -29,7 +29,7 @@ from ..ml.svm import SVC
 from ..obs import resolve_tracer
 from ..obs.metrics import registry
 from ..runtime.cache import DiscretizationCache, WindowStatsCache
-from ..runtime.executor import BACKENDS, ParallelExecutor
+from ..runtime.executor import ParallelExecutor
 from ..runtime.kernel import KERNEL_BACKENDS
 from ..sax.discretize import SaxParams
 from ..sax.znorm import znorm
@@ -123,13 +123,10 @@ class RPMClassifier(BaseEstimator):
     direct_budget / n_splits / cv_folds / validation_fraction:
         Algorithm 3 budget knobs (see :class:`ParamSelector`).
     n_jobs:
-        Worker count for the parallel runtime: per-class candidate
-        mining, the fit's per-pattern transform columns and the length
-        buckets of ``transform``/``predict`` fan out across this many
-        workers (``-1`` = all CPUs, ``1`` = serial). Results
-        are bitwise identical for every value — see ``docs/runtime.md``.
-    parallel_backend:
-        ``'thread'`` (default), ``'process'`` or ``'serial'``.
+        Worker threads for the pattern bank's length buckets in
+        ``transform``/``predict`` (``-1`` = all CPUs, ``1`` = serial).
+        ``fit`` is one serial path whatever the value. Results are
+        bitwise identical for every value — see ``docs/runtime.md``.
     kernel_backend:
         Distance-kernel cross-correlation implementation:
         ``'auto'`` (default — FFT above the calibrated crossover,
@@ -169,16 +166,11 @@ class RPMClassifier(BaseEstimator):
         cv_folds: int = 5,
         seed: int = 0,
         n_jobs: int = 1,
-        parallel_backend: str = "thread",
         kernel_backend: str = "auto",
         trace=None,
     ) -> None:
         if param_search not in ("direct", "grid"):
             raise ValueError(f"param_search must be 'direct' or 'grid', got {param_search!r}")
-        if parallel_backend not in BACKENDS:
-            raise ValueError(
-                f"parallel_backend must be one of {BACKENDS}, got {parallel_backend!r}"
-            )
         if kernel_backend not in KERNEL_BACKENDS:
             raise ValueError(
                 f"kernel_backend must be one of {KERNEL_BACKENDS}, got {kernel_backend!r}"
@@ -199,7 +191,6 @@ class RPMClassifier(BaseEstimator):
         self.cv_folds = cv_folds
         self.seed = seed
         self.n_jobs = n_jobs
-        self.parallel_backend = parallel_backend
         self.kernel_backend = kernel_backend
         # ``trace`` is kept verbatim for get_params()/clone(); the
         # resolved tracer is what the pipeline actually uses.
@@ -221,19 +212,6 @@ class RPMClassifier(BaseEstimator):
         self.n_param_evaluations_: int = 0
         self._train_labels: np.ndarray | None = None
 
-    # -- runtime ----------------------------------------------------------------
-
-    def _make_executor(self) -> ParallelExecutor:
-        """A fresh executor honoring ``n_jobs``/``parallel_backend``.
-
-        Created per fit/transform call and closed afterwards so the
-        classifier object itself never holds a pool (and stays
-        picklable/serializable). With tracing on, per-chunk timings go
-        to the process-wide metrics registry.
-        """
-        metrics = registry() if self.tracer.enabled else None
-        return ParallelExecutor(self.n_jobs, self.parallel_backend, metrics=metrics)
-
     # -- training ---------------------------------------------------------------
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RPMClassifier":
@@ -250,23 +228,21 @@ class RPMClassifier(BaseEstimator):
         self.n_timesteps_ = int(X.shape[1])
 
         tracer = self.tracer
-        with tracer.span("fit") as fit_span, tracer.adopt(fit_span):
+        with tracer.span("fit") as fit_span:
             fit_span.add("fit.series", X.shape[0])
-            with self._make_executor() as executor:
-                with tracer.span("params"):
-                    self.params_by_class_ = self._resolve_params(X, y, executor)
-                candidates = self._mine_with_fallback(X, y, executor)
-                self.selection_ = find_distinct(
-                    X,
-                    y,
-                    candidates,
-                    tau_percentile=self.tau_percentile,
-                    rotation_invariant=self.rotation_invariant,
-                    executor=executor,
-                    cache=self._stats_cache,
-                    tracer=tracer,
-                    kernel_backend=self.kernel_backend,
-                )
+            with tracer.span("params"):
+                self.params_by_class_ = self._resolve_params(X, y)
+            candidates = self._mine_with_fallback(X, y)
+            self.selection_ = find_distinct(
+                X,
+                y,
+                candidates,
+                tau_percentile=self.tau_percentile,
+                rotation_invariant=self.rotation_invariant,
+                cache=self._stats_cache,
+                tracer=tracer,
+                kernel_backend=self.kernel_backend,
+            )
             self.patterns_ = self.selection_.patterns
             self._train_labels = y
             self.classifier_ = self.classifier_factory()
@@ -274,9 +250,7 @@ class RPMClassifier(BaseEstimator):
                 self.classifier_.fit(self.selection_.train_features, y)
         return self
 
-    def _resolve_params(
-        self, X: np.ndarray, y: np.ndarray, executor: ParallelExecutor | None = None
-    ) -> dict:
+    def _resolve_params(self, X: np.ndarray, y: np.ndarray) -> dict:
         if isinstance(self.sax_params, SaxParams):
             return {label: self.sax_params for label in self.classes_}
         if isinstance(self.sax_params, dict):
@@ -297,7 +271,6 @@ class RPMClassifier(BaseEstimator):
             cv_folds=self.cv_folds,
             classifier_factory=self.classifier_factory,
             seed=self.seed,
-            executor=executor,
             tracer=self.tracer,
             discretize_cache=self._discretize_cache,
         )
@@ -308,12 +281,7 @@ class RPMClassifier(BaseEstimator):
         self.n_param_evaluations_ = selector.n_evaluations
         return params
 
-    def _mine_with_fallback(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        executor: ParallelExecutor | None = None,
-    ) -> list[PatternCandidate]:
+    def _mine_with_fallback(self, X: np.ndarray, y: np.ndarray) -> list[PatternCandidate]:
         """Algorithm 1, relaxing γ if nothing survives the threshold."""
         gamma = self.gamma
         for _ in range(3):
@@ -325,7 +293,6 @@ class RPMClassifier(BaseEstimator):
                 prototype=self.prototype,
                 support_mode=self.support_mode,
                 numerosity_reduction=self.numerosity_reduction,
-                executor=executor,
                 tracer=self.tracer,
                 discretize_cache=self._discretize_cache,
             )
@@ -365,7 +332,10 @@ class RPMClassifier(BaseEstimator):
 
         Runs the pattern bank over one window-statistics prefix per
         batch: the path :class:`~repro.serve.CompiledModel` serves, so
-        the two agree bitwise.
+        the two agree bitwise. The buckets fan out over ``n_jobs``
+        threads of a pool opened and closed per call, so the classifier
+        never holds one; with tracing on, per-chunk timings go to the
+        process-wide metrics registry.
         """
         if not self.patterns_:
             raise RuntimeError("classifier used before fit()")
@@ -373,7 +343,8 @@ class RPMClassifier(BaseEstimator):
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
         _require_finite(X)
-        with self._make_executor() as executor:
+        metrics = registry() if self.tracer.enabled else None
+        with ParallelExecutor(self.n_jobs, metrics=metrics) as executor:
             return pattern_features(
                 X,
                 self._pattern_bank(),

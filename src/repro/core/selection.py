@@ -233,7 +233,6 @@ def find_distinct(
     tau_percentile: float = DEFAULT_TAU_PERCENTILE,
     rotation_invariant: bool = False,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
-    executor=None,
     cache=None,
     tracer=NOOP,
     kernel_backend: str = "auto",
@@ -244,8 +243,8 @@ def find_distinct(
     matrix restricted to the selected features (handy for fitting the
     downstream classifier without recomputing distances).
 
-    ``executor``/``cache`` are forwarded to the training-set feature
-    transform (stage 3), the step that dominates Algorithm 2's cost.
+    ``cache`` is forwarded to the training-set feature transform
+    (stage 3), the step that dominates Algorithm 2's cost.
     ``tracer`` records a ``select`` span with ``tau`` / ``dedup`` /
     ``transform`` / ``cfs`` children; de-duplication and CFS drop counts
     go to the metrics registry (``candidates.dropped_dedup``,
@@ -257,7 +256,7 @@ def find_distinct(
     y = np.asarray(y)
 
     metrics = registry()
-    with tracer.span("select") as span, tracer.adopt(span):
+    with tracer.span("select"):
         with tracer.span("tau"):
             tau = compute_tau(candidates, tau_percentile)
         capped = _cap_candidates(candidates, max_candidates)
@@ -271,7 +270,6 @@ def find_distinct(
             X,
             deduped,
             rotation_invariant=rotation_invariant,
-            executor=executor,
             cache=cache,
             tracer=tracer,
             kernel_backend=kernel_backend,

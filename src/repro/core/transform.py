@@ -25,11 +25,11 @@ Two paths compute it, both through the sliding-window kernel:
 
 The two agree bitwise wherever a bucket resolves to the mat-vec
 backend; where ``auto`` sends a bucket to the FFT they differ by FFT
-rounding (see ``docs/runtime.md``). Columns and buckets are
-independent, so a :class:`~repro.runtime.executor.ParallelExecutor`
-can fan them out across threads or processes; scheduling never changes
-the floating-point expressions, keeping results bitwise identical to
-the serial loop.
+rounding (see ``docs/runtime.md``). The per-pattern path is one serial
+loop. Buckets are independent, so a
+:class:`~repro.runtime.executor.ParallelExecutor` can fan them out
+across threads; scheduling never changes the floating-point
+expressions, keeping results bitwise identical to the serial loop.
 """
 
 from __future__ import annotations
@@ -93,10 +93,6 @@ class LengthBucket:
         self.cols = cols
         self.pres = pres
 
-    def __reduce__(self):
-        # Process-backend workers receive buckets by value.
-        return (LengthBucket, (self.length, self.cols, self.pres))
-
 
 def _compile_plan(values: list[np.ndarray], m: int) -> list[LengthBucket]:
     """Length buckets of pre-z-normalized patterns for inputs of length ``m``.
@@ -116,7 +112,7 @@ def _compile_plan(values: list[np.ndarray], m: int) -> list[LengthBucket]:
 
 
 def _bucket_block(args) -> tuple[list[int], np.ndarray]:
-    """Feature columns of one bucket (module-level: picklable worker).
+    """Feature columns of one bucket.
 
     One view of the batch prefix (and of the rotated copy's) and one
     batched kernel call for the whole bucket; ``auto`` resolves per
@@ -238,31 +234,6 @@ def pattern_feature_row(
     )[0]
 
 
-def _feature_block(args) -> np.ndarray:
-    """Feature columns for one chunk of patterns (picklable worker).
-
-    ``cache=None`` means "build a fresh local cache" — the process
-    backend ships this worker to other interpreters where the shared
-    cache does not exist.
-    """
-    values_list, X, X_rot, cache, token, token_rot, backend = args
-    if cache is None:
-        cache = WindowStatsCache(max(4, 2 * len(values_list)))
-        token = token_rot = None
-    out = np.empty((X.shape[0], len(values_list)))
-    for k, values in enumerate(values_list):
-        dist = sliding_best_distances(values, X, cache=cache, token=token, backend=backend)
-        if X_rot is not None:
-            dist = np.minimum(
-                dist,
-                sliding_best_distances(
-                    values, X_rot, cache=cache, token=token_rot, backend=backend
-                ),
-            )
-        out[:, k] = dist
-    return out
-
-
 def pattern_features(
     X: np.ndarray,
     patterns,
@@ -276,13 +247,13 @@ def pattern_features(
     """Transform ``(n, m)`` series into ``(n, K)`` pattern distances.
 
     ``patterns`` is either a sequence of patterns, computed one column
-    at a time with the cached sliding-window kernel (the fit's path;
-    ``cache`` overrides the process-wide default statistics cache), or
-    a :class:`PatternBank`, computed one batched kernel call per length
-    bucket over one window-statistics prefix per batch (the inference
-    path; ``cache`` is not used). ``executor`` (a
-    :class:`~repro.runtime.executor.ParallelExecutor`) fans the columns
-    or buckets out across workers. ``tracer`` records the whole call as
+    at a time in one serial loop with the cached sliding-window kernel
+    (the fit's path; ``cache`` overrides the process-wide default
+    statistics cache), or a :class:`PatternBank`, computed one batched
+    kernel call per length bucket over one window-statistics prefix per
+    batch (the inference path; ``cache`` is not used, and ``executor``,
+    a :class:`~repro.runtime.executor.ParallelExecutor`, fans the
+    buckets out across threads). ``tracer`` records the whole call as
     one ``transform`` span. ``kernel_backend`` selects the
     distance-kernel cross-correlation implementation
     (``auto``/``fft``/``matvec`` — see
@@ -306,29 +277,21 @@ def pattern_features(
                 executor=executor,
             )
         X_rot = rotate_halves(X) if rotation_invariant else None
-
-        values_list = [pattern_values(p) for p in patterns]
-        serial = executor is None or executor.backend == "serial"
-        if serial or executor.backend == "thread":
-            shared_cache = cache if cache is not None else default_cache()
-            token = fingerprint(X)
-            token_rot = fingerprint(X_rot) if X_rot is not None else None
-        else:
-            # Process workers rebuild statistics locally; chunking by
-            # contiguous blocks keeps each (length, chunk) rebuilt once.
-            shared_cache = token = token_rot = None
-
-        if serial:
-            return _feature_block(
-                (values_list, X, X_rot, shared_cache, token, token_rot, kernel_backend)
+        cache = cache if cache is not None else default_cache()
+        token = fingerprint(X)
+        token_rot = fingerprint(X_rot) if X_rot is not None else None
+        out = np.empty((X.shape[0], len(patterns)))
+        for k, pattern in enumerate(patterns):
+            values = pattern_values(pattern)
+            dist = sliding_best_distances(
+                values, X, cache=cache, token=token, backend=kernel_backend
             )
-
-        n_chunks = min(len(values_list), executor.n_jobs * 4)
-        bounds = np.linspace(0, len(values_list), n_chunks + 1).astype(int)
-        jobs = [
-            (values_list[lo:hi], X, X_rot, shared_cache, token, token_rot, kernel_backend)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        blocks = executor.map(_feature_block, jobs)
-        return np.concatenate(blocks, axis=1)
+            if X_rot is not None:
+                dist = np.minimum(
+                    dist,
+                    sliding_best_distances(
+                        values, X_rot, cache=cache, token=token_rot, backend=kernel_backend
+                    ),
+                )
+            out[:, k] = dist
+        return out

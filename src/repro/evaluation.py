@@ -135,20 +135,13 @@ def evaluate(
     dataset: Dataset,
     *,
     name: str | None = None,
-    n_jobs: int | None = None,
 ) -> EvalResult:
     """Fit a fresh model on the dataset's train split, score the test split.
 
     ``method`` is a configured estimator instance (cloned, never
     mutated), an estimator class, or a zero-argument factory.
-    ``n_jobs`` overrides the parallel worker count on models that
-    support it (anything exposing an ``n_jobs`` attribute, like
-    :class:`~repro.core.rpm.RPMClassifier`); other models ignore it.
-    Parallelism never changes predictions — only wall-clock.
     """
     model = _instantiate(method)
-    if n_jobs is not None and hasattr(model, "n_jobs"):
-        model.n_jobs = n_jobs
     label = name or type(model).__name__
     start = time.perf_counter()
     model.fit(dataset.X_train, dataset.y_train)
@@ -170,14 +163,12 @@ def compare(
     datasets: Sequence[Dataset],
     *,
     verbose: bool = False,
-    n_jobs: int | None = None,
 ) -> ComparisonTable:
     """Evaluate every method on every dataset.
 
     ``methods`` maps display name to an estimator instance, class or
     zero-argument factory; a fresh model is spawned per
     (method, dataset) pair so state never leaks between runs.
-    ``n_jobs`` is forwarded to every evaluation (see :func:`evaluate`).
     """
     if not methods:
         raise ValueError("methods must be non-empty")
@@ -188,7 +179,7 @@ def compare(
     )
     for dataset in datasets:
         for name, method in methods.items():
-            result = evaluate(method, dataset, name=name, n_jobs=n_jobs)
+            result = evaluate(method, dataset, name=name)
             table.results[(name, dataset.name)] = result
             if verbose:
                 print(

@@ -141,14 +141,21 @@ def _entropies_from_counts(counts: np.ndarray, n_rows: int) -> np.ndarray:
     joint code within the row) before the ``-Σ p·log2 p`` reduction —
     the same operand order as the per-pair ``np.unique`` path, which is
     what keeps the results bitwise identical.
+
+    Rows with the same number ``k`` of nonzero cells are gathered into
+    one contiguous ``(rows, k)`` matrix and summed along its rows in one
+    call: numpy sums each contiguous row with the same pairwise
+    summation as a 1-D ``np.sum`` over that row's terms.
     """
     mask = counts > 0
     p = counts[mask] / n_rows
     terms = p * np.log2(p)
-    bounds = np.concatenate(([0], np.cumsum(np.count_nonzero(mask, axis=1))))
+    nonzero = np.count_nonzero(mask, axis=1)
+    starts = np.cumsum(nonzero) - nonzero
     out = np.empty(counts.shape[0])
-    for i in range(out.size):
-        out[i] = -np.sum(terms[bounds[i] : bounds[i + 1]])
+    for k in np.unique(nonzero):
+        rows = np.flatnonzero(nonzero == k)
+        out[rows] = -terms[starts[rows, None] + np.arange(k)].sum(axis=1)
     return out
 
 

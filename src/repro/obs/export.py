@@ -48,7 +48,7 @@ _HELP = {
     "cache.evictions": "Sliding-window statistics cache LRU evictions.",
     "executor.chunks": "Chunks mapped by the parallel executor.",
     "executor.items": "Items mapped by the parallel executor.",
-    "executor.chunk_seconds": "Per-chunk wall time, measured in-worker.",
+    "executor.chunk_seconds": "Per-chunk wall time, measured on the mapping thread.",
     "serve.requests": "Prediction requests submitted (including invalid).",
     "serve.invalid": "Requests rejected by input validation.",
     "serve.batches": "Micro-batches run through the compiled model.",

@@ -311,9 +311,8 @@ _global_registry = MetricsRegistry()
 def registry() -> MetricsRegistry:
     """The process-wide shared registry.
 
-    Process-backend workers each see their own copy (metrics published
-    in a worker process stay there); per-chunk executor timings survive
-    because the executor records them on the submitting side.
+    Shard worker processes each see their own copy: metrics published
+    in a worker process stay there.
     """
     return _global_registry
 

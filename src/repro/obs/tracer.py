@@ -4,13 +4,9 @@ A :class:`Tracer` records a tree of :class:`Span` objects — one per
 pipeline stage (``fit`` → ``params`` / ``mine`` / ``select`` →
 ``discretize`` / ``grammar`` / ``refine`` / ``transform`` …). Spans
 carry the stage name, wall time, free-form metadata and a small counter
-dict, and nest through two mechanisms:
-
-* a per-thread stack — the common case: a span opened while another is
-  active on the same thread becomes its child;
-* an *ambient parent* (:meth:`Tracer.adopt`) — spans opened on worker
-  threads, whose stacks are empty, attach under the span the
-  orchestrator adopted before fanning out.
+dict, and nest through a per-thread stack: a span opened while another
+is active on the same thread becomes its child, and a span opened on a
+thread with nothing open (a serving batcher, say) becomes a root.
 
 The default tracer everywhere is :data:`NOOP`, a stateless singleton
 whose ``span()`` returns one shared no-op context manager — the
@@ -83,33 +79,13 @@ class _SpanHandle:
         return False
 
 
-class _AmbientHandle:
-    """Restores the tracer's previous ambient parent on exit."""
-
-    __slots__ = ("_tracer", "_span", "_previous")
-
-    def __init__(self, tracer: "Tracer", span: Span) -> None:
-        self._tracer = tracer
-        self._span = span
-        self._previous = None
-
-    def __enter__(self) -> Span:
-        self._previous = self._tracer._ambient
-        self._tracer._ambient = self._span
-        return self._span
-
-    def __exit__(self, *exc_info) -> bool:
-        self._tracer._ambient = self._previous
-        return False
-
-
 class Tracer:
     """Collects a forest of spans; safe to use from multiple threads.
 
     Structure mutations (attaching a span to its parent or to the root
-    list) take a lock so thread-backend workers can attach children to
-    the adopted ambient span concurrently. The per-thread open-span
-    stack itself is ``threading.local`` and needs no locking.
+    list) take a lock, because serving threads open root spans on a
+    shared tracer concurrently. The per-thread open-span stack itself
+    is ``threading.local`` and needs no locking.
     """
 
     enabled = True
@@ -118,7 +94,6 @@ class Tracer:
         self.roots: list[Span] = []
         self._lock = threading.Lock()
         self._local = threading.local()
-        self._ambient: Span | None = None
 
     # -- structure ------------------------------------------------------------
 
@@ -130,7 +105,7 @@ class Tracer:
 
     def _open(self, span: Span) -> None:
         stack = self._stack()
-        parent = stack[-1] if stack else self._ambient
+        parent = stack[-1] if stack else None
         span.parent = parent
         with self._lock:
             if parent is None:
@@ -150,18 +125,10 @@ class Tracer:
         """Open a named child span for the duration of a ``with`` block."""
         return _SpanHandle(self, Span(name, meta or None))
 
-    def adopt(self, span: Span) -> _AmbientHandle:
-        """Make ``span`` the parent of spans opened on *other* threads.
-
-        Use around an executor fan-out so worker-thread spans nest
-        under the orchestrating stage instead of becoming roots.
-        """
-        return _AmbientHandle(self, span)
-
     def current(self) -> Span | None:
-        """The innermost open span on this thread (or the ambient one)."""
+        """The innermost open span on this thread."""
         stack = self._stack()
-        return stack[-1] if stack else self._ambient
+        return stack[-1] if stack else None
 
     def count(self, counter: str, amount: float = 1) -> None:
         """Bump a counter on the current span (no-op without one)."""
@@ -213,17 +180,14 @@ _NULL_HANDLE = _NullHandle()
 class NullTracer:
     """Disabled tracer: every operation returns a shared no-op object.
 
-    Stateless, picklable (process-backend jobs carry it by value), and
-    allocation-free on the ``span()`` path — the zero-cost default.
+    Stateless and allocation-free on the ``span()`` path — the
+    zero-cost default.
     """
 
     enabled = False
     roots: tuple = ()
 
     def span(self, name: str, **meta) -> _NullHandle:
-        return _NULL_HANDLE
-
-    def adopt(self, span) -> _NullHandle:
         return _NULL_HANDLE
 
     def current(self) -> None:
@@ -234,9 +198,6 @@ class NullTracer:
 
     def total_duration(self) -> float:
         return 0.0
-
-    def __reduce__(self):
-        return (NullTracer, ())
 
 
 #: The shared disabled tracer — the default for every ``tracer=`` knob.

@@ -1,14 +1,14 @@
 """Parallel/caching runtime for the RPM pipeline.
 
-The pipeline's two dominant costs are embarrassingly parallel — the
-per-class candidate mining of Algorithm 1 and the per-pattern
-closest-match columns of the feature transform — and both recompute
-sliding-window statistics that depend only on the series matrix and a
-window length. This package factors that out:
+The fit's search re-mines and re-transforms the same series under many
+SAX triples, and every transform recomputes sliding-window statistics
+that depend only on the series matrix and a window length. This
+package factors that out:
 
 ``executor``
-    :class:`ParallelExecutor` — one ``map`` abstraction over serial,
-    thread and process backends with ordered, chunked work submission.
+    :class:`ParallelExecutor` — one ordered, chunked ``map`` over a
+    plain loop or a thread pool; it fans out the pattern bank's length
+    buckets at inference time.
 ``kernel``
     :class:`SeriesPrefix` — per-series-matrix centred rows, cumulative
     sums and one lazily built series spectrum — and its per-length
@@ -26,9 +26,10 @@ window length. This package factors that out:
     window size), so parameter-search evaluations sharing a window skip
     straight to the breakpoint lookup. Both have fixed sizes.
 
-Determinism guarantee: parallelism only changes *scheduling*, never the
-floating-point expressions, so results are bitwise identical across
-backends and ``n_jobs`` values (see ``docs/runtime.md``).
+Determinism guarantee: the fit is one serial path, and the bank's
+threads only change *scheduling*, never the floating-point expressions,
+so ``transform``, ``predict`` and serving are bitwise identical for
+every ``n_jobs`` value (see ``docs/runtime.md``).
 """
 
 from .cache import (

@@ -22,11 +22,9 @@ the two caches the pipeline keeps:
   hit.
 
 Keys hold content hashes, so a mutated or different array can never
-alias an entry. Both caches are thread-safe; with the process backend
-each worker builds its own local cache (the entries are not worth
-shipping across process boundaries). Their sizes are fixed module
-constants; ``max_entries=0`` (every call builds afresh) remains for the
-equivalence tests.
+alias an entry. Both caches are thread-safe. Their sizes are fixed
+module constants; ``max_entries=0`` (every call builds afresh) remains
+for the equivalence tests.
 """
 
 from __future__ import annotations

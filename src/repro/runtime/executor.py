@@ -1,33 +1,22 @@
 """A small, deterministic parallel-map abstraction.
 
-:class:`ParallelExecutor` wraps the three execution strategies the RPM
-pipeline uses — a plain loop, a thread pool, and a process pool —
-behind one ordered ``map``. Work is submitted in contiguous chunks
-(fewer pickles for the process backend, fewer scheduling round-trips
-for threads) and results are always returned in input order, so callers
-are bitwise-indistinguishable from the serial loop.
-
-Backend choice:
-
-* ``'serial'`` — no pool at all; the reference behavior.
-* ``'thread'`` — best default: NumPy's mat-vec/cumsum kernels release
-  the GIL, and nothing is pickled.
-* ``'process'`` — sidesteps the GIL entirely for Python-heavy stages
-  (Sequitur, clustering); work functions and arguments must be
-  picklable module-level objects.
+:class:`ParallelExecutor` runs one ordered ``map`` either as a plain
+loop or over a thread pool. Work is submitted in contiguous chunks and
+results are always returned in input order, so callers are
+bitwise-indistinguishable from the serial loop. The pattern bank's
+length buckets are its only fan-out: NumPy's mat-vec, FFT and cumsum
+kernels release the GIL, and nothing is pickled.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 from ..obs.metrics import MetricsRegistry
 
-__all__ = ["BACKENDS", "ParallelExecutor", "resolve_n_jobs"]
-
-BACKENDS = ("serial", "thread", "process")
+__all__ = ["ParallelExecutor", "resolve_n_jobs"]
 
 
 def resolve_n_jobs(n_jobs: int | None) -> int:
@@ -46,76 +35,55 @@ def resolve_n_jobs(n_jobs: int | None) -> int:
 
 
 def _apply_chunk(fn, chunk):
-    """Module-level chunk runner (must be picklable for processes)."""
     return [fn(item) for item in chunk]
 
 
 def _timed_apply_chunk(fn, chunk):
-    """Chunk runner that also reports its own wall time.
-
-    The elapsed seconds are measured *inside* the worker — thread or
-    process — and travel back with the results (a float pickles fine),
-    so per-chunk timings aggregate identically across backends.
-    """
+    """Chunk runner that also reports its own wall time, measured on
+    the thread that ran the chunk."""
     t0 = time.perf_counter()
     out = [fn(item) for item in chunk]
     return time.perf_counter() - t0, out
 
 
 class ParallelExecutor:
-    """Ordered, chunked ``map`` over a serial / thread / process backend.
+    """Ordered, chunked ``map`` over a plain loop or a thread pool.
 
     Parameters
     ----------
     n_jobs:
-        Worker count; ``-1`` uses every CPU, ``None``/``0``/``1`` run
-        serially (the backend is then forced to ``'serial'``).
-    backend:
-        One of :data:`BACKENDS`. With the process backend, mapped
-        functions and their arguments must be picklable.
-    chunk_size:
-        Items per submitted chunk. Defaults to spreading the work into
-        roughly four chunks per worker, which balances load without
-        drowning the pool in tiny tasks.
+        Worker threads; ``-1`` uses every CPU, ``None``/``0``/``1`` run
+        serially. :attr:`backend` reads ``'serial'`` or ``'thread'``
+        accordingly.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`. When set,
-        every mapped chunk reports its wall time (measured inside the
-        worker, any backend) into the ``executor.chunk_seconds``
+        every mapped chunk reports its wall time (measured on the
+        thread that ran it) into the ``executor.chunk_seconds``
         histogram — exported with p50/p95/p99 quantiles, so chunk-size
         skew shows up directly in ``rpm metrics`` / Prometheus scrapes
         — plus ``executor.chunks`` / ``executor.items`` counters.
         ``None`` (default) keeps the map path free of any
         instrumentation.
 
-    The pool is created lazily on first use and torn down by
-    :meth:`close` (or the context-manager exit). The executor itself is
-    intentionally *not* picklable — create one per process.
+    Work is spread into roughly four chunks per worker, which balances
+    load without drowning the pool in tiny tasks. The pool is created
+    lazily on first use and torn down by :meth:`close` (or the
+    context-manager exit).
     """
 
     def __init__(
-        self,
-        n_jobs: int | None = 1,
-        backend: str = "thread",
-        *,
-        chunk_size: int | None = None,
-        metrics: MetricsRegistry | None = None,
+        self, n_jobs: int | None = 1, *, metrics: MetricsRegistry | None = None
     ) -> None:
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         self.n_jobs = resolve_n_jobs(n_jobs)
-        self.backend = "serial" if self.n_jobs == 1 else backend
-        self.chunk_size = chunk_size
+        self.backend = "serial" if self.n_jobs == 1 else "thread"
         self.metrics = metrics
-        self._pool = None
+        self._pool: ThreadPoolExecutor | None = None
 
     # -- lifecycle ------------------------------------------------------------
 
-    def _ensure_pool(self):
+    def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
-            if self.backend == "thread":
-                self._pool = ThreadPoolExecutor(max_workers=self.n_jobs)
-            elif self.backend == "process":
-                self._pool = ProcessPoolExecutor(max_workers=self.n_jobs)
+            self._pool = ThreadPoolExecutor(max_workers=self.n_jobs)
         return self._pool
 
     def close(self) -> None:
@@ -133,24 +101,20 @@ class ParallelExecutor:
     # -- mapping --------------------------------------------------------------
 
     def _chunks(self, items: list) -> list[list]:
-        size = self.chunk_size
-        if size is None:
-            size = max(1, -(-len(items) // (self.n_jobs * 4)))
+        size = max(1, -(-len(items) // (self.n_jobs * 4)))
         return [items[i : i + size] for i in range(0, len(items), size)]
 
     def map(self, fn, items) -> list:
         """Apply ``fn`` to every item; results in input order.
 
-        Exceptions raised by ``fn`` propagate to the caller on every
-        backend, exactly as in the serial loop.
+        Exceptions raised by ``fn`` propagate to the caller, exactly as
+        in the serial loop.
 
-        Single-item fast path: without metrics, a pool backend still
+        Single-item fast path: without metrics, a thread executor still
         runs one lone item inline (no scheduling round-trip for work
         that cannot be parallelized anyway). With metrics enabled the
-        item goes through the configured pool, so every
-        ``executor.chunk_seconds`` observation is measured inside the
-        backend that was actually configured — the serial code path
-        never records chunks on behalf of a thread/process executor.
+        item goes through the pool, so every ``executor.chunk_seconds``
+        observation of a thread executor is measured on a pool thread.
         """
         items = list(items)
         if not items:
@@ -162,17 +126,12 @@ class ParallelExecutor:
             self._record_chunk(elapsed, len(items))
             return out
         pool = self._ensure_pool()
-        if self.metrics is None:
-            futures = [
-                pool.submit(_apply_chunk, fn, chunk) for chunk in self._chunks(items)
-            ]
-            out: list = []
-            for future in futures:
-                out.extend(future.result())
-            return out
         chunks = self._chunks(items)
+        if self.metrics is None:
+            futures = [pool.submit(_apply_chunk, fn, chunk) for chunk in chunks]
+            return [result for future in futures for result in future.result()]
         futures = [pool.submit(_timed_apply_chunk, fn, chunk) for chunk in chunks]
-        out = []
+        out: list = []
         for future, chunk in zip(futures, chunks):
             elapsed, results = future.result()
             self._record_chunk(elapsed, len(chunk))

@@ -24,7 +24,7 @@ Two backends compute the cross-correlation:
     One ``(n, J, L) @ (L,)`` mat-vec per pattern. The arithmetic is
     identical, expression for expression, to the reference
     implementation in ``repro.distance.best_match`` — results are
-    bitwise equal, which the parallel-equivalence tests rely on.
+    bitwise equal, which the transform parity tests rely on.
 ``fft``
     The MASS trick: ``QT = irfft(rfft(X) · rfft(reverse(q)))`` computes
     every alignment of every pattern in O(n log n) per series instead
@@ -199,11 +199,6 @@ class PrenormalizedPattern:
         self.q_is_flat = q_is_flat
         self.qq = qq
         self.length = int(q.size)
-
-    def __reduce__(self):
-        # Plain-tuple pickling so process-backend workers can carry
-        # precompiled banks by value.
-        return (PrenormalizedPattern, (self.q, self.q_is_flat, self.qq))
 
 
 def prenormalize_pattern(pattern: np.ndarray) -> PrenormalizedPattern:

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..core.transform import LengthBucket, PatternBank, pattern_values
 from ..obs import resolve_tracer
-from ..runtime.executor import BACKENDS, ParallelExecutor
+from ..runtime.executor import ParallelExecutor
 from ..runtime.kernel import KERNEL_BACKENDS
 
 __all__ = ["CompiledModel"]
@@ -49,10 +49,10 @@ class CompiledModel:
     series_length:
         Training series length when the artifact records it; used for
         warm-up shapes and strict input validation upstream.
-    n_jobs / parallel_backend:
-        Worker fan-out for the per-bucket transform. Unlike the
-        training classifier, the executor is *persistent* — a serving
-        process must not pay pool start-up per request. Call
+    n_jobs:
+        Worker threads for the per-bucket transform. Unlike
+        ``RPMClassifier.transform``, the executor is *persistent* — a
+        serving process must not pay pool start-up per request. Call
         :meth:`close` (or use the model as a context manager) to tear
         it down.
     kernel_backend:
@@ -86,7 +86,6 @@ class CompiledModel:
         classes=None,
         series_length: int | None = None,
         n_jobs: int = 1,
-        parallel_backend: str = "thread",
         kernel_backend: str = "auto",
         dtype: str = "float64",
         trace=None,
@@ -105,7 +104,6 @@ class CompiledModel:
             classes=classes,
             series_length=series_length,
             n_jobs=n_jobs,
-            parallel_backend=parallel_backend,
             kernel_backend=kernel_backend,
             trace=trace,
         )
@@ -120,17 +118,12 @@ class CompiledModel:
         classes,
         series_length: int | None,
         n_jobs: int,
-        parallel_backend: str,
         kernel_backend: str,
         trace,
         native_plan: list[LengthBucket] | None = None,
     ) -> None:
         """Shared by :meth:`__init__` and :meth:`from_shared_bank`, which
         injects an already-built native plan."""
-        if parallel_backend not in BACKENDS:
-            raise ValueError(
-                f"parallel_backend must be one of {BACKENDS}, got {parallel_backend!r}"
-            )
         if kernel_backend not in KERNEL_BACKENDS:
             raise ValueError(
                 f"kernel_backend must be one of {KERNEL_BACKENDS}, got {kernel_backend!r}"
@@ -145,7 +138,7 @@ class CompiledModel:
         self.bank = PatternBank(values, native_plan)
         self.n_patterns = len(self.bank)
         self.max_pattern_length = self.bank.max_pattern_length
-        self._executor = ParallelExecutor(n_jobs, parallel_backend)
+        self._executor = ParallelExecutor(n_jobs)
 
     # -- construction ----------------------------------------------------------
 
@@ -193,7 +186,6 @@ class CompiledModel:
         classes=None,
         series_length: int | None = None,
         n_jobs: int = 1,
-        parallel_backend: str = "thread",
         kernel_backend: str = "auto",
         trace=None,
     ) -> "CompiledModel":
@@ -217,7 +209,6 @@ class CompiledModel:
             classes=classes,
             series_length=series_length,
             n_jobs=n_jobs,
-            parallel_backend=parallel_backend,
             kernel_backend=kernel_backend,
             trace=trace,
             native_plan=native_plan,

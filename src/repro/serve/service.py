@@ -127,6 +127,13 @@ class PredictionService:
         # will ever read — a forever-dangling future and a leaked +1 on
         # the serve.queue_depth gauge.
         self._submit_lock = threading.Lock()
+        # Held by the batcher across each batch, from its first resolved
+        # future through the shadow and drift offers. detach_shadow()
+        # and detach_drift() take it, so a batch whose requests were
+        # answered is still offered to the scorer and monitor that were
+        # attached when they were answered. Reentrant: a future's
+        # done-callback runs on the batcher thread and may detach.
+        self._hooks_lock = threading.RLock()
         self._batches_done = 0
 
     # -- lifecycle -------------------------------------------------------------
@@ -305,8 +312,12 @@ class PredictionService:
         return scorer
 
     def detach_shadow(self) -> ShadowReport | None:
-        """Stop shadow scoring; returns the final report (idempotent)."""
-        scorer, self.shadow = self.shadow, None
+        """Stop shadow scoring; returns the final report (idempotent).
+
+        Waits for the batch in flight to be offered first.
+        """
+        with self._hooks_lock:
+            scorer, self.shadow = self.shadow, None
         if scorer is None:
             return None
         scorer.stop()
@@ -371,8 +382,12 @@ class PredictionService:
 
     def detach_drift(self) -> dict | None:
         """Stop drift monitoring; returns the final evaluation payload
-        (``None`` when no monitor was attached or nothing was folded)."""
-        monitor, self.drift = self.drift, None
+        (``None`` when no monitor was attached or nothing was folded).
+
+        Waits for the batch in flight to be offered first.
+        """
+        with self._hooks_lock:
+            monitor, self.drift = self.drift, None
         if monitor is None:
             return None
         monitor.stop()
@@ -521,7 +536,8 @@ class PredictionService:
                 # submitted future ever dangles.
                 batch.extend(self._drain())
             for lo in range(0, len(batch), self.max_batch):
-                self._process(batch[lo : lo + self.max_batch])
+                with self._hooks_lock:
+                    self._process(batch[lo : lo + self.max_batch])
             if stopping:
                 return
 

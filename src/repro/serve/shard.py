@@ -509,6 +509,12 @@ class ShardedPredictionService:
         self._pending: dict[str, _Pending] = {}
         self._lock = threading.Lock()  # pending table + shard states + routing
         self._submit_lock = threading.Lock()  # submit vs stop
+        # Held by the collector from resolving a future through its
+        # shadow and drift offers; the detach methods take it, so a
+        # result that was answered is still offered to the scorer and
+        # monitor that were attached when it was answered. Reentrant: a
+        # future's done-callback runs on the collector and may detach.
+        self._hooks_lock = threading.RLock()
         self._running = False
         self._stopping = threading.Event()
         self._collector: threading.Thread | None = None
@@ -809,8 +815,12 @@ class ShardedPredictionService:
         return scorer
 
     def detach_shadow(self) -> ShadowReport | None:
-        """Stop shadow scoring; returns the final report (idempotent)."""
-        scorer, self.shadow = self.shadow, None
+        """Stop shadow scoring; returns the final report (idempotent).
+
+        Waits for the result in flight to be offered first.
+        """
+        with self._hooks_lock:
+            scorer, self.shadow = self.shadow, None
         if scorer is None:
             return None
         scorer.stop()
@@ -872,8 +882,12 @@ class ShardedPredictionService:
 
     def detach_drift(self) -> dict | None:
         """Stop drift monitoring; returns the final evaluation payload
-        (``None`` when no monitor was attached or nothing was folded)."""
-        monitor, self.drift = self.drift, None
+        (``None`` when no monitor was attached or nothing was folded).
+
+        Waits for the result in flight to be offered first.
+        """
+        with self._hooks_lock:
+            monitor, self.drift = self.drift, None
         if monitor is None:
             return None
         monitor.stop()
@@ -1095,7 +1109,8 @@ class ShardedPredictionService:
         kind = msg[0]
         if kind == "res":
             _kind, shard_id, _gen, result, queue_wait_s = msg
-            self._resolve(shard_id, result, queue_wait_s)
+            with self._hooks_lock:
+                self._resolve(shard_id, result, queue_wait_s)
         elif kind == "batch":
             _kind, shard_id, _gen, size, seconds = msg
             self.metrics.inc("serve.batches")

@@ -32,6 +32,10 @@ paths replaced and must reproduce bitwise:
 * the per-pair CFS scorer (:class:`MeritEvaluator`,
   :func:`scalar_cfs_select`) that ``repro.ml.cfs`` replaced with the
   blocked-SU kernel — same SU values, subsets and merits;
+* the one-``np.sum``-per-row contingency entropies
+  (:func:`looped_entropies_from_counts`) that ``repro.ml.cfs`` replaced
+  with one row-sum per distinct nonzero-cell count — same entropies,
+  bit for bit;
 * the one-piece window-statistics constructor (:func:`legacy_window_stats`)
   that ``repro.runtime.kernel`` split into a per-matrix
   :class:`~repro.runtime.kernel.SeriesPrefix` and per-length views —
@@ -496,6 +500,19 @@ def scalar_cfs_select(
     return CfsResult(
         selected=sorted(best_subset), merit=float(best_merit), feature_class_su=su_fc
     )
+
+
+def looped_entropies_from_counts(counts: np.ndarray, n_rows: int) -> np.ndarray:
+    """Row-wise entropies of a ``(P, cap)`` contingency block, one
+    ``np.sum`` over each row's compacted nonzero terms."""
+    mask = counts > 0
+    p = counts[mask] / n_rows
+    terms = p * np.log2(p)
+    bounds = np.concatenate(([0], np.cumsum(np.count_nonzero(mask, axis=1))))
+    out = np.empty(counts.shape[0])
+    for i in range(out.size):
+        out[i] = -np.sum(terms[bounds[i] : bounds[i + 1]])
+    return out
 
 
 # -- the object Sequitur --------------------------------------------------------

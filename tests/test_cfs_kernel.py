@@ -21,8 +21,13 @@ from repro.ml.cfs import (
     feature_feature_su_matrix,
     symmetrical_uncertainty,
 )
+from repro.ml import cfs
 from repro.obs.metrics import MetricsRegistry, scoped_registry
-from tests.oracles import MeritEvaluator, scalar_cfs_select
+from tests.oracles import (
+    MeritEvaluator,
+    looped_entropies_from_counts,
+    scalar_cfs_select,
+)
 
 
 @pytest.fixture()
@@ -146,6 +151,59 @@ class TestBlockedSuParity:
             feature_class_su(codes, y_codes)
             feature_feature_su_matrix(codes, [0, 1, 2])
         assert metrics.counter_value("cfs.su_pairs") == 5 + 3
+
+
+def _assert_bitwise(got: np.ndarray, expected: np.ndarray) -> None:
+    assert got.dtype == expected.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+class TestEntropiesFromCounts:
+    """Grouped row sums reproduce the one-sum-per-row loop bit for bit."""
+
+    def test_random_blocks(self, rng):
+        for _ in range(60):
+            n_pairs = int(rng.integers(1, 300))
+            cap = int(rng.integers(1, 320))
+            density = rng.random((n_pairs, 1)) * rng.random()
+            counts = (rng.random((n_pairs, cap)) < density) * rng.integers(
+                1, 60, size=(n_pairs, cap)
+            )
+            n_rows = int(rng.integers(1, 400))
+            _assert_bitwise(
+                cfs._entropies_from_counts(counts, n_rows),
+                looped_entropies_from_counts(counts, n_rows),
+            )
+
+    def test_empty_and_all_zero_rows(self):
+        counts = np.zeros((3, 4), dtype=np.int64)
+        counts[1, 2] = 5
+        _assert_bitwise(
+            cfs._entropies_from_counts(counts, 5),
+            looped_entropies_from_counts(counts, 5),
+        )
+        assert cfs._entropies_from_counts(np.zeros((0, 4), dtype=np.int64), 1).size == 0
+
+    def test_blocks_of_a_tiny_fit(self, monkeypatch):
+        from repro import RPMClassifier, SaxParams
+        from repro.data import cbf
+
+        blocks = []
+        entropies = cfs._entropies_from_counts
+
+        def recording(counts, n_rows):
+            got = entropies(counts, n_rows)
+            blocks.append((got, looped_entropies_from_counts(counts, n_rows)))
+            return got
+
+        monkeypatch.setattr(cfs, "_entropies_from_counts", recording)
+        data = cbf(n_train_per_class=8, n_test_per_class=2, length=96, seed=7)
+        RPMClassifier(sax_params=SaxParams(24, 5, 4), seed=0).fit(
+            data.X_train, data.y_train
+        )
+        assert blocks, "the fit computed no contingency entropies"
+        for got, expected in blocks:
+            _assert_bitwise(got, expected)
 
 
 class TestCfsSelectParity:

@@ -52,14 +52,31 @@ class TestFlagValidation:
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_jobs_rejects_zero_and_below_minus_one(self, value, capsys):
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["train", "CBF", "--jobs", value])
+            build_parser().parse_args(["serve", "--model", "m.npz", "--jobs", value])
         assert exc.value.code == 2
         assert "positive worker count or -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value,expected", [("3", 3), ("-1", -1)])
     def test_jobs_accepts_valid(self, value, expected):
-        args = build_parser().parse_args(["train", "CBF", "--jobs", value])
+        args = build_parser().parse_args(["serve", "--model", "m.npz", "--jobs", value])
         assert args.jobs == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "CBF", "--jobs", "2"],
+            ["evaluate", "CBF", "--jobs", "2"],
+            ["train", "CBF", "--parallel-backend", "thread"],
+            ["evaluate", "CBF", "--parallel-backend", "thread"],
+            ["predict", "data.txt", "--model", "m.npz", "--parallel-backend", "thread"],
+            ["serve", "--model", "m.npz", "--parallel-backend", "thread"],
+        ],
+    )
+    def test_fit_fan_out_flags_are_gone(self, argv, capsys):
+        # The fit is one serial path; only predict and serve thread.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_serve_admin_flags(self):
         args = build_parser().parse_args(

@@ -17,7 +17,6 @@ import pytest
 from repro.core.params import ParamRanges, ParamSelector
 from repro.grammar.inference import find_token_occurrences, find_word_occurrences
 from repro.runtime import DiscretizationCache
-from repro.runtime.executor import ParallelExecutor
 from repro.sax.discretize import REDUCTIONS, SaxParams, SaxRecord, discretize
 from tests.oracles import LegacySaxRecord, legacy_discretize
 
@@ -209,7 +208,7 @@ class TestParamSelectorParallelEquivalence:
         X[y == 1] += np.sin(np.linspace(0, 6, m))
         return X, y
 
-    def _selector(self, X, y, executor):
+    def _selector(self, X, y):
         return ParamSelector(
             X,
             y,
@@ -217,28 +216,11 @@ class TestParamSelectorParallelEquivalence:
             n_splits=2,
             cv_folds=3,
             seed=0,
-            executor=executor,
         )
-
-    def test_parallel_direct_matches_serial(self):
-        X, y = self._dataset()
-        serial = self._selector(X, y, None)
-        best_serial = serial.select_direct(max_evaluations=20, max_iterations=8)
-        with ParallelExecutor(4, "thread") as executor:
-            parallel = self._selector(X, y, executor)
-            best_parallel = parallel.select_direct(max_evaluations=20, max_iterations=8)
-        assert best_serial == best_parallel
-        # Deterministic cache-merge: same triples, same insertion order.
-        assert list(serial._cache.keys()) == list(parallel._cache.keys())
-        for key, evaluation in serial._cache.items():
-            other = parallel._cache[key]
-            assert evaluation.pruned == other.pruned
-            assert evaluation.f1_by_class == other.f1_by_class
-        assert serial._best == parallel._best
 
     def test_running_best_matches_full_rescan(self):
         X, y = self._dataset()
-        selector = self._selector(X, y, None)
+        selector = self._selector(X, y)
         selector.select_direct(max_evaluations=15, max_iterations=6)
         for label in selector.classes_:
             best_key, best_f1 = None, -1.0

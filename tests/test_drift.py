@@ -684,6 +684,25 @@ class TestServiceIntegration:
                 assert described["top_offenders"]
                 assert described["alert"] is True
 
+    def test_detach_waits_for_the_batch_in_flight(self, compiled, reference, tiny_gun):
+        # The batcher answers a batch's requests before it offers them to
+        # the monitor; detaching in between must not lose the batch.
+        with scoped_registry():
+            with PredictionService(
+                compiled, config=ServeConfig(warmup=False)
+            ) as service:
+                finish = service._finish
+
+                def slow_finish(*args):
+                    finish(*args)
+                    time.sleep(0.02)
+
+                service._finish = slow_finish
+                monitor = service.attach_drift(reference)
+                service.predict(tiny_gun.X_test)
+                service.detach_drift()
+                assert monitor.describe()["rows"] == len(tiny_gun.X_test)
+
     def test_predictions_bitwise_identical_monitor_on_or_off(
         self, compiled, reference, tiny_gun
     ):

@@ -2,8 +2,9 @@
 
 Three contracts under test:
 
-1. spans nest correctly (per-thread stacks plus the adopted ambient
-   parent for worker threads) and the emitters render them faithfully;
+1. spans nest correctly (per-thread stacks; a span opened on a thread
+   with nothing open is a root) and the emitters render them
+   faithfully;
 2. the registry is exactly thread-safe — concurrent increments are
    never lost;
 3. tracing is an observer only — a traced ``fit``/``transform`` is
@@ -84,31 +85,22 @@ class TestTracer:
         assert tracer.roots[0].meta["error"] == "RuntimeError"
         assert tracer.current() is None
 
-    def test_adopt_gives_worker_threads_a_parent(self):
+    def test_other_threads_open_roots(self):
         tracer = Tracer()
 
         def worker():
-            with tracer.span("child"):
+            with tracer.span("request"):
                 time.sleep(0.001)
 
-        with tracer.span("parent") as parent, tracer.adopt(parent):
+        with tracer.span("main") as main:
             threads = [threading.Thread(target=worker) for _ in range(4)]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join()
-        assert len(tracer.roots) == 1
-        assert len(parent.children) == 4
-        assert all(c.parent is parent for c in parent.children)
-
-    def test_adopt_restores_previous_ambient(self):
-        tracer = Tracer()
-        with tracer.span("a") as a, tracer.adopt(a):
-            with tracer.span("b") as b, tracer.adopt(b):
-                pass
-            # Ambient must be back to `a`, not leaked as `b`.
-            assert tracer._ambient is a
-        assert tracer._ambient is None
+        assert sorted(s.name for s in tracer.roots) == ["main"] + ["request"] * 4
+        assert main.children == []
+        assert all(s.parent is None for s in tracer.roots)
 
     def test_resolve_tracer(self):
         assert resolve_tracer(None) is NOOP
@@ -195,7 +187,7 @@ class TestMetricsRegistry:
                 reg.observe("lat", float(i))
             return i
 
-        with ParallelExecutor(4, "thread", chunk_size=1) as executor:
+        with ParallelExecutor(4) as executor:
             executor.map(work, range(40))
         assert reg.counter_value("hits") == 40 * per_item
         assert reg.histogram("lat").count == 40 * per_item
@@ -319,30 +311,29 @@ class TestPipelineTracing:
         assert np.array_equal(plain_features, traced_features)
         assert np.array_equal(plain_transform, traced_transform)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_traced_parallel_matches_untraced_serial(self, dataset, backend):
-        """The PR 1 equivalence guarantee holds with tracing enabled."""
+        """A traced run whose pattern bank runs on the ``backend``
+        executor is bitwise identical to an untraced serial run."""
 
-        def run(n_jobs, backend, trace):
+        def run(n_jobs, trace):
             clf = RPMClassifier(
-                sax_params=FIXED_PARAMS,
-                seed=0,
-                n_jobs=n_jobs,
-                parallel_backend=backend,
-                trace=trace,
+                sax_params=FIXED_PARAMS, seed=0, n_jobs=n_jobs, trace=trace
             )
             clf.fit(dataset.X_train, dataset.y_train)
             return clf.transform(dataset.X_test), clf.predict(dataset.X_test)
 
-        serial_transform, serial_preds = run(1, "serial", None)
-        traced_transform, traced_preds = run(3, backend, True)
+        n_jobs = 1 if backend == "serial" else 3
+        assert ParallelExecutor(n_jobs).backend == backend
+        serial_transform, serial_preds = run(1, None)
+        traced_transform, traced_preds = run(n_jobs, True)
         assert np.array_equal(serial_transform, traced_transform)
         assert np.array_equal(serial_preds, traced_preds)
 
     def test_executor_metrics_aggregate_across_backends(self):
-        for backend in ("thread", "process"):
+        for n_jobs in (1, 2):
             reg = MetricsRegistry()
-            with ParallelExecutor(2, backend, metrics=reg) as executor:
+            with ParallelExecutor(n_jobs, metrics=reg) as executor:
                 assert executor.map(_double, range(10)) == [2 * i for i in range(10)]
             assert reg.counter_value("executor.items") == 10
             hist = reg.histogram("executor.chunk_seconds")
@@ -350,7 +341,7 @@ class TestPipelineTracing:
             assert hist.count == reg.counter_value("executor.chunks") > 0
 
     def test_executor_without_metrics_records_nothing(self):
-        with ParallelExecutor(2, "thread") as executor:
+        with ParallelExecutor(2) as executor:
             executor.map(_double, range(10))
         # The shared registry gains nothing from an uninstrumented map.
         assert executor.metrics is None

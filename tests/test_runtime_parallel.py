@@ -1,10 +1,10 @@
-"""Parallel runtime: executor semantics and serial/parallel equivalence.
+"""Parallel runtime: the thread executor and the serial fit.
 
-The runtime's contract is that parallelism changes scheduling only —
-``fit``/``transform`` outputs must be *bitwise* identical across
-backends and worker counts, and deterministic across repeated runs with
-a fixed seed. These tests are the safety net that lets the pipeline
-fan out aggressively.
+``RPMClassifier.fit`` is one serial path whatever ``n_jobs`` says;
+``n_jobs`` only fans the pattern bank's length buckets out over threads
+in ``transform``, ``predict`` and serving. Scheduling never changes a
+floating-point expression, so every output must be *bitwise* identical
+across ``n_jobs`` values and deterministic across repeated runs.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro import RPMClassifier, SaxParams
 from repro.core.candidates import find_candidates
 from repro.core.params import ParamSelector
 from repro.core.selection import find_distinct
-from repro.core.transform import pattern_features
+from repro.core.transform import PatternBank, pattern_features
 from repro.data import cbf
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import (
@@ -27,8 +27,12 @@ from repro.runtime import (
     WindowStatsCache,
     resolve_n_jobs,
 )
+from repro.serve import CompiledModel
 
 FIXED_PARAMS = SaxParams(window_size=24, paa_size=5, alphabet_size=4)
+
+#: The worker counts each executor backend covers.
+N_JOBS_BY_BACKEND = {"serial": (1,), "thread": (2, 4)}
 
 
 @pytest.fixture()
@@ -67,50 +71,73 @@ class TestResolveNJobs:
 
 
 class TestParallelExecutor:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    @pytest.mark.parametrize("n_jobs", [1, 2, 4])
-    def test_map_preserves_order(self, backend, n_jobs):
-        with ParallelExecutor(n_jobs, backend) as executor:
+    @pytest.mark.parametrize("n_jobs,backend", [(1, "serial"), (2, "thread"), (4, "thread")])
+    def test_map_preserves_order(self, n_jobs, backend):
+        with ParallelExecutor(n_jobs) as executor:
+            assert executor.backend == backend
             assert executor.map(_square, range(23)) == [i * i for i in range(23)]
 
     def test_n_jobs_one_forces_serial(self):
-        executor = ParallelExecutor(1, "process")
+        executor = ParallelExecutor(1)
         assert executor.backend == "serial"
+        caller = threading.current_thread().name
+        assert executor.map(_thread_name, range(5)) == [caller] * 5
         assert executor._pool is None
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(2, "mpi")
+        # n_jobs alone picks the loop or the thread pool.
+        with pytest.raises(TypeError):
+            ParallelExecutor(2, "process")
+        with pytest.raises(TypeError):
+            ParallelExecutor(2, backend="thread")
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_exceptions_propagate(self, backend):
-        with ParallelExecutor(2, backend) as executor:
-            with pytest.raises(RuntimeError, match="boom"):
-                executor.map(_raise_on_three, range(8))
-
-    def test_explicit_chunk_size(self):
-        with ParallelExecutor(2, "thread", chunk_size=3) as executor:
-            items = list(range(10))
-            assert executor._chunks(items) == [items[0:3], items[3:6], items[6:9], items[9:]]
-            assert executor.map(_square, items) == [i * i for i in items]
+        for n_jobs in N_JOBS_BY_BACKEND[backend]:
+            with ParallelExecutor(n_jobs) as executor:
+                assert executor.backend == backend
+                with pytest.raises(RuntimeError, match="boom"):
+                    executor.map(_raise_on_three, range(8))
 
     def test_empty_and_singleton(self):
-        with ParallelExecutor(4, "thread") as executor:
+        with ParallelExecutor(4) as executor:
             assert executor.map(_square, []) == []
             assert executor.map(_square, [5]) == [25]
 
     def test_close_is_idempotent(self):
-        executor = ParallelExecutor(2, "thread")
-        executor.map(_square, range(4))
-        executor.close()
-        executor.close()
+        for n_jobs in (1, 2, 4):
+            executor = ParallelExecutor(n_jobs)
+            executor.map(_square, range(4))
+            executor.close()
+            executor.close()
+            assert executor._pool is None
+
+    def test_thread_backend_maps_on_pool_threads(self):
+        with ParallelExecutor(2) as executor:
+            names = executor.map(_thread_name, range(8))
+            prefix = executor._pool._thread_name_prefix
+        assert all(name.startswith(prefix) for name in names)
+
+    def test_metrics_count_every_item(self):
+        for n_jobs in (1, 2, 4):
+            metrics = MetricsRegistry()
+            with ParallelExecutor(n_jobs, metrics=metrics) as executor:
+                assert executor.map(_square, range(10)) == [i * i for i in range(10)]
+            snap = metrics.snapshot()
+            assert snap["counters"]["executor.items"] == 10
+            chunks = snap["counters"]["executor.chunks"]
+            assert snap["histograms"]["executor.chunk_seconds"]["count"] == chunks
+            if n_jobs == 1:
+                assert chunks == 1
+            else:
+                assert chunks > 1
 
     def test_single_item_with_metrics_runs_in_the_pool(self):
         # Regression: the single-item fast path used to bypass the pool
         # even with metrics enabled, so executor.chunk_seconds quietly
         # recorded serial timings on behalf of a thread backend.
         metrics = MetricsRegistry()
-        with ParallelExecutor(2, "thread", metrics=metrics) as executor:
+        with ParallelExecutor(2, metrics=metrics) as executor:
             name = executor.map(_thread_name, [0])[0]
             assert name != threading.current_thread().name
             assert name.startswith(executor._pool._thread_name_prefix)
@@ -120,7 +147,7 @@ class TestParallelExecutor:
         assert snap["histograms"]["executor.chunk_seconds"]["count"] == 1
 
     def test_single_item_without_metrics_stays_inline(self):
-        with ParallelExecutor(2, "thread") as executor:
+        with ParallelExecutor(2) as executor:
             name = executor.map(_thread_name, [0])[0]
             assert executor._pool is None
         assert name == threading.current_thread().name
@@ -131,47 +158,68 @@ def dataset():
     return cbf(n_train_per_class=8, n_test_per_class=10, length=96, seed=7)
 
 
-def _fit_outputs(dataset, n_jobs, backend):
-    clf = RPMClassifier(
-        sax_params=FIXED_PARAMS,
-        seed=0,
-        n_jobs=n_jobs,
-        parallel_backend=backend,
-    )
+@pytest.fixture(scope="module")
+def cbf_128():
+    # 128-point series: the fitted bank has four length buckets, and
+    # ``auto`` sends its 47×3 bucket to the FFT.
+    return cbf(n_train_per_class=10, n_test_per_class=20, length=128, seed=1)
+
+
+def _fit_outputs(dataset, n_jobs):
+    clf = RPMClassifier(sax_params=FIXED_PARAMS, seed=0, n_jobs=n_jobs)
     clf.fit(dataset.X_train, dataset.y_train)
     return {
-        "train_features": clf.selection_.train_features,
         "transform": clf.transform(dataset.X_test),
         "predictions": clf.predict(dataset.X_test),
-        "patterns": [p.values for p in clf.patterns_],
-        "labels": [p.label for p in clf.patterns_],
     }
 
 
+class _Spy:
+    """Counts ``ParallelExecutor.map`` calls and started threads."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.maps = 0
+        self.threads: list[str] = []
+        original_map = ParallelExecutor.map
+        original_start = threading.Thread.start
+
+        def map_(executor, fn, items):
+            self.maps += 1
+            return original_map(executor, fn, items)
+
+        def start(thread):
+            self.threads.append(thread.name)
+            return original_start(thread)
+
+        monkeypatch.setattr(ParallelExecutor, "map", map_)
+        monkeypatch.setattr(threading.Thread, "start", start)
+
+
 class TestFitTransformEquivalence:
-    """fit/transform bitwise-identical across backends and n_jobs."""
+    """One serial fit; bank threads never change a bit."""
 
-    @pytest.fixture(scope="class")
-    def serial_reference(self, dataset):
-        return _fit_outputs(dataset, 1, "serial")
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    @pytest.mark.parametrize("n_jobs", [1, 2, 4])
-    def test_bitwise_equivalence(self, dataset, serial_reference, backend, n_jobs):
-        outputs = _fit_outputs(dataset, n_jobs, backend)
-        assert np.array_equal(
-            serial_reference["train_features"], outputs["train_features"]
+    @pytest.mark.parametrize("n_jobs", [1, 2, 4, -1])
+    def test_bitwise_equivalence(self, cbf_128, n_jobs, monkeypatch):
+        """``transform``, ``predict`` and ``CompiledModel.transform``."""
+        clf = RPMClassifier(sax_params=SaxParams(45, 4, 6)).fit(
+            cbf_128.X_train, cbf_128.y_train
         )
-        assert np.array_equal(serial_reference["transform"], outputs["transform"])
-        assert np.array_equal(serial_reference["predictions"], outputs["predictions"])
-        assert serial_reference["labels"] == outputs["labels"]
-        assert len(serial_reference["patterns"]) == len(outputs["patterns"])
-        for a, b in zip(serial_reference["patterns"], outputs["patterns"]):
-            assert np.array_equal(a, b)
+        X = cbf_128.X_test
+        features, labels = clf.transform(X), clf.predict(X)
+        spy = _Spy(monkeypatch)
+        clf.set_params(n_jobs=n_jobs)
+        np.testing.assert_array_equal(clf.transform(X), features)
+        np.testing.assert_array_equal(clf.predict(X), labels)
+        with CompiledModel.from_classifier(clf, n_jobs=n_jobs) as model:
+            np.testing.assert_array_equal(model.transform(X), features)
+        threaded = resolve_n_jobs(n_jobs) > 1
+        # The bank's four buckets fan out only when there are threads.
+        assert (spy.maps > 0) == threaded
+        assert bool(spy.threads) == threaded
 
     def test_deterministic_across_repeated_runs(self, dataset):
-        first = _fit_outputs(dataset, 2, "thread")
-        second = _fit_outputs(dataset, 2, "thread")
+        first = _fit_outputs(dataset, 2)
+        second = _fit_outputs(dataset, 2)
         assert np.array_equal(first["transform"], second["transform"])
         assert np.array_equal(first["predictions"], second["predictions"])
 
@@ -220,52 +268,51 @@ class TestFitTransformEquivalence:
             assert np.array_equal(p.values, q.values)
         assert np.array_equal(cached["features"], uncached["features"])
 
-    def test_param_search_equivalence(self, dataset):
-        """The DIRECT search (Algorithm 3) is scheduling-independent too."""
+    def test_param_search_equivalence(self, dataset, monkeypatch):
+        """A DIRECT fit with ``n_jobs=2`` never maps over an executor,
+        starts no thread and gives the ``n_jobs=1`` model bit for bit."""
 
-        def run(n_jobs, backend):
-            clf = RPMClassifier(
-                direct_budget=6, n_splits=2, seed=0,
-                n_jobs=n_jobs, parallel_backend=backend,
-            )
-            clf.fit(dataset.X_train, dataset.y_train)
-            return clf.params_by_class_, clf.predict(dataset.X_test)
+        def fit(n_jobs):
+            clf = RPMClassifier(direct_budget=6, n_splits=2, seed=0, n_jobs=n_jobs)
+            return clf.fit(dataset.X_train, dataset.y_train)
 
-        params_serial, preds_serial = run(1, "serial")
-        params_thread, preds_thread = run(4, "thread")
-        assert params_serial == params_thread
-        assert np.array_equal(preds_serial, preds_thread)
+        reference = fit(1)
+        spy = _Spy(monkeypatch)
+        threaded = fit(2)
+        assert spy.maps == 0
+        assert spy.threads == []
+        assert threaded.params_by_class_ == reference.params_by_class_
+        assert threaded.n_param_evaluations_ == reference.n_param_evaluations_
+        np.testing.assert_array_equal(
+            threaded.selection_.train_features, reference.selection_.train_features
+        )
+        assert [p.label for p in threaded.patterns_] == [p.label for p in reference.patterns_]
+        assert len(threaded.patterns_) == len(reference.patterns_)
+        for a, b in zip(threaded.patterns_, reference.patterns_):
+            np.testing.assert_array_equal(a.values, b.values)
 
 
 class TestComponentEquivalence:
-    def test_find_candidates_parallel_matches_serial(self, dataset):
-        params_by_class = {
-            label: FIXED_PARAMS for label in np.unique(dataset.y_train)
-        }
-        serial = find_candidates(dataset.X_train, dataset.y_train, params_by_class)
-        with ParallelExecutor(4, "thread") as executor:
-            parallel = find_candidates(
-                dataset.X_train, dataset.y_train, params_by_class, executor=executor
-            )
-        assert len(serial) == len(parallel)
-        for a, b in zip(serial, parallel):
-            assert a.label == b.label
-            assert a.frequency == b.frequency
-            assert np.array_equal(a.values, b.values)
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_pattern_features_parallel_matches_serial(self, dataset, backend, rng):
+    @pytest.mark.parametrize("n_jobs", [2, 3])
+    def test_pattern_features_parallel_matches_serial(self, dataset, n_jobs, rng):
         patterns = [rng.standard_normal(L) for L in (16, 16, 24, 24, 24, 40, 96)]
         serial = pattern_features(dataset.X_test, patterns)
-        with ParallelExecutor(3, backend) as executor:
-            parallel = pattern_features(dataset.X_test, patterns, executor=executor)
+        with ParallelExecutor(n_jobs) as executor:
+            parallel = pattern_features(
+                dataset.X_test, PatternBank(patterns), executor=executor
+            )
+        # 96-point rows keep every bucket on the mat-vec, where the
+        # bank and the per-pattern path agree bitwise.
         assert np.array_equal(serial, parallel)
 
     def test_rotation_invariant_parallel_matches_serial(self, dataset, rng):
         patterns = [rng.standard_normal(L) for L in (16, 24, 32)]
         serial = pattern_features(dataset.X_test, patterns, rotation_invariant=True)
-        with ParallelExecutor(2, "thread") as executor:
+        with ParallelExecutor(2) as executor:
             parallel = pattern_features(
-                dataset.X_test, patterns, rotation_invariant=True, executor=executor
+                dataset.X_test,
+                PatternBank(patterns),
+                rotation_invariant=True,
+                executor=executor,
             )
         assert np.array_equal(serial, parallel)

@@ -54,9 +54,8 @@ class TestCompiledModel:
     def test_executor_config_never_changes_bits(
         self, fitted, tiny_gun, backend, jobs
     ):
-        with CompiledModel.from_classifier(
-            fitted, n_jobs=jobs, parallel_backend=backend
-        ) as model:
+        with CompiledModel.from_classifier(fitted, n_jobs=jobs) as model:
+            assert model._executor.backend == backend
             np.testing.assert_array_equal(
                 model.transform(tiny_gun.X_test), fitted.transform(tiny_gun.X_test)
             )
