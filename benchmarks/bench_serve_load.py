@@ -2,9 +2,13 @@
 
 Three questions, answered on a small trained model:
 
-* **Throughput** — closed-loop clients (submit, wait, repeat) against
-  the single-process service and the sharded tier at 1 and 2 shards:
-  sustained requests/second and latency quantiles per configuration.
+* **Throughput** — a closed loop that keeps :data:`IN_FLIGHT` requests
+  in flight (each resolved request releases the next submit, as in
+  ``rpmbench``'s closed loop) against the single-process service and
+  the sharded tier at 1 and 2 shards: sustained requests/second and
+  latency quantiles per configuration. A handful of blocking clients
+  would cap every tier near clients / p50 and measure latency, not
+  throughput.
 * **Equivalence** — before any load runs, every tier's predictions are
   asserted bitwise identical to the in-process
   ``RPMClassifier.predict`` (always on, any host).
@@ -52,6 +56,8 @@ JSON_NAME = "BENCH_serve_load.json"
 RPS_GATE_MIN_CPUS = 4
 RPS_GATE_FACTOR = 1.2
 CLIENTS = 4
+#: Requests kept in flight by the tier table's closed loop.
+IN_FLIGHT = 64
 DURATION_S = 1.5
 SATURATION_BURST = 64
 #: Shadow scoring must stay off the latency path: with a candidate
@@ -100,6 +106,39 @@ def _closed_loop(service, X: np.ndarray) -> tuple[float, int]:
     elapsed = time.perf_counter() - start
     assert not failures, f"{len(failures)} non-OK results under closed-loop load"
     return sum(counts) / elapsed, sum(counts)
+
+
+def _deep_closed_loop(service, X: np.ndarray) -> tuple[float, int]:
+    """Keep IN_FLIGHT requests in flight for DURATION_S.
+
+    One generator thread submits while a slot is free; each resolved
+    future checks its result and frees its slot. Returns (sustained
+    requests/second, completed requests).
+    """
+    slots = threading.BoundedSemaphore(IN_FLIGHT)
+    done: list = []
+    failures: list = []
+
+    def resolved(future) -> None:
+        result = future.result()
+        if not result.ok:
+            failures.append(result)
+        done.append(result)
+        slots.release()
+
+    submitted = 0
+    start = time.perf_counter()
+    stop_at = start + DURATION_S
+    while time.perf_counter() < stop_at:
+        slots.acquire()
+        service.submit(X[submitted % len(X)]).add_done_callback(resolved)
+        submitted += 1
+    for _ in range(IN_FLIGHT):  # every slot back: all submits resolved
+        slots.acquire(timeout=60.0)
+    elapsed = time.perf_counter() - start
+    assert len(done) == submitted, f"{submitted - len(done)} requests never resolved"
+    assert not failures, f"{len(failures)} non-OK results under closed-loop load"
+    return len(done) / elapsed, len(done)
 
 
 def _latency_quantiles(delta: dict) -> dict:
@@ -221,7 +260,7 @@ def run_bench() -> str:
                 # throughput means anything.
                 np.testing.assert_array_equal(service.predict(X), expected)
                 baseline = registry().snapshot()
-                rate, completed = _closed_loop(service, X)
+                rate, completed = _deep_closed_loop(service, X)
             quantiles = _latency_quantiles(registry().delta(baseline))
         rps[config] = rate
         results_json["configs"][config] = {
@@ -241,7 +280,8 @@ def run_bench() -> str:
     scaling = rps["sharded-2"] / rps["sharded-1"]
     results_json.update(
         {
-            "clients": CLIENTS,
+            "in_flight": IN_FLIGHT,
+            "shadow_clients": CLIENTS,
             "duration_s": DURATION_S,
             "cpus": cpus,
             "saturation": saturation,
@@ -261,8 +301,8 @@ def run_bench() -> str:
 
     report = "\n".join(
         [
-            f"Serving load — {CLIENTS} closed-loop clients × {DURATION_S}s "
-            f"({cpus} CPUs)",
+            f"Serving load — closed loop, {IN_FLIGHT} requests in flight × "
+            f"{DURATION_S}s ({cpus} CPUs)",
             harness.format_table(
                 ["tier", "req/s", "done", "p50 ms", "p95 ms", "p99 ms"], rows
             ),
@@ -270,7 +310,8 @@ def run_bench() -> str:
             f"{saturation['max_queue_per_shard']} -> "
             f"{saturation['shed_overload']} shed (typed OVERLOAD), "
             f"{saturation['completed_ok']} completed, queue drained",
-            f"shadow overhead: p99 {shadow['p99_on_ms']:.2f}ms with a 100% "
+            f"shadow overhead ({CLIENTS} blocking clients): p99 "
+            f"{shadow['p99_on_ms']:.2f}ms with a 100% "
             f"shadow vs {shadow['p99_off_ms']:.2f}ms off "
             f"({shadow['n_scored']} scored, {shadow['n_dropped']} dropped; "
             f"budget {shadow['budget_ms']:.2f}ms)",

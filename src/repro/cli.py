@@ -8,7 +8,6 @@ Usage (after ``pip install -e .``; installed as both ``rpm`` and
     rpm evaluate CBF                 # train/test error on a dataset
     rpm evaluate CBF --method NN-ED  # a baseline instead of RPM
     rpm patterns model.npz           # inspect a saved model
-    rpm classify model.npz data.txt  # label series via the in-process model
     rpm predict --model model.npz data.txt   # label series via repro.serve
     rpm serve --model model.npz      # micro-batched serving loop on stdin
     rpm serve --model model.npz --http-port 9100 --log-format json
@@ -28,8 +27,8 @@ Usage (after ``pip install -e .``; installed as both ``rpm`` and
 ``train``/``evaluate`` accept either a registry dataset name or (when
 ``RPM_UCR_ROOT`` is set) a real UCR archive dataset. ``predict`` and
 ``serve`` run the compiled inference engine (``repro.serve``) — the
-production path for persisted artifacts; ``classify`` keeps the simple
-in-process path for comparison.
+one path that labels persisted artifacts; ``predict`` prints the same
+labels as ``RPMClassifier.predict``, bit for bit.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ from .obs import (
 from .runtime.kernel import KERNEL_BACKENDS
 from .sax.discretize import REDUCTIONS, SaxParams
 from .serve import (
-    CompiledModel,
     ModelHandle,
     ModelRegistry,
     PredictionService,
@@ -264,15 +262,6 @@ def cmd_patterns(args) -> int:
     return 0
 
 
-def cmd_classify(args) -> int:
-    """``repro classify``: label UCR-format series with a saved model."""
-    clf = load_model(args.model)
-    X, _ = load_ucr_file(args.data)
-    for i, label in enumerate(clf.predict(X)):
-        print(f"{i}\t{label}")
-    return 0
-
-
 def _open_handle(args, tracer: Tracer | None = None) -> ModelHandle:
     """The serving :class:`ModelHandle` from the model-source flags.
 
@@ -285,7 +274,6 @@ def _open_handle(args, tracer: Tracer | None = None) -> ModelHandle:
     runtime = dict(
         n_jobs=1 if shards else args.jobs,
         kernel_backend=args.kernel_backend,
-        dtype=getattr(args, "model_dtype", "float64"),
         trace=tracer,
     )
     registry_dir = getattr(args, "registry", None)
@@ -337,9 +325,9 @@ def _result_record(index, result) -> dict:
 def cmd_predict(args) -> int:
     """``rpm predict``: label UCR-format series through ``repro.serve``.
 
-    Unlike ``classify`` this exercises the full serving path — compiled
-    pattern bank, validation, micro-batching, deadlines — and reports a
-    typed per-row status instead of failing on the first bad row.
+    Runs the full serving path — compiled pattern bank, validation,
+    micro-batching, deadlines — and reports a typed per-row status
+    instead of failing on the first bad row.
     """
     tracer = _tracer_for(args)
     X, _ = load_ucr_file(args.data)
@@ -716,11 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
     patterns.add_argument("model")
     patterns.set_defaults(func=cmd_patterns)
 
-    classify = sub.add_parser("classify", help="label UCR-format series")
-    classify.add_argument("model")
-    classify.add_argument("data", help="UCR-format text file")
-    classify.set_defaults(func=cmd_classify)
-
     def add_serve_options(p):
         p.add_argument("--model", default=None, help="saved model (.npz)")
         p.add_argument("--registry", metavar="DIR", default=None,
@@ -731,11 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model-version", default=None,
                        help="registry version to serve (default: the "
                             "promoted 'current'; 'latest' = newest publish)")
-        p.add_argument("--model-dtype", choices=list(CompiledModel.DTYPES),
-                       default="float64",
-                       help="pattern-bank value dtype; float32 halves the "
-                            "bank at the cost of bitwise equivalence with "
-                            "RPMClassifier (gate it through shadow scoring)")
         p.add_argument("--max-batch", type=_positive_int, default=32,
                        help="largest micro-batch coalesced into one model call")
         p.add_argument("--max-delay-ms", type=float, default=2.0,

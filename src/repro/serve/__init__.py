@@ -11,20 +11,24 @@ path for that claim:
 * :class:`ServeConfig` — the one frozen dataclass carrying every
   serving knob for both tiers (validated in ``__post_init__``,
   ``from_args`` for the CLI);
-* :class:`PredictionService` — micro-batching (``max_batch`` /
+* one serving front-end with two transports
+  (:mod:`repro.serve.service`): micro-batching (``max_batch`` /
   ``max_delay_ms``), per-request deadlines with typed timeout results,
-  strict input validation and warm-up, all instrumented through
+  strict input validation, warm-up, flight capture and the
+  shadow/drift hooks are written once and shared by the in-process
+  :class:`PredictionService` (a batcher thread) and the sharded
+  :class:`ShardedPredictionService` (below), all instrumented through
   :mod:`repro.obs`;
 * :class:`AdminServer` — embedded HTTP ops surface (``/healthz``,
   ``/readyz``, Prometheus ``/metrics``, ``/debug/requests``,
   ``/model``, ``POST /swap``) over a running service;
 * :class:`FlightRecorder` — bounded ring of recent slow/error/timeout
   requests, correlated by the ``req-N`` ID every result carries;
-* :class:`ShardedPredictionService` — the same typed contract scaled
-  across N worker processes sharing one
-  :class:`SharedPatternBank` shared-memory pattern bank, with
-  admission control (typed ``OVERLOAD`` results under saturation) and
-  zero-loss worker recycle/respawn (see ``repro.serve.shard``);
+* :class:`ShardedPredictionService` — the same front-end over N worker
+  processes sharing one :class:`SharedPatternBank` shared-memory
+  pattern bank, with admission control (typed ``OVERLOAD`` results
+  under saturation) and zero-loss worker recycle/respawn (see
+  ``repro.serve.shard``);
 * the model lifecycle (:mod:`repro.serve.lifecycle`):
   :class:`ModelRegistry` (versioned artifacts with lineage metadata and
   integrity checks), :class:`ModelHandle` (the unified loading entry

@@ -1,7 +1,8 @@
-"""Embedded HTTP ops surface for a running :class:`PredictionService`.
+"""Embedded HTTP ops surface for a running serving tier.
 
-A stdlib-only (:mod:`http.server`) admin endpoint, served from a
-daemon thread so it never competes with the batching worker:
+A stdlib-only (:mod:`http.server`) admin endpoint over either tier of
+:class:`~repro.serve.service.ServingFrontEnd`, served from a daemon
+thread so it never competes with the batching worker:
 
 * ``GET /healthz``  — liveness: 200 while the batching worker runs;
 * ``GET /readyz``   — readiness: 200 only once the model is warmed
@@ -140,18 +141,9 @@ class _AdminHandler(BaseHTTPRequestHandler):
                 else:
                     self._json(200, {"shards": shard_states()})
             elif parsed.path == "/model":
-                describe_model = getattr(service, "describe_model", None)
-                if describe_model is None:
-                    self._json(
-                        404, {"error": "this service has no model lifecycle"}
-                    )
-                else:
-                    self._json(200, describe_model())
+                self._json(200, service.describe_model())
             elif parsed.path == "/drift":
-                # Duck-typed like /shards; 404 both when the service
-                # cannot monitor drift and when monitoring is off.
-                describe_drift = getattr(service, "describe_drift", None)
-                payload = None if describe_drift is None else describe_drift()
+                payload = service.describe_drift()
                 if payload is None:
                     self._json(
                         404,
@@ -186,10 +178,6 @@ class _AdminHandler(BaseHTTPRequestHandler):
                     {"error": "POST /swap is restricted to loopback peers"},
                 )
                 return
-            swap = getattr(service, "swap", None)
-            if swap is None:
-                self._json(404, {"error": "this service does not support hot-swap"})
-                return
             length = int(self.headers.get("Content-Length") or 0)
             raw = self.rfile.read(length) if length else b"{}"
             try:
@@ -205,17 +193,15 @@ class _AdminHandler(BaseHTTPRequestHandler):
                 )
                 return
             try:
-                installed = swap(target)
+                installed = service.swap(target)
             except Exception as exc:
                 # A refused swap (unknown version, failed integrity
                 # check, gated promotion) leaves the old model serving.
                 self._json(409, {"error": f"{type(exc).__name__}: {exc}"})
                 return
-            payload = {"swapped_to": installed}
-            describe_model = getattr(service, "describe_model", None)
-            if describe_model is not None:
-                payload["model"] = describe_model()
-            self._json(200, payload)
+            self._json(
+                200, {"swapped_to": installed, "model": service.describe_model()}
+            )
         except Exception as exc:  # never kill the handler thread
             _log.exception("admin request failed: %s %s", self.path, exc)
             try:

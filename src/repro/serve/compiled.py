@@ -13,7 +13,7 @@ below the FFT crossover and by FFT rounding above it (see
 
 The model adds a *persistent*
 :class:`~repro.runtime.executor.ParallelExecutor` that fans the
-buckets out, the storage precision of the bank and the serving trace.
+buckets out, and the serving trace.
 """
 
 from __future__ import annotations
@@ -61,21 +61,9 @@ class CompiledModel:
         below it), ``'fft'``, or ``'matvec'``. Below the crossover
         ``'auto'`` is the bitwise-exact training arithmetic; above it
         distances agree to ~1e-9 relative (see ``docs/runtime.md``).
-    dtype:
-        Pattern-bank storage precision. ``'float64'`` (default) keeps
-        the artifact values verbatim — the bitwise-equivalence
-        guarantee holds. ``'float32'`` quantizes the bank (values
-        round-tripped through float32; the kernel arithmetic stays
-        float64), halving bank memory at the cost of tiny distance
-        perturbations — such a model **must** prove its disagreement
-        rate through shadow scoring before promotion (see
-        ``docs/lifecycle.md``).
     trace:
         Observability knob (same contract as ``RPMClassifier(trace=)``).
     """
-
-    #: Supported pattern-bank storage precisions.
-    DTYPES = ("float64", "float32")
 
     def __init__(
         self,
@@ -87,18 +75,12 @@ class CompiledModel:
         series_length: int | None = None,
         n_jobs: int = 1,
         kernel_backend: str = "auto",
-        dtype: str = "float64",
         trace=None,
     ) -> None:
         if not patterns:
             raise ValueError("CompiledModel needs a non-empty pattern bank")
-        if dtype not in self.DTYPES:
-            raise ValueError(f"dtype must be one of {self.DTYPES}, got {dtype!r}")
-        values = [pattern_values(p) for p in patterns]
-        if dtype == "float32":
-            values = [v.astype(np.float32).astype(np.float64) for v in values]
         self._init_runtime(
-            values,
+            [pattern_values(p) for p in patterns],
             classifier,
             rotation_invariant=rotation_invariant,
             classes=classes,
@@ -107,7 +89,6 @@ class CompiledModel:
             kernel_backend=kernel_backend,
             trace=trace,
         )
-        self.dtype = dtype
 
     def _init_runtime(
         self,
@@ -134,7 +115,6 @@ class CompiledModel:
         self.classes = None if classes is None else np.asarray(classes)
         self.series_length = None if series_length is None else int(series_length)
         self.tracer = resolve_tracer(trace)
-        self.dtype = "float64"  # __init__ overwrites after quantizing
         self.bank = PatternBank(values, native_plan)
         self.n_patterns = len(self.bank)
         self.max_pattern_length = self.bank.max_pattern_length
@@ -276,5 +256,5 @@ class CompiledModel:
         return (
             f"CompiledModel({self.n_patterns} patterns, "
             f"buckets [{lengths}], rotation_invariant={self.rotation_invariant}, "
-            f"kernel_backend={self.kernel_backend}, dtype={self.dtype})"
+            f"kernel_backend={self.kernel_backend})"
         )

@@ -29,7 +29,8 @@ class ServeConfig:
     """Every serving knob, validated once, shared by both tiers.
 
     Single-process :class:`~repro.serve.service.PredictionService`
-    ignores the sharding block (``n_shards`` and below);
+    ignores the sharding block (``n_shards``, ``admission_budget_ms``,
+    ``max_queue_per_shard``);
     :class:`~repro.serve.shard.ShardedPredictionService` reads all of
     it (``n_shards=0`` there means "use the tier's default of 2").
     """
@@ -42,8 +43,6 @@ class ServeConfig:
     #: Deadline applied to requests that do not bring their own;
     #: ``None`` means no deadline.
     default_deadline_ms: float | None = None
-    #: Strict input validation at submit time (length/NaN/dtype).
-    validate: bool = True
     #: Run the model warm-up batch on start (readiness gates on it).
     warmup: bool = True
     #: OK requests at or above this latency are flight-recorded as
@@ -66,20 +65,11 @@ class ServeConfig:
     admission_budget_ms: float | None = None
     #: Hard cap on in-flight requests per shard.
     max_queue_per_shard: int = 256
-    #: Multiprocessing start method for shard workers.
-    mp_context: str = "spawn"
-    #: How long the sharded tier waits for every worker to warm up.
-    start_timeout_s: float = 120.0
     # -- shadow scoring ----------------------------------------------------
     #: Fraction of OK traffic mirrored onto an attached shadow
     #: candidate (deterministic every-k-th sampling; ``1.0`` = all).
     shadow_fraction: float = 0.1
-    # -- drift monitoring --------------------------------------------------
-    #: Fold resolved OK traffic into live distribution sketches and
-    #: compare against the model's training reference (requires a
-    #: reference: a registry version published with ``reference=True``
-    #: or one built from the artifact at attach time).
-    drift: bool = False
+    # -- drift monitoring (read by ``attach_drift``) -----------------------
     #: Recent-window half-life of the live sketches, in observations
     #: on the monitor's global clock (summed across shards) — after
     #: this many further rows, earlier traffic carries half its weight
@@ -116,14 +106,6 @@ class ServeConfig:
         if self.max_queue_per_shard < 1:
             raise ValueError(
                 f"max_queue_per_shard must be >= 1, got {self.max_queue_per_shard}"
-            )
-        if self.mp_context not in ("spawn", "fork", "forkserver"):
-            raise ValueError(
-                f"mp_context must be spawn/fork/forkserver, got {self.mp_context!r}"
-            )
-        if self.start_timeout_s <= 0:
-            raise ValueError(
-                f"start_timeout_s must be > 0, got {self.start_timeout_s}"
             )
         if not 0.0 < self.shadow_fraction <= 1.0:
             raise ValueError(
@@ -167,7 +149,6 @@ class ServeConfig:
             "shadow_fraction": getattr(
                 args, "shadow_fraction", defaults.shadow_fraction
             ),
-            "drift": getattr(args, "drift", defaults.drift),
             "drift_window": getattr(args, "drift_window", defaults.drift_window),
             "drift_threshold": getattr(
                 args, "drift_threshold", defaults.drift_threshold

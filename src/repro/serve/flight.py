@@ -1,4 +1,5 @@
-"""Flight recorder: a bounded ring of recent anomalous requests.
+"""What runs after a request resolved: the flight recorder and the
+off-path backlog thread.
 
 Counters and quantiles answer *"how is the service doing?"*; the flight
 recorder answers *"what happened to this request?"*. It keeps the last
@@ -12,6 +13,10 @@ requests passes through unrecorded.
 ``GET /debug/requests`` on the admin endpoint serves this buffer;
 ``?id=req-N`` looks one entry up by the request ID that came back in
 the :class:`~repro.serve.types.PredictionResult`.
+
+:class:`BacklogThread` is the one bounded backlog + drain thread under
+the shadow scorer and the drift monitor: the serving tier hands them
+answered requests, and they do their work on their own thread.
 """
 
 from __future__ import annotations
@@ -21,7 +26,9 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-__all__ = ["FlightRecord", "FlightRecorder"]
+from ..obs.metrics import MetricsRegistry, registry
+
+__all__ = ["BacklogThread", "FlightRecord", "FlightRecorder"]
 
 
 @dataclass
@@ -142,3 +149,98 @@ class FlightRecorder:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+
+
+class BacklogThread:
+    """A bounded backlog drained off the request path by one daemon thread.
+
+    The serving tier hands work over *after* the request's future
+    resolved: :meth:`_enqueue` is an O(1) append, and a full backlog
+    drops the item and counts it in :attr:`dropped_metric` — the hook
+    never applies backpressure to serving. The thread takes up to
+    ``batch`` items at a time and passes them to :meth:`_consume`,
+    which subclasses implement (:class:`~repro.serve.lifecycle.ShadowScorer`,
+    :class:`~repro.serve.monitor.DriftMonitor`). ``_lock`` guards the
+    backlog; subclasses may guard their own counters with it too.
+    """
+
+    #: Name of the drain thread (set by each subclass).
+    thread_name: str
+    #: Counter bumped once per item dropped on a full backlog (set by
+    #: each subclass).
+    dropped_metric: str
+
+    def __init__(
+        self, *, max_backlog: int, batch: int, metrics: MetricsRegistry | None
+    ) -> None:
+        if max_backlog < 1:
+            raise ValueError(f"max_backlog must be >= 1, got {max_backlog}")
+        self.metrics = metrics if metrics is not None else registry()
+        self._batch = int(batch)
+        self._backlog: deque = deque(maxlen=max_backlog)
+        self._dropped = 0
+        self._lock = threading.Lock()
+        self._wake = threading.Event()
+        self._stop = threading.Event()
+        self._thread: threading.Thread | None = None
+
+    def start(self):
+        if self._thread is not None:
+            return self
+        self._stop.clear()
+        self._thread = threading.Thread(
+            target=self._loop, name=self.thread_name, daemon=True
+        )
+        self._thread.start()
+        return self
+
+    def stop(self, *, drain: bool = True) -> None:
+        """Stop the drain thread (draining the backlog by default)."""
+        if self._thread is None:
+            return
+        if drain:
+            deadline = time.monotonic() + 10.0
+            while self._backlog and time.monotonic() < deadline:
+                self._wake.set()
+                time.sleep(0.005)
+        self._stop.set()
+        self._wake.set()
+        self._thread.join(timeout=10.0)
+        self._thread = None
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+    def _enqueue(self, item) -> None:
+        """Append one item, or drop and count it when the backlog is full."""
+        with self._lock:
+            if len(self._backlog) == self._backlog.maxlen:
+                self._dropped += 1
+                self.metrics.inc(self.dropped_metric)
+                return
+            self._backlog.append(item)
+        self._wake.set()
+
+    def _loop(self) -> None:
+        while not self._stop.is_set():
+            batch = self._take()
+            if not batch:
+                self._wake.wait(0.01)
+                self._wake.clear()
+                continue
+            self._consume(batch)
+        # Final sweep so a stop() right after an offer loses nothing.
+        batch = self._take()
+        if batch:
+            self._consume(batch)
+
+    def _take(self) -> list:
+        with self._lock:
+            take = min(len(self._backlog), self._batch)
+            return [self._backlog.popleft() for _ in range(take)]
+
+    def _consume(self, batch: list) -> None:
+        raise NotImplementedError

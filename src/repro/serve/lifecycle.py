@@ -24,11 +24,11 @@ downtime. This module is that lifecycle:
   live requests), reporting disagreement rate and latency delta
   through ``serve.shadow.*`` metrics and the flight recorder.
 * :class:`PromotionGate` — the accuracy-delta gate: a candidate (for
-  example a float32-quantized bank, ``CompiledModel(dtype="float32")``)
-  is only promotable when its shadow disagreement rate and latency
-  regression stay under the gate's thresholds. Symbolic-pattern models
-  trade representation fidelity for speed (MrSQM), so a re-mined or
-  quantized artifact must *prove* its disagreement rate first.
+  example a model re-mined with other SAX parameters) is only
+  promotable when its shadow disagreement rate and latency regression
+  stay under the gate's thresholds. Symbolic-pattern models trade
+  representation fidelity for speed (MrSQM), so a re-mined artifact
+  must *prove* its disagreement rate first.
 
 See ``docs/lifecycle.md`` for the registry layout, swap semantics and
 the shadow metric catalogue.
@@ -45,16 +45,15 @@ import shutil
 import tempfile
 import threading
 import time
-from collections import deque
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from ..core.io import ModelFormatError, load_model
-from ..obs.metrics import MetricsRegistry, registry as global_registry
+from ..obs.metrics import MetricsRegistry
 from .compiled import CompiledModel
-from .flight import FlightRecord, FlightRecorder
+from .flight import BacklogThread, FlightRecord, FlightRecorder
 
 __all__ = [
     "GateDecision",
@@ -104,7 +103,7 @@ class ModelVersion:
     #: Fingerprint of the training data baked into the artifact
     #: (sha256 over the train feature matrix + labels).
     fingerprint: str
-    #: Version this one was derived from (re-mine, quantization, …).
+    #: Version this one was derived from (a re-mine, for one).
     parent: str | None = None
     created_at: float = 0.0
     status: str = "active"  # active | retired
@@ -384,7 +383,7 @@ class ModelRegistry:
         With a ``gate``, a :class:`ShadowReport` is mandatory and the
         promotion is refused (typed :class:`RegistryError`) when the
         candidate's disagreement rate or latency regression exceeds the
-        gate — the MrSQM lesson: quantized/re-mined symbolic models
+        gate — the MrSQM lesson: re-mined symbolic models
         must prove their fidelity before taking traffic.
         """
         mv = self.verify(version)
@@ -519,7 +518,7 @@ class ModelHandle:
         runtime: dict | None = None,
     ) -> None:
         self.registry = registry
-        #: Runtime kwargs (n_jobs, kernel_backend, dtype, …) reused when
+        #: Runtime kwargs (n_jobs, kernel_backend, trace) reused when
         #: a swap target is resolved by path/version.
         self.runtime = dict(runtime or {})
         self._swap_lock = threading.Lock()
@@ -543,9 +542,9 @@ class ModelHandle:
           (also the ``current``/``latest`` aliases), integrity-checked;
         * ``ModelHandle.open(compiled_model)`` — adopt as-is.
 
-        ``runtime`` kwargs (``n_jobs``, ``kernel_backend``,
-        ``dtype="float32"``, …) reach the compiled model and are reused
-        by later :meth:`swap` resolutions.
+        ``runtime`` kwargs (``n_jobs``, ``kernel_backend``, ``trace``)
+        reach the compiled model and are reused by later :meth:`swap`
+        resolutions.
         """
         if isinstance(registry, (str, Path)):
             registry = ModelRegistry(registry)
@@ -727,20 +726,23 @@ class PromotionGate:
         return GateDecision(allowed=not reasons, reasons=reasons)
 
 
-class ShadowScorer:
+class ShadowScorer(BacklogThread):
     """Score a traffic fraction on a candidate model, off the hot path.
 
     The serving tier calls :meth:`offer` *after* a request's future has
     resolved — an O(1) deterministic sample + bounded-deque append, so
-    shadowing never sits on the request latency path. A dedicated
-    thread drains the backlog in small batches through the candidate
-    model and compares labels against what the primary served.
+    shadowing never sits on the request latency path. The backlog
+    thread drains it in small batches through the candidate model and
+    compares labels against what the primary served.
 
     Metrics (``serve.shadow.*``): ``requests`` (scored), ``disagreements``,
     ``dropped`` (backlog full), and the ``latency_seconds`` histogram of
     candidate per-request time. Disagreements additionally land in the
     tier's flight recorder with reason ``"shadow-disagree"``.
     """
+
+    thread_name = "rpm-shadow-scorer"
+    dropped_metric = "serve.shadow.dropped"
 
     def __init__(
         self,
@@ -755,59 +757,18 @@ class ShadowScorer:
     ) -> None:
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        if max_backlog < 1:
-            raise ValueError(f"max_backlog must be >= 1, got {max_backlog}")
+        super().__init__(max_backlog=max_backlog, batch=batch, metrics=metrics)
         self.candidate = candidate
         self.version = version
         self.fraction = float(fraction)
         #: Deterministic sampling: every k-th OK request is mirrored.
         self._every = max(1, round(1.0 / fraction))
-        self.metrics = metrics if metrics is not None else global_registry()
         self.flight = flight
-        self._batch = int(batch)
-        self._backlog: deque = deque(maxlen=max_backlog)
         self._seen = 0
-        self._dropped = 0
         self._scored = 0
         self._disagreed = 0
         self._primary_latency_sum_ms = 0.0
         self._candidate_latency_sum_ms = 0.0
-        self._lock = threading.Lock()
-        self._wake = threading.Event()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def start(self) -> "ShadowScorer":
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._loop, name="rpm-shadow-scorer", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self, *, drain: bool = True) -> None:
-        """Stop the scoring thread (draining the backlog by default)."""
-        if self._thread is None:
-            return
-        if drain:
-            deadline = time.monotonic() + 10.0
-            while self._backlog and time.monotonic() < deadline:
-                self._wake.set()
-                time.sleep(0.005)
-        self._stop.set()
-        self._wake.set()
-        self._thread.join(timeout=10.0)
-        self._thread = None
-
-    def __enter__(self) -> "ShadowScorer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
     # -- ingress (called by the serving tier, post-resolve) --------------------
 
@@ -817,34 +778,11 @@ class ShadowScorer:
             self._seen += 1
             if (self._seen - 1) % self._every:
                 return
-            if len(self._backlog) == self._backlog.maxlen:
-                self._dropped += 1
-                self.metrics.inc("serve.shadow.dropped")
-                return
-            self._backlog.append((request_id, series, primary_label, latency_ms))
-        self._wake.set()
+        self._enqueue((request_id, series, primary_label, latency_ms))
 
     # -- scoring thread --------------------------------------------------------
 
-    def _loop(self) -> None:
-        while not self._stop.is_set():
-            batch = self._take()
-            if not batch:
-                self._wake.wait(0.01)
-                self._wake.clear()
-                continue
-            self._score(batch)
-        # Final sweep so a stop() right after offer() loses nothing.
-        batch = self._take()
-        if batch:
-            self._score(batch)
-
-    def _take(self) -> list:
-        with self._lock:
-            take = min(len(self._backlog), self._batch)
-            return [self._backlog.popleft() for _ in range(take)]
-
-    def _score(self, batch: list) -> None:
+    def _consume(self, batch: list) -> None:
         X = np.stack([series for _, series, _, _ in batch])
         t0 = time.monotonic()
         try:

@@ -14,8 +14,8 @@ diverge — before accuracy quietly rots.
   ``versions/<v>/reference.json`` under the registry's sha256
   integrity scheme.
 * :class:`DriftMonitor` attaches to either serving tier and ingests
-  resolved batches **off the latency path** — the same bounded-backlog
-  + drain-thread pattern as
+  resolved batches **off the latency path** — on the same
+  :class:`~repro.serve.flight.BacklogThread` as
   :class:`~repro.serve.lifecycle.ShadowScorer`, so the prediction hot
   path never computes a sketch and predictions are bitwise identical
   monitor-on vs. monitor-off (pinned by the drift test suite and
@@ -37,13 +37,11 @@ from __future__ import annotations
 import json
 import logging
 import threading
-import time
-from collections import deque
 from pathlib import Path
 
 import numpy as np
 
-from ..obs.metrics import MetricsRegistry, registry as global_registry
+from ..obs.metrics import MetricsRegistry
 from ..obs.sketch import (
     MEAN_RANGE,
     STD_RANGE,
@@ -51,7 +49,7 @@ from ..obs.sketch import (
     ReferenceDistribution,
     psi,
 )
-from .flight import FlightRecord, FlightRecorder
+from .flight import BacklogThread, FlightRecord, FlightRecorder
 
 __all__ = [
     "DriftMonitor",
@@ -281,14 +279,14 @@ def _merge_all(sketches: list) -> DistributionSketch:
     return merged
 
 
-class DriftMonitor:
+class DriftMonitor(BacklogThread):
     """Streaming drift detector for one serving tier.
 
     The tier calls :meth:`observe` *after* a request's future has
-    resolved (single-process ``_process`` tail, sharded collector
-    thread) — an O(1) bounded-deque append. A dedicated thread drains
-    the backlog, folds feature rows + input stats into per-shard
-    sketches, and every ``eval_every`` rows merges the shards and
+    resolved (the in-process batcher, or the sharded collector thread)
+    — an O(1) bounded-deque append. The backlog thread drains it,
+    folds feature rows + input stats into per-shard sketches, and
+    every ``eval_every`` rows merges the shards and
     compares the merged recent window against ``reference``:
 
     * ``serve.drift.score`` — aggregate drift score: the **max**
@@ -316,6 +314,9 @@ class DriftMonitor:
     and batch IDs of the row that crossed the line.
     """
 
+    thread_name = "rpm-drift-monitor"
+    dropped_metric = "serve.drift.dropped"
+
     def __init__(
         self,
         reference: ReferenceDistribution,
@@ -334,24 +335,15 @@ class DriftMonitor:
             raise ValueError(f"threshold must be > 0, got {threshold}")
         if eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {eval_every}")
-        if max_backlog < 1:
-            raise ValueError(f"max_backlog must be >= 1, got {max_backlog}")
+        super().__init__(max_backlog=max_backlog, batch=batch, metrics=metrics)
         self.reference = reference
         self.window = int(window)
         self.threshold = float(threshold)
         self.eval_every = int(eval_every)
-        self.metrics = metrics if metrics is not None else global_registry()
         self.flight = flight
-        self._batch = int(batch)
-        self._backlog: deque = deque(maxlen=max_backlog)
-        self._lock = threading.Lock()       # backlog + counters
         self._fold_lock = threading.Lock()  # sketch state + evaluation
-        self._wake = threading.Event()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
         self._shards: dict = {}  # shard key (int | None) -> _ShardSketches
         self._rows = 0
-        self._dropped = 0
         self._fold_errors = 0
         self._evaluations = 0
         self._alerts = 0
@@ -359,38 +351,6 @@ class DriftMonitor:
         self._rows_since_eval = 0
         self._last: dict | None = None  # most recent evaluation payload
         self._last_seen: tuple = (None, None, None)  # request_id, batch_id, shard
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def start(self) -> "DriftMonitor":
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._loop, name="rpm-drift-monitor", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self, *, drain: bool = True) -> None:
-        """Stop the fold thread (draining the backlog by default)."""
-        if self._thread is None:
-            return
-        if drain:
-            deadline = time.monotonic() + 10.0
-            while self._backlog and time.monotonic() < deadline:
-                self._wake.set()
-                time.sleep(0.005)
-        self._stop.set()
-        self._wake.set()
-        self._thread.join(timeout=10.0)
-        self._thread = None
-
-    def __enter__(self) -> "DriftMonitor":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
     # -- ingress (called by the serving tier, post-resolve) --------------------
 
@@ -411,34 +371,11 @@ class DriftMonitor:
         monitoring is best-effort by design; it never applies
         backpressure to the serving path.
         """
-        with self._lock:
-            if len(self._backlog) == self._backlog.maxlen:
-                self._dropped += 1
-                self.metrics.inc("serve.drift.dropped")
-                return
-            self._backlog.append((request_id, series, features, batch_id, shard))
-        self._wake.set()
+        self._enqueue((request_id, series, features, batch_id, shard))
 
     # -- fold thread -----------------------------------------------------------
 
-    def _loop(self) -> None:
-        while not self._stop.is_set():
-            batch = self._take()
-            if not batch:
-                self._wake.wait(0.01)
-                self._wake.clear()
-                continue
-            self._fold_safely(batch)
-        batch = self._take()
-        if batch:
-            self._fold_safely(batch)
-
-    def _take(self) -> list:
-        with self._lock:
-            take = min(len(self._backlog), self._batch)
-            return [self._backlog.popleft() for _ in range(take)]
-
-    def _fold_safely(self, batch: list) -> None:
+    def _consume(self, batch: list) -> None:
         """Fold one drained batch, containing any failure.
 
         The fold thread has no supervisor: an uncaught exception would
@@ -515,7 +452,7 @@ class DriftMonitor:
             batch = self._take()
             if not batch:
                 break
-            self._fold_safely(batch)
+            self._consume(batch)
         with self._fold_lock:
             if self._shards:
                 self._evaluate_locked()

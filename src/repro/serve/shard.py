@@ -13,9 +13,11 @@ pattern bank:
   builds it once; every worker attaches read-only views and serves
   straight out of them — bank memory is paid once, not per shard.
 * :class:`ShardedPredictionService` is the dispatcher: deterministic
-  round-robin routing over per-worker request queues, one shared
-  results queue, and the exact client API of ``PredictionService``
-  (``submit`` / ``predict_one`` / ``predict_many`` / ``predict``).
+  round-robin routing over per-worker request and result queues. It is
+  a :class:`~repro.serve.service.ServingFrontEnd` like the in-process
+  ``PredictionService`` — the same client API, typed results, flight
+  capture and shadow/drift hooks — and each worker runs the same
+  batching loop and batch runner; only the transport differs.
 * **Admission control**: when a shard's estimated queue wait (inflight
   × EWMA per-request service time) exceeds ``admission_budget_ms``, or
   its inflight count hits ``max_queue_per_shard``, the request is shed
@@ -29,9 +31,9 @@ pattern bank:
   deduplicated by request ID (pop-on-arrival), so a request computed
   twice still resolves exactly once.
 
-Workers are started with the ``spawn`` context by default: the
-dispatcher runs collector/monitor threads, and forking a threaded
-process is how deadlocks are born. Every floating-point input a worker
+Workers are started with the ``spawn`` context: the dispatcher runs
+collector/monitor threads, and forking a threaded process is how
+deadlocks are born. Every floating-point input a worker
 needs (shm bank values, pickled ``qq`` norms, the classifier) travels
 byte-exact, and the per-row arithmetic is the training transform's, so
 sharded predictions are **bitwise identical** to the single-process
@@ -57,19 +59,25 @@ from multiprocessing import resource_tracker, shared_memory
 import numpy as np
 
 from ..core.transform import LengthBucket
-from ..obs import resolve_tracer
-from ..obs.metrics import MetricsRegistry, registry
-from .admin import AdminServer
+from ..obs.metrics import MetricsRegistry
 from .compiled import CompiledModel
 from .config import ServeConfig
-from .flight import FlightRecord, FlightRecorder
-from .lifecycle import ModelHandle, ShadowReport, ShadowScorer
-from .monitor import DriftMonitor, resolve_reference
+from .lifecycle import ModelHandle
+from .service import ServingFrontEnd, answer_batch, collect_batches
 from .types import PredictionRequest, PredictionResult, ResultStatus, validate_series
 
 __all__ = ["SharedPatternBank", "ShardedPredictionService"]
 
 _log = logging.getLogger("repro.serve.shard")
+
+#: Start method for shard workers. ``spawn``, never ``fork``: the
+#: dispatcher runs collector and monitor threads, and forking a threaded
+#: process can copy a lock held by another thread into the child.
+_MP_CONTEXT = "spawn"
+
+#: How long :meth:`ShardedPredictionService.start` waits for every
+#: worker to attach the bank and warm up.
+_START_TIMEOUT_S = 120.0
 
 
 def shard_metric(name: str, shard: int) -> str:
@@ -237,12 +245,16 @@ def _shard_worker_main(
 ) -> None:
     """Entry point of one shard worker (module-level: spawn-picklable).
 
-    Mirrors the single-process batching loop: the first request opens a
-    window, more join until ``max_batch`` / ``max_delay_ms``, the batch
-    runs through the shm-backed compiled model, and every request is
-    answered with a typed :class:`PredictionResult` carrying this
-    shard's ID. A ``None`` sentinel means drain-and-stop; a model
-    failure yields per-request ``ERROR`` results, never a dead loop.
+    Runs the in-process tier's batching loop and batch runner over
+    ``request_q`` with the shm-backed compiled model, and sends every
+    typed :class:`PredictionResult` (carrying this shard's ID) back on
+    ``result_q``, then one ``"batch"`` message with the batch size and
+    model seconds. A ``None`` sentinel means drain-and-stop.
+
+    ``model_version`` rides in from the spawn payload: a recycled
+    (post-swap) worker serves the new version, while a worker still
+    draining the old generation stamps the old one — results are always
+    attributed to the exact artifact that computed them.
     """
     bank = SharedPatternBank.attach(bank_spec)
     try:
@@ -259,140 +271,27 @@ def _shard_worker_main(
         if knobs["warmup"]:
             model.warmup(n=min(4, knobs["max_batch"]))
         result_q.put(("ready", shard_id, generation))
-        max_batch = knobs["max_batch"]
-        max_delay_s = knobs["max_delay_ms"] / 1000.0
-        batches_done = 0
-        while True:
-            item = request_q.get()
-            stopping = item is None
-            batch = [] if stopping else [item]
-            if not stopping:
-                window_closes = time.monotonic() + max_delay_s
-                while len(batch) < max_batch:
-                    remaining = window_closes - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    try:
-                        nxt = request_q.get(timeout=max(remaining, 1e-4))
-                    except queue_mod.Empty:
-                        break
-                    if nxt is None:
-                        stopping = True
-                        break
-                    batch.append(nxt)
-            if stopping:
-                while True:
-                    try:
-                        nxt = request_q.get_nowait()
-                    except queue_mod.Empty:
-                        break
-                    if nxt is not None:
-                        batch.append(nxt)
-            for lo in range(0, len(batch), max_batch):
-                batches_done += 1
-                _shard_process(
-                    model,
-                    batch[lo : lo + max_batch],
-                    shard_id,
-                    generation,
-                    batches_done,
-                    result_q,
-                    payload.get("model_version"),
+        batches = collect_batches(
+            request_q, knobs["max_batch"], knobs["max_delay_ms"] / 1000.0
+        )
+        for batch_id, batch in enumerate(batches, start=1):
+            now = time.monotonic()
+            results, model_s = answer_batch(
+                model,
+                batch,
+                now,
+                batch_id=batch_id,
+                version=payload["model_version"],
+                shard=shard_id,
+            )
+            for request, result in zip(batch, results):
+                result_q.put(
+                    ("res", shard_id, generation, result, now - request.enqueued_at)
                 )
-            if stopping:
-                result_q.put(("stopped", shard_id, generation))
-                return
+            result_q.put(("batch", shard_id, generation, len(batch), model_s))
+        result_q.put(("stopped", shard_id, generation))
     finally:
         bank.close()
-
-
-def _shard_process(
-    model, batch, shard_id, generation, batch_id, result_q, model_version=None
-) -> None:
-    """Run one micro-batch and emit per-request result messages.
-
-    ``model_version`` rides in from the worker's spawn payload: a
-    recycled (post-swap) worker serves the new version, while a worker
-    still draining the old generation stamps the old one — results are
-    always attributed to the exact artifact that computed them.
-    """
-    now = time.monotonic()
-    t_model = 0.0
-    live = []
-    for request in batch:
-        if request.deadline is not None and now > request.deadline:
-            result_q.put(
-                (
-                    "res",
-                    shard_id,
-                    generation,
-                    PredictionResult(
-                        request_id=request.request_id,
-                        status=ResultStatus.TIMEOUT,
-                        deadline_missed=True,
-                        latency_ms=(now - request.enqueued_at) * 1000.0,
-                        batch_id=batch_id,
-                        shard=shard_id,
-                        model_version=model_version,
-                    ),
-                    now - request.enqueued_at,
-                )
-            )
-        else:
-            live.append(request)
-    if live:
-        X = np.stack([request.series for request in live])
-        t0 = time.monotonic()
-        try:
-            features = model.transform(X)
-            labels = model.classifier.predict(features)
-        except Exception as exc:  # typed results, never a dead worker
-            done = time.monotonic()
-            t_model = done - t0
-            for request in live:
-                result_q.put(
-                    (
-                        "res",
-                        shard_id,
-                        generation,
-                        PredictionResult(
-                            request_id=request.request_id,
-                            status=ResultStatus.ERROR,
-                            error_code="model-failure",
-                            error_message=f"{type(exc).__name__}: {exc}",
-                            latency_ms=(done - request.enqueued_at) * 1000.0,
-                            batch_id=batch_id,
-                            shard=shard_id,
-                            model_version=model_version,
-                        ),
-                        now - request.enqueued_at,
-                    )
-                )
-        else:
-            done = time.monotonic()
-            t_model = done - t0
-            for i, request in enumerate(live):
-                late = request.deadline is not None and done > request.deadline
-                result_q.put(
-                    (
-                        "res",
-                        shard_id,
-                        generation,
-                        PredictionResult(
-                            request_id=request.request_id,
-                            status=ResultStatus.OK,
-                            label=labels[i],
-                            deadline_missed=late,
-                            latency_ms=(done - request.enqueued_at) * 1000.0,
-                            batch_id=batch_id,
-                            shard=shard_id,
-                            model_version=model_version,
-                            features=features[i],
-                        ),
-                        now - request.enqueued_at,
-                    )
-                )
-    result_q.put(("batch", shard_id, generation, len(batch), t_model))
 
 
 # ---------------------------------------------------------------------------
@@ -446,30 +345,21 @@ class _Pending:
         self.shard = shard
 
 
-class ShardedPredictionService:
-    """Multi-process sharded front-end with the PredictionService API.
+class ShardedPredictionService(ServingFrontEnd):
+    """Multi-process sharded tier of the one serving front-end.
 
-    Parameters
-    ----------
-    model:
-        A :class:`CompiledModel` or a
-        :class:`~repro.serve.lifecycle.ModelHandle` (registry-backed
-        handles enable version-name hot-swap; see :meth:`swap`).
-    config:
-        The one :class:`~repro.serve.config.ServeConfig`. The sharded
-        tier reads the whole config, including ``n_shards`` (``0`` =
-        this tier's default of 2), ``admission_budget_ms``,
-        ``max_queue_per_shard``, ``mp_context`` and
-        ``start_timeout_s``; ``None`` means the defaults.
-    trace / metrics:
-        Observability wiring; defaults to the no-op tracer and the
-        process-wide registry.
+    Takes the :class:`~repro.serve.service.ServingFrontEnd` parameters
+    and reads the whole config, including ``n_shards`` (``0`` = this
+    tier's default of 2), ``admission_budget_ms`` and
+    ``max_queue_per_shard``.
 
     The model's pattern bank is exported once into shared memory
     (:class:`SharedPatternBank`); the classifier travels to workers by
     pickle. Predictions are bitwise identical to the single-process
     service — routing, batching and process boundaries never change a
-    bit.
+    bit. The shadow scorer and the drift monitor run in this process,
+    fed by the collector thread after futures resolve; the worker hot
+    path never sees them.
     """
 
     def __init__(
@@ -480,48 +370,19 @@ class ShardedPredictionService:
         trace=None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        config = config if config is not None else ServeConfig()
-        self.config = config
-        self.handle = model if isinstance(model, ModelHandle) else ModelHandle(model)
-        self.n_shards = config.n_shards or 2
-        self.max_batch = config.max_batch
-        self.max_delay_ms = config.max_delay_ms
-        self.default_deadline_ms = config.default_deadline_ms
-        self.validate = config.validate
-        self._warmup = config.warmup
-        self.admission_budget_ms = config.admission_budget_ms
-        self.max_queue_per_shard = config.max_queue_per_shard
-        self.slow_ms = config.slow_ms
-        self.flight = FlightRecorder(config.flight_capacity)
-        self.admin: AdminServer | None = None
-        self._admin_port = config.admin_port
-        self._admin_host = config.admin_host
-        self._mp_context = config.mp_context
-        self.start_timeout_s = config.start_timeout_s
-        self.shadow: ShadowScorer | None = None
-        self._shadow_owns_candidate = False
-        self.drift: DriftMonitor | None = None
+        super().__init__(model, config=config, trace=trace, metrics=metrics)
+        self.n_shards = self.config.n_shards or 2
+        self.admission_budget_ms = self.config.admission_budget_ms
+        self.max_queue_per_shard = self.config.max_queue_per_shard
         self._swap_lock = threading.Lock()
-        self.tracer = resolve_tracer(trace)
-        self.metrics = metrics if metrics is not None else registry()
-        self._ctx = mp.get_context(config.mp_context)
+        self._ctx = mp.get_context(_MP_CONTEXT)
         self._shards = [_ShardState(i) for i in range(self.n_shards)]
         self._pending: dict[str, _Pending] = {}
         self._lock = threading.Lock()  # pending table + shard states + routing
-        self._submit_lock = threading.Lock()  # submit vs stop
-        # Held by the collector from resolving a future through its
-        # shadow and drift offers; the detach methods take it, so a
-        # result that was answered is still offered to the scorer and
-        # monitor that were attached when it was answered. Reentrant: a
-        # future's done-callback runs on the collector and may detach.
-        self._hooks_lock = threading.RLock()
-        self._running = False
         self._stopping = threading.Event()
         self._collector: threading.Thread | None = None
         self._monitor: threading.Thread | None = None
-        self._ready_event = threading.Event()
         self._bank: SharedPatternBank | None = None
-        self._next_id = 0
         self._rr = 0
         # EWMA of per-request model service time, seconds; feeds the
         # admission estimate. None until the first batch reports.
@@ -529,26 +390,6 @@ class ShardedPredictionService:
         self._inflight = [0] * self.n_shards
 
     # -- lifecycle -------------------------------------------------------------
-
-    @property
-    def model(self) -> CompiledModel:
-        """The live compiled model (hot-swappable; see :meth:`swap`)."""
-        return self.handle.model
-
-    @property
-    def model_version(self) -> str | None:
-        """The live model's version name (``None`` when untracked)."""
-        return self.handle.version
-
-    @property
-    def running(self) -> bool:
-        """Liveness: the dispatcher accepts requests."""
-        return self._running
-
-    @property
-    def ready(self) -> bool:
-        """Readiness: running and every shard's warm-up completed."""
-        return self._running and self._ready_event.is_set()
 
     def _payload(self) -> dict:
         return {
@@ -563,8 +404,8 @@ class ShardedPredictionService:
     def _knobs(self) -> dict:
         return {
             "max_batch": self.max_batch,
-            "max_delay_ms": self.max_delay_ms,
-            "warmup": self._warmup,
+            "max_delay_ms": self.config.max_delay_ms,
+            "warmup": self.config.warmup,
         }
 
     def _spawn(self, shard: _ShardState) -> None:
@@ -607,7 +448,7 @@ class ShardedPredictionService:
         if self._running:
             return self
         self._stopping.clear()
-        self._ready_event.clear()
+        self._ready.clear()
         self._bank = SharedPatternBank.build(self.model)
         self._publish_model_metrics()
         for shard in self._shards:
@@ -621,24 +462,13 @@ class ShardedPredictionService:
             target=self._monitor_loop, name="rpm-shard-monitor", daemon=True
         )
         self._monitor.start()
-        if not self._ready_event.wait(self.start_timeout_s):
+        if not self._ready.wait(_START_TIMEOUT_S):
             self.stop()
             raise RuntimeError(
                 f"sharded service failed to become ready within "
-                f"{self.start_timeout_s:.0f}s"
+                f"{_START_TIMEOUT_S:.0f}s"
             )
-        if self._admin_port is not None and self.admin is None:
-            self.admin = AdminServer(
-                self, host=self._admin_host, port=self._admin_port
-            ).start()
-        _log.info(
-            "sharded prediction service started",
-            extra={
-                "model": self.model.describe(),
-                "n_shards": self.n_shards,
-                "admin_url": self.admin.url() if self.admin else None,
-            },
-        )
+        self._announce_start(n_shards=self.n_shards)
         return self
 
     def stop(self) -> None:
@@ -688,53 +518,17 @@ class ShardedPredictionService:
             self._pending.clear()
         for entry in stragglers:
             self._account_dequeue(entry.shard)
-            entry.future.set_result(
-                PredictionResult(
-                    request_id=entry.request.request_id,
-                    status=ResultStatus.ERROR,
-                    error_code="service-stopped",
-                    error_message="service stopped before the request was answered",
-                    shard=entry.shard,
-                    model_version=self.handle.version,
-                )
-            )
+            entry.future.set_result(self._stopped(entry.request, shard=entry.shard))
         if self._bank is not None:
             self._bank.close()
             self._bank.unlink()
             self._bank = None
-        if self.admin is not None:
-            self.admin.stop()
-            self.admin = None
-        self.detach_shadow()
-        self.detach_drift()
-        _log.info(
-            "sharded prediction service stopped",
-            extra={
-                "requests": self.metrics.counter_value("serve.requests"),
-                "batches": self.metrics.counter_value("serve.batches"),
-            },
-        )
-
-    def __enter__(self) -> "ShardedPredictionService":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        self._stop_observers()
 
     # -- model lifecycle -------------------------------------------------------
 
-    def _publish_model_metrics(self) -> None:
-        self.metrics.set_gauge("serve.model_version", float(self.handle.generation))
-        if self.handle.version:
-            self.metrics.set_gauge(
-                f"serve.model_version[version={self.handle.version}]",
-                float(self.handle.generation),
-            )
-
-    def swap(self, target, *, version: str | None = None, warm: bool = True) -> str:
-        """Hot-swap every shard onto a new model, dropping no requests.
-
-        The orchestration is a rolling recycle:
+    def _install(self, target, *, version, warm) -> str:
+        """Move every shard onto a new model by a rolling recycle.
 
         1. resolve + warm the incoming model in the parent and flip the
            :class:`ModelHandle` pointer (new submissions now validate
@@ -747,10 +541,6 @@ class ShardedPredictionService:
            so readiness never flips;
         4. close + unlink the old bank only after the last old worker
            has exited — no worker ever maps a vanished segment.
-
-        Every accepted request resolves exactly once, stamped with the
-        version of the model that actually computed it (pinned by the
-        sharded swap test).
         """
         if not self._running:
             raise RuntimeError("cannot swap a stopped service")
@@ -762,147 +552,9 @@ class ShardedPredictionService:
                 self.recycle(shard.shard_id)
             old_bank.close()
             old_bank.unlink()
-            self.metrics.inc("serve.swaps")
-            self._publish_model_metrics()
-        _log.info(
-            "sharded model hot-swapped",
-            extra={
-                "version": resolved,
-                "generation": self.handle.generation,
-                "model": self.model.describe(),
-            },
-        )
         return resolved
 
-    def describe_model(self) -> dict:
-        """JSON-safe live-model state (the admin ``GET /model`` body)."""
-        info = self.handle.describe()
-        shadow = self.shadow
-        if shadow is not None:
-            info["shadow"] = shadow.report().as_record()
-        return info
-
-    def attach_shadow(
-        self,
-        candidate,
-        *,
-        version: str | None = None,
-        fraction: float | None = None,
-        max_backlog: int = 512,
-    ) -> ShadowScorer:
-        """Mirror a fraction of OK traffic onto ``candidate``.
-
-        The candidate runs in the *parent* process on the shadow
-        thread, fed from the collector after futures resolve — the
-        worker hot path never sees it.
-        """
-        if self.shadow is not None:
-            raise RuntimeError(
-                "a shadow candidate is already attached; detach_shadow() first"
-            )
-        owns = not isinstance(candidate, CompiledModel)
-        model, resolved = self.handle._resolve(candidate, version_hint=version)
-        scorer = ShadowScorer(
-            model,
-            version=resolved,
-            fraction=self.config.shadow_fraction if fraction is None else fraction,
-            max_backlog=max_backlog,
-            metrics=self.metrics,
-            flight=self.flight,
-        )
-        self._shadow_owns_candidate = owns
-        self.shadow = scorer.start()
-        return scorer
-
-    def detach_shadow(self) -> ShadowReport | None:
-        """Stop shadow scoring; returns the final report (idempotent).
-
-        Waits for the result in flight to be offered first.
-        """
-        with self._hooks_lock:
-            scorer, self.shadow = self.shadow, None
-        if scorer is None:
-            return None
-        scorer.stop()
-        report = scorer.report()
-        if self._shadow_owns_candidate:
-            scorer.candidate.close()
-        self._shadow_owns_candidate = False
-        return report
-
-    def shadow_report(self) -> ShadowReport | None:
-        """The live shadow run's aggregate so far (``None`` when off)."""
-        return None if self.shadow is None else self.shadow.report()
-
-    # -- drift monitoring ------------------------------------------------------
-
-    def attach_drift(
-        self,
-        reference=None,
-        *,
-        window: int | None = None,
-        threshold: float | None = None,
-        max_backlog: int = 4096,
-    ) -> DriftMonitor:
-        """Compare live traffic against a training reference, off-path.
-
-        The monitor runs in the *parent* process: the collector thread
-        offers each OK result's feature row (tagged with its shard) as
-        it resolves futures, and the monitor keeps per-shard sketches
-        that it aggregates by sketch merge at evaluation time — the
-        worker hot path never sees any of it.
-        """
-        if self.drift is not None:
-            raise RuntimeError(
-                "a drift monitor is already attached; detach_drift() first"
-            )
-        ref = resolve_reference(
-            reference, self.handle, n_columns=self.model.n_patterns
-        )
-        monitor = DriftMonitor(
-            ref,
-            window=self.config.drift_window if window is None else window,
-            threshold=(
-                self.config.drift_threshold if threshold is None else threshold
-            ),
-            max_backlog=max_backlog,
-            metrics=self.metrics,
-            flight=self.flight,
-        )
-        self.drift = monitor.start()
-        _log.info(
-            "drift monitor attached",
-            extra={
-                "window": monitor.window,
-                "threshold": monitor.threshold,
-                "reference": ref.meta(),
-            },
-        )
-        return monitor
-
-    def detach_drift(self) -> dict | None:
-        """Stop drift monitoring; returns the final evaluation payload
-        (``None`` when no monitor was attached or nothing was folded).
-
-        Waits for the result in flight to be offered first.
-        """
-        with self._hooks_lock:
-            monitor, self.drift = self.drift, None
-        if monitor is None:
-            return None
-        monitor.stop()
-        return monitor.flush()
-
-    def describe_drift(self) -> dict | None:
-        """The live monitor's state (the admin ``GET /drift`` body);
-        ``None`` when drift monitoring is off."""
-        return None if self.drift is None else self.drift.describe()
-
     # -- routing & admission ---------------------------------------------------
-
-    def _new_id(self) -> str:
-        self._next_id += 1
-        return f"req-{self._next_id}"
 
     def _route(self) -> _ShardState | None:
         """Next live shard, deterministic round-robin; None if all down."""
@@ -946,59 +598,16 @@ class ShardedPredictionService:
         over-budget shard resolves immediately with ``OVERLOAD`` —
         neither ever occupies a queue slot.
         """
-        if not self._running:
-            raise RuntimeError(
-                "ShardedPredictionService is not running; use `with service:` "
-                "or call start()"
-            )
-        future: Future = Future()
+        self._require_running()
+        request_id = self._new_id()
         self.metrics.inc("serve.requests")
-        expected = self.model.series_length if self.validate else None
-        if self.validate:
-            values, code, message = validate_series(series, expected)
-        else:
-            values, code, message = np.asarray(series, dtype=float), None, None
+        values, code, message = validate_series(series, self.model.series_length)
+        if code is not None:
+            return self._refuse(request_id, ResultStatus.INVALID, code, message)
+        request = self._request(values, request_id, deadline_ms)
+        future: Future = Future()
         with self._submit_lock:
-            if not self._running:
-                raise RuntimeError(
-                    "ShardedPredictionService is not running; use "
-                    "`with service:` or call start()"
-                )
-            request_id = self._new_id()
-            if code is not None:
-                self.metrics.inc("serve.invalid")
-                self.flight.record(
-                    FlightRecord(
-                        request_id=request_id,
-                        status=ResultStatus.INVALID.value,
-                        reason="invalid",
-                        error_code=code,
-                        error_message=message,
-                    )
-                )
-                _log.warning(
-                    "request rejected at validation",
-                    extra={"request_id": request_id, "error_code": code},
-                )
-                future.set_result(
-                    PredictionResult(
-                        request_id=request_id,
-                        status=ResultStatus.INVALID,
-                        error_code=code,
-                        error_message=message,
-                        model_version=self.handle.version,
-                    )
-                )
-                return future
-            if deadline_ms is None:
-                deadline_ms = self.default_deadline_ms
-            now = time.monotonic()
-            request = PredictionRequest(
-                series=values,
-                request_id=request_id,
-                deadline=None if deadline_ms is None else now + deadline_ms / 1000.0,
-                enqueued_at=now,
-            )
+            self._require_running()
             with self._lock:
                 shard = self._route()
                 if shard is not None:
@@ -1011,30 +620,9 @@ class ShardedPredictionService:
                     )
                     self._inflight[shard.shard_id] += 1
             if not admitted:
-                self.metrics.inc("serve.overload")
-                self.flight.record(
-                    FlightRecord(
-                        request_id=request_id,
-                        status=ResultStatus.OVERLOAD.value,
-                        reason="overload",
-                        error_code="over-capacity",
-                        error_message=why,
-                    )
+                return self._refuse(
+                    request_id, ResultStatus.OVERLOAD, "over-capacity", why
                 )
-                _log.warning(
-                    "request shed by admission control",
-                    extra={"request_id": request_id, "why": why},
-                )
-                future.set_result(
-                    PredictionResult(
-                        request_id=request_id,
-                        status=ResultStatus.OVERLOAD,
-                        error_code="over-capacity",
-                        error_message=why,
-                        model_version=self.handle.version,
-                    )
-                )
-                return future
             self.metrics.add_gauge("serve.queue_depth", 1)
             self.metrics.add_gauge(
                 shard_metric("serve.queue_depth", shard.shard_id), 1
@@ -1042,37 +630,6 @@ class ShardedPredictionService:
             self.metrics.inc(shard_metric("serve.requests", shard.shard_id))
             shard.request_q.put(request)
         return future
-
-    def predict_one(
-        self, series, *, deadline_ms: float | None = None, wait_s: float | None = None
-    ) -> PredictionResult:
-        """Submit one series and block for its typed result."""
-        return self.submit(series, deadline_ms=deadline_ms).result(timeout=wait_s)
-
-    def predict_many(
-        self, X, *, deadline_ms: float | None = None, wait_s: float | None = None
-    ) -> list[PredictionResult]:
-        """Submit every row of ``X`` and block for all results, in order.
-
-        Rows are submitted individually (never forced through one
-        rectangular array), so ragged batches yield per-row typed
-        ``INVALID`` results — same contract as the single-process
-        service.
-        """
-        futures = [self.submit(row, deadline_ms=deadline_ms) for row in X]
-        return [future.result(timeout=wait_s) for future in futures]
-
-    def predict(self, X) -> np.ndarray:
-        """Label array for a clean batch — the RPMClassifier.predict shape."""
-        results = self.predict_many(X)
-        bad = [r for r in results if not r.ok]
-        if bad:
-            first = bad[0]
-            raise RuntimeError(
-                f"{len(bad)}/{len(results)} requests failed; first: "
-                f"{first.status.value} ({first.error_code or first.error_message})"
-            )
-        return np.array([r.label for r in results])
 
     # -- collector / monitor ---------------------------------------------------
 
@@ -1109,8 +666,7 @@ class ShardedPredictionService:
         kind = msg[0]
         if kind == "res":
             _kind, shard_id, _gen, result, queue_wait_s = msg
-            with self._hooks_lock:
-                self._resolve(shard_id, result, queue_wait_s)
+            self._on_result(shard_id, result, queue_wait_s)
         elif kind == "batch":
             _kind, shard_id, _gen, size, seconds = msg
             self.metrics.inc("serve.batches")
@@ -1135,7 +691,7 @@ class ShardedPredictionService:
                     shard.state = "up"
                 all_ready = all(s.ready for s in self._shards)
             if all_ready:
-                self._ready_event.set()
+                self._ready.set()
         elif kind == "stopped":
             _kind, shard_id, gen = msg
             with self._lock:
@@ -1143,7 +699,8 @@ class ShardedPredictionService:
                 if gen == shard.generation and shard.state == "draining":
                     shard.state = "stopped"
 
-    def _resolve(self, shard_id: int, result: PredictionResult, queue_wait_s) -> None:
+    def _on_result(self, shard_id: int, result: PredictionResult, queue_wait_s) -> None:
+        """Deliver one worker result through the front-end's one path."""
         with self._lock:
             entry = self._pending.pop(result.request_id, None)
         if entry is None:
@@ -1152,87 +709,14 @@ class ShardedPredictionService:
             # result won; drop this one.
             return
         self._account_dequeue(entry.shard)
-        self.metrics.observe("serve.latency_seconds", result.latency_ms / 1000.0)
         self.metrics.observe(
             shard_metric("serve.latency_seconds", shard_id), result.latency_ms / 1000.0
         )
-        if queue_wait_s is not None:
-            self.metrics.observe("serve.queue_wait_seconds", queue_wait_s)
-        if result.status is ResultStatus.TIMEOUT:
-            self.metrics.inc("serve.deadline_misses")
-        elif result.status is ResultStatus.ERROR:
-            self.metrics.inc("serve.errors")
-        elif result.deadline_missed:
-            self.metrics.inc("serve.deadline_misses")
-        entry.future.set_result(result)
-        self._record_flight(entry.request, result, queue_wait_s)
-        # Shadow mirroring happens here on the collector thread, after
-        # the future resolved — off the request latency path.
-        shadow = self.shadow
-        if shadow is not None and result.status is ResultStatus.OK:
-            shadow.offer(
-                result.request_id,
-                entry.request.series,
-                result.label,
-                result.latency_ms,
-            )
-        # Drift ingestion also happens here on the collector thread:
-        # per-shard feature rows are offered with their shard tag, and
-        # the monitor aggregates the per-shard sketches by merge.
-        drift = self.drift
-        if drift is not None and result.status is ResultStatus.OK:
-            if result.features is not None:
-                drift.observe(
-                    result.request_id,
-                    entry.request.series,
-                    result.features,
-                    batch_id=result.batch_id,
-                    shard=result.shard,
-                )
-
-    def _record_flight(self, request, result, queue_wait_s) -> None:
-        if not self.flight.enabled:
-            return
-        if result.status is ResultStatus.OK and not result.deadline_missed:
-            if not self.slow_ms or result.latency_ms < self.slow_ms:
-                return
-            reason = "slow"
-        elif result.status is ResultStatus.TIMEOUT:
-            reason = "timeout"
-        elif result.status is ResultStatus.ERROR:
-            reason = "error"
-        else:
-            reason = "late"
-        slack_ms = None
-        if request.deadline is not None:
-            finished = request.enqueued_at + result.latency_ms / 1000.0
-            slack_ms = (request.deadline - finished) * 1000.0
-        self.flight.record(
-            FlightRecord(
-                request_id=result.request_id,
-                status=result.status.value,
-                reason=reason,
-                batch_id=result.batch_id,
-                shard=result.shard,
-                queue_wait_ms=0.0 if queue_wait_s is None else queue_wait_s * 1000.0,
-                latency_ms=result.latency_ms,
-                deadline_slack_ms=slack_ms,
-                error_code=result.error_code,
-                error_message=result.error_message,
-            )
-        )
-        _log.log(
-            logging.ERROR if reason == "error" else logging.WARNING,
-            "request %s",
-            reason,
-            extra={
-                "request_id": result.request_id,
-                "batch_id": result.batch_id,
-                "shard": result.shard,
-                "status": result.status.value,
-                "latency_ms": round(result.latency_ms, 3),
-            },
-        )
+        self.metrics.observe("serve.queue_wait_seconds", queue_wait_s)
+        outcomes = [(entry.request, entry.future, result, queue_wait_s)]
+        with self._hooks_lock:
+            self._resolve(outcomes)
+            self._offer(outcomes)
 
     def _monitor_loop(self) -> None:
         """Detect dead workers and respawn them with zero request loss."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -33,3 +35,25 @@ def two_blob_features(rng) -> tuple[np.ndarray, np.ndarray]:
     )
     y = np.array([0] * 40 + [1] * 40)
     return X, y
+
+
+@pytest.fixture
+def stall_offers():
+    """Hold a serving tier between resolving results and offering them.
+
+    Wraps the tier's ``_offer`` seam (flight capture, then the shadow
+    and drift offers) with a sleep before it runs: the caller sees its
+    futures resolved while the offers are still to come, which is the
+    window a detach must wait out.
+    """
+
+    def stall(service, seconds: float = 0.02) -> None:
+        offer = service._offer
+
+        def slow_offer(*args):
+            time.sleep(seconds)
+            offer(*args)
+
+        service._offer = slow_offer
+
+    return stall

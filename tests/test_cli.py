@@ -219,16 +219,23 @@ class TestCommands:
         assert main(["patterns", str(model_path)]) == 0
         assert "representative patterns" in capsys.readouterr().out
 
-        # classify a small UCR-format file
+        # label a small UCR-format file through the serving engine: the
+        # printed labels are the saved classifier's, row for row
         data = tmp_path / "data.txt"
+        from repro.core.io import load_model
         from repro.data import load
+        from repro.data.ucr import load_ucr_file
 
         ds = load("ItalyPowerSim")
         rows = ["0 " + " ".join(f"{v:.4f}" for v in ds.X_test[i]) for i in range(3)]
         data.write_text("\n".join(rows) + "\n")
-        assert main(["classify", str(model_path), str(data)]) == 0
+        assert main(["predict", "--model", str(model_path), str(data)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 3
+        X, _ = load_ucr_file(data)
+        expected = load_model(model_path).predict(X)
+        assert lines == [
+            f"{i}\t{np.asarray(label).item()}" for i, label in enumerate(expected)
+        ]
 
     def test_evaluate_baseline(self, capsys):
         rc = main(["evaluate", "ItalyPowerSim", "--method", "NN-ED"])

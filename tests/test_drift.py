@@ -684,20 +684,16 @@ class TestServiceIntegration:
                 assert described["top_offenders"]
                 assert described["alert"] is True
 
-    def test_detach_waits_for_the_batch_in_flight(self, compiled, reference, tiny_gun):
+    def test_detach_waits_for_the_batch_in_flight(
+        self, compiled, reference, tiny_gun, stall_offers
+    ):
         # The batcher answers a batch's requests before it offers them to
         # the monitor; detaching in between must not lose the batch.
         with scoped_registry():
             with PredictionService(
                 compiled, config=ServeConfig(warmup=False)
             ) as service:
-                finish = service._finish
-
-                def slow_finish(*args):
-                    finish(*args)
-                    time.sleep(0.02)
-
-                service._finish = slow_finish
+                stall_offers(service)
                 monitor = service.attach_drift(reference)
                 service.predict(tiny_gun.X_test)
                 service.detach_drift()
@@ -736,9 +732,7 @@ class TestServiceIntegration:
                 assert service.detach_drift() is None
 
     def test_config_drift_knobs_reach_the_monitor(self, compiled, reference):
-        config = ServeConfig(
-            warmup=False, drift=True, drift_window=64, drift_threshold=0.5
-        )
+        config = ServeConfig(warmup=False, drift_window=64, drift_threshold=0.5)
         with scoped_registry():
             with PredictionService(compiled, config=config) as service:
                 monitor = service.attach_drift(reference)
@@ -773,6 +767,21 @@ class TestShardedIntegration:
         np.testing.assert_array_equal(
             baseline, compiled.predict(tiny_gun.X_train)
         )
+
+    def test_detach_waits_for_the_result_in_flight(
+        self, compiled, reference, tiny_gun, stall_offers
+    ):
+        # The collector answers each result before it offers it to the
+        # monitor; detaching in between must not lose the row.
+        with scoped_registry():
+            with ShardedPredictionService(
+                compiled, config=ServeConfig(n_shards=1, warmup=False)
+            ) as service:
+                stall_offers(service)
+                monitor = service.attach_drift(reference)
+                service.predict(tiny_gun.X_test[:8])
+                service.detach_drift()
+                assert monitor.describe()["rows"] == 8
 
     def test_sharded_predictions_bitwise_identical_with_monitor(
         self, compiled, reference, tiny_gun

@@ -13,8 +13,7 @@ Contracts under test:
 3. **Promotion is auditable and gated** — CURRENT moves only through
    ``promote``/``rollback``, the HISTORY log records every move, and a
    ``PromotionGate`` fed a ``ShadowReport`` refuses candidates whose
-   disagreement or latency regression exceeds the thresholds —
-   including the float32-quantized bank variant.
+   disagreement or latency regression exceeds the thresholds.
 4. **ServeConfig is the one validated knob surface** — bad values are
    rejected in ``__post_init__``, and the service constructors take no
    per-knob keywords: ``max_batch=8`` is a plain ``TypeError``.
@@ -312,24 +311,10 @@ class TestPromotionGate:
 
 
 class TestQuantizedModel:
-    def test_float32_bank_loads_and_describes(self, artifact, tiny_gun):
-        with CompiledModel.load(artifact, dtype="float32") as model:
-            assert model.dtype == "float32"
-            assert "float32" in model.describe()
-            # Quantized values are exactly float32-representable.
-            for values in model.bank.values:
-                np.testing.assert_array_equal(
-                    values, values.astype(np.float32).astype(np.float64)
-                )
-            model.predict(tiny_gun.X_test[:4])  # still serves
-
-    def test_unknown_dtype_is_rejected(self, artifact):
-        with pytest.raises(ValueError, match="dtype"):
-            CompiledModel.load(artifact, dtype="float16")
-
     def test_quantized_promotion_rides_the_same_gate(self, registry):
-        # The MrSQM lesson: a quantized bank must prove fidelity in
-        # shadow before promotion — the gate refuses a drifting one.
+        # The MrSQM lesson: a re-mined or quantized candidate must prove
+        # fidelity in shadow before promotion — the gate refuses a
+        # drifting one.
         registry.promote("v1")
         drifting = _report(n_disagreements=8, disagreement_rate=0.08)
         with pytest.raises(RegistryError, match="blocked by gate"):
@@ -406,7 +391,6 @@ class TestServeConfig:
             {"admission_budget_ms": 0.0},
             {"shadow_fraction": 0.0},
             {"shadow_fraction": 1.5},
-            {"mp_context": "greenlet"},
         ],
     )
     def test_bad_knobs_raise_at_construction(self, kwargs):

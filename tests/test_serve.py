@@ -6,6 +6,12 @@ path (CompiledModel / PredictionService) and the training-side
 ``RPMClassifier`` transform and predictions — for every executor
 configuration, through artifact round-trips, and regardless of how
 requests were batched.
+
+``TierContract`` holds the client contract both serving tiers keep —
+typed ``INVALID``/``TIMEOUT``/model-failure results, drain-on-stop, no
+stranded future when submit races stop, the ``serve.*`` metrics — and
+runs once per tier: in-process (``TestPredictionService``) and on a
+one-shard sharded service (``TestShardedContract``).
 """
 
 from __future__ import annotations
@@ -18,11 +24,13 @@ import pytest
 from repro import RPMClassifier, SaxParams
 from repro.core.io import FORMAT_VERSION, ModelFormatError, load_model, save_model
 from repro.obs.metrics import MetricsRegistry, registry, scoped_registry
+from repro.ml.svm import SVC
 from repro.serve import (
     CompiledModel,
     PredictionService,
     ResultStatus,
     ServeConfig,
+    ShardedPredictionService,
     validate_series,
 )
 
@@ -100,7 +108,186 @@ class TestCompiledModel:
         assert "patterns" in compiled.describe()
 
 
-class TestPredictionService:
+@pytest.fixture(scope="module")
+def in_process(compiled):
+    """A running in-process service shared by the read-only contract tests."""
+    with PredictionService(
+        compiled,
+        config=ServeConfig(max_delay_ms=20.0),
+        metrics=MetricsRegistry(),
+    ) as service:
+        yield service
+
+
+@pytest.fixture(scope="module")
+def one_shard(compiled):
+    """A running one-shard service shared by the read-only contract tests
+    (a sharded start spawns a worker process, about a second)."""
+    with ShardedPredictionService(
+        compiled,
+        config=ServeConfig(n_shards=1, max_delay_ms=20.0, warmup=False),
+        metrics=MetricsRegistry(),
+    ) as service:
+        yield service
+
+
+class TierContract:
+    """The client contract both serving tiers keep.
+
+    A subclass names the tier (``tier``), the config knobs it needs
+    (``knobs``), a ``served`` fixture yielding a running service that
+    read-only tests share, and how many fresh services the
+    submit-versus-stop race starts (``racing_rounds``). Shared services
+    carry their counters across tests, so counts are read as deltas.
+    """
+
+    tier: type
+    knobs: dict = {}
+    racing_rounds = 20
+
+    def config(self, **knobs) -> ServeConfig:
+        return ServeConfig(**self.knobs, **knobs)
+
+    def test_invalid_inputs_get_typed_results(self, served, tiny_gun):
+        m = tiny_gun.X_test.shape[1]
+        before = served.metrics.counter_value("serve.invalid")
+        nan_result = served.predict_one(np.full(m, np.nan))
+        short_result = served.predict_one(np.zeros(3))
+        matrix_result = served.predict_one(np.zeros((2, m)))
+        text_result = served.predict_one(["a"] * m)
+        assert nan_result.status is ResultStatus.INVALID
+        assert nan_result.error_code == "non-finite"
+        assert short_result.error_code == "bad-length"
+        assert matrix_result.error_code == "bad-shape"
+        assert text_result.error_code == "bad-dtype"
+        assert served.metrics.counter_value("serve.invalid") - before == 4
+
+    def test_ragged_predict_many_yields_per_row_invalid(self, served, tiny_gun):
+        # Regression: np.asarray on a ragged batch raised ValueError out
+        # of predict_many instead of producing typed per-row results.
+        m = tiny_gun.X_test.shape[1]
+        rows = [tiny_gun.X_test[0], np.zeros(m // 2), tiny_gun.X_test[1]]
+        results = served.predict_many(rows)
+        assert results[0].ok and results[2].ok
+        assert results[1].status is ResultStatus.INVALID
+        assert results[1].error_code == "bad-length"
+
+    def test_expired_deadline_yields_timeout(self, served, tiny_gun):
+        before = served.metrics.counter_value("serve.deadline_misses")
+        result = served.predict_one(tiny_gun.X_test[0], deadline_ms=0.0)
+        assert result.status is ResultStatus.TIMEOUT
+        assert result.deadline_missed
+        assert served.metrics.counter_value("serve.deadline_misses") > before
+
+    def test_predict_raises_on_any_failure(self, served, tiny_gun):
+        X = tiny_gun.X_test[:3].copy()
+        X[1, 0] = np.nan
+        with pytest.raises(RuntimeError, match="non-finite"):
+            served.predict(X)
+
+    def test_stop_drains_queued_requests(self, compiled, tiny_gun):
+        service = self.tier(
+            compiled,
+            config=self.config(max_batch=4, max_delay_ms=50.0, warmup=False),
+            metrics=MetricsRegistry(),
+        )
+        service.start()
+        futures = [service.submit(row) for row in tiny_gun.X_test[:10]]
+        service.stop()
+        assert all(f.result(timeout=1.0).ok for f in futures)
+
+    def test_submit_racing_stop_never_strands_a_future(self, compiled, tiny_gun):
+        # Regression: submit() could observe _running=True, lose the CPU
+        # while stop() shut the transport down, then enqueue into a dead
+        # service — a future nobody would resolve. Now submit and stop
+        # serialize on a lock, so every accepted future resolves (OK or
+        # a typed "service-stopped" ERROR) and none hangs.
+        rows = tiny_gun.X_test
+        for _ in range(self.racing_rounds):
+            service = self.tier(
+                compiled,
+                config=self.config(max_batch=4, max_delay_ms=5.0, warmup=False),
+                metrics=MetricsRegistry(),
+            )
+            service.start()
+            futures: list = []
+            barrier = threading.Barrier(3)
+
+            def submitter() -> None:
+                barrier.wait()
+                local = []
+                for row in rows:
+                    try:
+                        local.append(service.submit(row))
+                    except RuntimeError:
+                        break  # typed fast-fail after stop: fine
+                futures.extend(local)
+
+            threads = [threading.Thread(target=submitter) for _ in range(2)]
+            for t in threads:
+                t.start()
+            barrier.wait()
+            service.stop()
+            for t in threads:
+                t.join()
+            for f in futures:
+                result = f.result(timeout=5.0)  # hangs = the regression
+                assert result.ok or result.status is ResultStatus.ERROR
+            assert service.metrics.gauge_value("serve.queue_depth") == 0
+
+    def test_metrics_emitted(self, compiled, tiny_gun):
+        # Exercise the default-registry path: without an explicit
+        # ``metrics=``, the service lands its counters in the scoped
+        # process-global registry, and nothing leaks out of the scope.
+        with scoped_registry() as metrics:
+            with self.tier(compiled, config=self.config(warmup=False)) as service:
+                service.predict(tiny_gun.X_test[:5])
+            snap = metrics.snapshot()
+        assert snap["counters"]["serve.requests"] == 5
+        assert snap["counters"]["serve.batches"] >= 1
+        assert snap["gauges"]["serve.queue_depth"] == 0
+        assert snap["histograms"]["serve.batch_size"]["count"] >= 1
+        assert snap["histograms"]["serve.latency_seconds"]["count"] == 5
+        assert snap["histograms"]["serve.queue_wait_seconds"]["count"] == 5
+        assert registry() is not metrics
+
+    def test_model_failure_answers_every_live_member_and_keeps_serving(
+        self, fitted, compiled, tiny_gun
+    ):
+        # A classifier that was never fitted fails inside the model
+        # call: every live member of the batch gets a typed ERROR, the
+        # expired one still gets its TIMEOUT, and the tier serves on.
+        broken = CompiledModel(
+            fitted.patterns_, SVC(), series_length=compiled.series_length
+        )
+        metrics = MetricsRegistry()
+        with self.tier(
+            broken,
+            config=self.config(max_batch=4, max_delay_ms=50.0, warmup=False),
+            metrics=metrics,
+        ) as service:
+            futures = [service.submit(row) for row in tiny_gun.X_test[:3]]
+            futures.append(service.submit(tiny_gun.X_test[3], deadline_ms=0.0))
+            results = [f.result(timeout=60.0) for f in futures]
+            for result in results[:3]:
+                assert result.status is ResultStatus.ERROR
+                assert result.error_code == "model-failure"
+                assert "SVC used before fit()" in result.error_message
+            assert results[3].status is ResultStatus.TIMEOUT
+            assert metrics.counter_value("serve.errors") == 3
+            service.swap(compiled)
+            result = service.predict_one(tiny_gun.X_test[0], wait_s=60.0)
+        assert result.ok
+        assert result.label == fitted.predict(tiny_gun.X_test[:1])[0]
+
+
+class TestPredictionService(TierContract):
+    tier = PredictionService
+
+    @pytest.fixture
+    def served(self, in_process):
+        return in_process
+
     def test_batched_predictions_bitwise_equal_direct(self, fitted, compiled, tiny_gun):
         with PredictionService(
             compiled,
@@ -129,129 +316,29 @@ class TestPredictionService:
         )
         assert result.latency_ms >= 0.0
 
-    def test_invalid_inputs_get_typed_results(self, compiled, tiny_gun):
-        m = tiny_gun.X_test.shape[1]
-        metrics = MetricsRegistry()
-        nan_row = np.full(m, np.nan)
-        with PredictionService(compiled, metrics=metrics) as service:
-            nan_result = service.predict_one(nan_row)
-            short_result = service.predict_one(np.zeros(3))
-            matrix_result = service.predict_one(np.zeros((2, m)))
-            text_result = service.predict_one(["a"] * m)
-        assert nan_result.status is ResultStatus.INVALID
-        assert nan_result.error_code == "non-finite"
-        assert short_result.error_code == "bad-length"
-        assert matrix_result.error_code == "bad-shape"
-        assert text_result.error_code == "bad-dtype"
-        assert metrics.snapshot()["counters"]["serve.invalid"] == 4
-
-    def test_expired_deadline_yields_timeout(self, compiled, tiny_gun):
-        metrics = MetricsRegistry()
-        with PredictionService(
-            compiled,
-            config=ServeConfig(max_delay_ms=20.0),
-            metrics=metrics,
-        ) as service:
-            result = service.predict_one(tiny_gun.X_test[0], deadline_ms=0.0)
-        assert result.status is ResultStatus.TIMEOUT
-        assert result.deadline_missed
-        assert metrics.snapshot()["counters"]["serve.deadline_misses"] >= 1
-
-    def test_predict_raises_on_any_failure(self, compiled, tiny_gun):
-        X = tiny_gun.X_test[:3].copy()
-        X[1, 0] = np.nan
-        with PredictionService(compiled) as service:
-            with pytest.raises(RuntimeError, match="non-finite"):
-                service.predict(X)
-
-    def test_stop_drains_queued_requests(self, compiled, tiny_gun):
-        service = PredictionService(
-            compiled,
-            config=ServeConfig(max_batch=4, max_delay_ms=50.0, warmup=False),
-        )
-        service.start()
-        futures = [service.submit(row) for row in tiny_gun.X_test[:10]]
-        service.stop()
-        assert all(f.result(timeout=1.0).ok for f in futures)
-
     def test_submit_requires_running_service(self, compiled, tiny_gun):
         service = PredictionService(compiled, config=ServeConfig(warmup=False))
         with pytest.raises(RuntimeError, match="not running"):
             service.submit(tiny_gun.X_test[0])
-
-    def test_submit_racing_stop_never_strands_a_future(self, compiled, tiny_gun):
-        # Regression: submit() could observe _running=True, lose the CPU
-        # while stop() drained the queue and shut the worker down, then
-        # enqueue into a dead service — a future nobody would resolve.
-        # Now submit and stop serialize on a lock and stop() re-drains
-        # stragglers, so every accepted future resolves (OK or a typed
-        # "service-stopped" ERROR) and none hangs.
-        rows = tiny_gun.X_test
-        for _ in range(20):
-            service = PredictionService(
-                compiled,
-                config=ServeConfig(max_batch=4, max_delay_ms=5.0, warmup=False),
-            )
-            service.start()
-            futures: list = []
-            barrier = threading.Barrier(3)
-
-            def submitter() -> None:
-                barrier.wait()
-                local = []
-                for row in rows:
-                    try:
-                        local.append(service.submit(row))
-                    except RuntimeError:
-                        break  # typed fast-fail after stop: fine
-                futures.extend(local)
-
-            threads = [threading.Thread(target=submitter) for _ in range(2)]
-            for t in threads:
-                t.start()
-            barrier.wait()
-            service.stop()
-            for t in threads:
-                t.join()
-            for f in futures:
-                result = f.result(timeout=5.0)  # hangs = the regression
-                assert result.ok or result.status is ResultStatus.ERROR
-            assert service.metrics.gauge_value("serve.queue_depth") == 0
-
-    def test_ragged_predict_many_yields_per_row_invalid(self, compiled, tiny_gun):
-        # Regression: np.asarray on a ragged batch raised ValueError out
-        # of predict_many instead of producing typed per-row results.
-        m = tiny_gun.X_test.shape[1]
-        rows = [tiny_gun.X_test[0], np.zeros(m // 2), tiny_gun.X_test[1]]
-        with PredictionService(compiled, config=ServeConfig(warmup=False)) as service:
-            results = service.predict_many(rows)
-        assert results[0].ok and results[2].ok
-        assert results[1].status is ResultStatus.INVALID
-        assert results[1].error_code == "bad-length"
-
-    def test_metrics_emitted(self, compiled, tiny_gun):
-        # Exercise the default-registry path: without an explicit
-        # ``metrics=``, the service lands its counters in the scoped
-        # process-global registry, and nothing leaks out of the scope.
-        with scoped_registry() as metrics:
-            with PredictionService(
-                compiled,
-                config=ServeConfig(warmup=False),
-            ) as service:
-                service.predict(tiny_gun.X_test[:5])
-            snap = metrics.snapshot()
-        assert snap["counters"]["serve.requests"] == 5
-        assert snap["counters"]["serve.batches"] >= 1
-        assert snap["gauges"]["serve.queue_depth"] == 0
-        assert snap["histograms"]["serve.batch_size"]["count"] >= 1
-        assert snap["histograms"]["serve.latency_seconds"]["count"] == 5
-        assert registry() is not metrics
 
     def test_rejects_bad_knobs(self, compiled):
         with pytest.raises(ValueError, match="max_batch"):
             PredictionService(compiled, config=ServeConfig(max_batch=0))
         with pytest.raises(ValueError, match="max_delay_ms"):
             PredictionService(compiled, config=ServeConfig(max_delay_ms=-1.0))
+
+
+class TestShardedContract(TierContract):
+    """The same contract on a one-shard sharded tier; the race starts
+    fewer fresh services, each a worker-process spawn."""
+
+    tier = ShardedPredictionService
+    knobs = {"n_shards": 1}
+    racing_rounds = 3
+
+    @pytest.fixture
+    def served(self, one_shard):
+        return one_shard
 
 
 class TestValidateSeries:

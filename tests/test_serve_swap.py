@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 import urllib.error
 import urllib.request
 
@@ -182,45 +181,35 @@ class TestServiceShadow:
             # Idempotent: a second detach is a no-op.
             assert service.detach_shadow() is None
 
-    def test_detach_waits_for_the_batch_in_flight(self, registry, tiny_gun):
-        # The batcher answers a batch's requests before it offers them to
-        # the shadow. Held up between the two, it must still offer them
-        # to the scorer that was attached when they were answered.
+    @staticmethod
+    def _detach_loses_nothing(service, rows, stall_offers) -> None:
+        # Held up between answering requests and offering them to the
+        # shadow, the tier must still offer them to the scorer that was
+        # attached when they were answered.
+        stall_offers(service)
+        service.attach_shadow("v2", fraction=1.0)
+        results = service.predict_many(rows)
+        report = service.detach_shadow()
+        assert report.n_scored == len(results)
+
+    def test_detach_waits_for_the_batch_in_flight(
+        self, registry, tiny_gun, stall_offers
+    ):
         handle = ModelHandle.open("v1", registry=registry.root)
         with PredictionService(
             handle, config=ServeConfig(warmup=False), metrics=MetricsRegistry()
         ) as service:
-            finish = service._finish
+            self._detach_loses_nothing(service, tiny_gun.X_test, stall_offers)
 
-            def slow_finish(*args):
-                finish(*args)
-                time.sleep(0.02)
-
-            service._finish = slow_finish
-            service.attach_shadow("v2", fraction=1.0)
-            results = service.predict_many(tiny_gun.X_test)
-            report = service.detach_shadow()
-            assert report.n_scored == len(results)
-
-    def test_sharded_detach_waits_for_the_result_in_flight(self, registry, tiny_gun):
-        # The collector resolves a future, records the flight entry, then
-        # offers the result: stall it on the flight entry.
+    def test_sharded_detach_waits_for_the_result_in_flight(
+        self, registry, tiny_gun, stall_offers
+    ):
         handle = ModelHandle.open("v1", registry=registry.root, n_jobs=1)
         config = ServeConfig(n_shards=1, warmup=False)
         with ShardedPredictionService(
             handle, config=config, metrics=MetricsRegistry()
         ) as service:
-            record = service._record_flight
-
-            def slow_record(*args):
-                record(*args)
-                time.sleep(0.02)
-
-            service._record_flight = slow_record
-            service.attach_shadow("v2", fraction=1.0)
-            results = service.predict_many(tiny_gun.X_test[:8])
-            report = service.detach_shadow()
-            assert report.n_scored == len(results)
+            self._detach_loses_nothing(service, tiny_gun.X_test[:8], stall_offers)
 
     def test_double_attach_is_refused(self, registry):
         handle = ModelHandle.open("v1", registry=registry.root)
