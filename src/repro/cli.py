@@ -35,7 +35,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import queue
 import sys
+import threading
 import time
 
 import numpy as np
@@ -63,7 +65,6 @@ from .obs import (
     to_prometheus,
     write_jsonl,
 )
-from .runtime.kernel import KERNEL_BACKENDS
 from .sax.discretize import REDUCTIONS, SaxParams
 from .serve import (
     ModelHandle,
@@ -185,7 +186,6 @@ def _emit_observability(args, tracer: Tracer | None) -> None:
 
 def _build_rpm(args, tracer: Tracer | None = None) -> RPMClassifier:
     runtime = dict(
-        kernel_backend=args.kernel_backend,
         numerosity_reduction=args.numerosity,
         trace=tracer,
     )
@@ -273,7 +273,6 @@ def _open_handle(args, tracer: Tracer | None = None) -> ModelHandle:
     shards = getattr(args, "shards", 0)
     runtime = dict(
         n_jobs=1 if shards else args.jobs,
-        kernel_backend=args.kernel_backend,
         trace=tracer,
     )
     registry_dir = getattr(args, "registry", None)
@@ -347,6 +346,53 @@ def cmd_predict(args) -> int:
     return 0 if failed == 0 else 3
 
 
+def _serve_lines(service, lines, *, deadline_ms) -> int:
+    """Submit each line as it is read; print the results in input order.
+
+    At most two full micro-batches (``2 × max_batch`` requests) are in
+    flight, so piped lines share batches while a line typed alone is
+    answered before the next one arrives. Returns the request count.
+    """
+    pending: queue.SimpleQueue = queue.SimpleQueue()
+    slots = threading.BoundedSemaphore(2 * service.max_batch)
+    failed: list[Exception] = []
+
+    def print_in_order() -> None:
+        while (item := pending.get()) is not None:
+            try:
+                if not failed:
+                    print(json.dumps(_result_record(item[0], item[1].result())), flush=True)
+            except Exception as exc:  # re-raised by the reading thread
+                failed.append(exc)
+            finally:
+                slots.release()
+
+    printer = threading.Thread(target=print_in_order, name="rpm-serve-printer")
+    printer.start()
+    count = 0
+    try:
+        for line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.replace(",", " ").split()
+            try:
+                series = np.array([float(p) for p in parts])
+            except ValueError:
+                series = np.array(parts, dtype=object)
+            slots.acquire()
+            if failed:
+                break
+            pending.put((count, service.submit(series, deadline_ms=deadline_ms)))
+            count += 1
+    finally:
+        pending.put(None)
+        printer.join()
+    if failed:
+        raise failed[0]
+    return count
+
+
 def cmd_serve(args) -> int:
     """``rpm serve``: micro-batched serving loop over stdin lines.
 
@@ -384,19 +430,7 @@ def cmd_serve(args) -> int:
                     f"threshold {monitor.threshold})",
                     file=sys.stderr,
                 )
-            count = 0
-            for line in stream:
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.replace(",", " ").split()
-                try:
-                    series = np.array([float(p) for p in parts])
-                except ValueError:
-                    series = np.array(parts, dtype=object)
-                result = service.predict_one(series, deadline_ms=args.deadline_ms)
-                print(json.dumps(_result_record(count, result)), flush=True)
-                count += 1
+            count = _serve_lines(service, stream, deadline_ms=args.deadline_ms)
             print(f"served {count} requests", file=sys.stderr)
             report = service.detach_shadow()
             if report is not None:
@@ -670,12 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fixed SAX window (skips parameter search)")
         p.add_argument("--paa", type=int, default=6, help="fixed PAA size")
         p.add_argument("--alphabet", type=int, default=5, help="fixed alphabet size")
-        p.add_argument("--kernel-backend", choices=list(KERNEL_BACKENDS),
-                       default="auto",
-                       help="distance-kernel implementation: 'matvec' is the "
-                            "exact per-pattern path, 'fft' batches patterns "
-                            "through one series spectrum, 'auto' picks FFT "
-                            "only above the calibrated crossover")
         p.add_argument("--numerosity", choices=list(REDUCTIONS), default="exact",
                        help="numerosity reduction mode: 'exact' collapses "
                             "runs of identical SAX words (paper default), "
@@ -746,11 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hard cap on in-flight requests per shard; at "
                             "the cap, submits shed with OVERLOAD "
                             "(sharded tier only)")
-        p.add_argument("--kernel-backend", choices=list(KERNEL_BACKENDS),
-                       default="auto",
-                       help="distance-kernel implementation for the compiled "
-                            "bucket transform ('auto' = FFT above the "
-                            "calibrated crossover, exact mat-vec below)")
         p.add_argument("--trace", action="store_true",
                        help="print a per-stage span tree (wall times) after the run")
         p.add_argument("--metrics-out", metavar="PATH", default=None,

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..distance.euclidean import pairwise_euclidean
-from ..obs.tracer import NOOP
+from ..obs.tracer import span
 from ..sax.znorm import znorm, znorm_rows
 from .linkage import _check_distance_matrix, complete_two_cut
 
@@ -133,7 +133,6 @@ def bisect_refine(
     max_child_diameter_ratio: float = MAX_CHILD_DIAMETER_RATIO,
     min_group_size: int = 2,
     pairwise: np.ndarray | None = None,
-    tracer=NOOP,
 ) -> list[RefinedCluster]:
     """Recursively 2-way split an aligned member matrix (paper §3.2.2).
 
@@ -155,17 +154,15 @@ def bisect_refine(
         refinement sweeps over one motif) pass it here; every recursion
         level and every emitted cluster block then reuses slices of the
         single matrix instead of recomputing distances.
-    tracer:
-        Optional :class:`~repro.obs.tracer.Tracer`; each call records a
-        ``bisect`` span with member/cluster/split counters (same-named
-        sibling spans are aggregated by the tree emitter, so per-motif
-        calls fold into one line).
 
     Returns
     -------
     list[RefinedCluster]
         Leaves of the bisection tree, each with its member indices into
         the original matrix and its own pairwise distance block.
+
+    Each call records a ``bisect`` span with member/cluster/split
+    counters on the active tracer.
     """
     aligned = np.asarray(aligned, dtype=float)
     if aligned.ndim != 2:
@@ -225,11 +222,11 @@ def bisect_refine(
         recurse(left, left_block)
         recurse(right, right_block)
 
-    with tracer.span("bisect") as span:
+    with span("bisect") as bisect_span:
         recurse(np.arange(n), full_pairwise)
-        span.add("bisect.members", n)
-        span.add("bisect.splits", n_splits)
-        span.add("bisect.clusters", len(out))
+        bisect_span.add("bisect.members", n)
+        bisect_span.add("bisect.splits", n_splits)
+        bisect_span.add("bisect.clusters", len(out))
     return out
 
 

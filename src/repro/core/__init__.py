@@ -19,7 +19,7 @@ from .params import ParamRanges, ParamSelector, default_ranges
 from .patterns import PatternCandidate, RepresentativePattern
 from .rpm import RPMClassifier
 from .selection import SelectionResult, compute_tau, find_distinct, remove_similar
-from .transform import pattern_feature_row, pattern_features
+from .transform import pattern_features
 
 __all__ = [
     "ParamRanges",
@@ -41,7 +41,6 @@ __all__ = [
     "find_candidates",
     "find_class_candidates",
     "find_distinct",
-    "pattern_feature_row",
     "pattern_features",
     "remove_similar",
 ]

@@ -23,7 +23,7 @@ from ..cluster.refine import (
 )
 from ..grammar.inference import RuleMotif, discretize_class, induce_motifs
 from ..obs.metrics import registry
-from ..obs.tracer import NOOP
+from ..obs.tracer import span
 from ..sax.discretize import SaxParams
 from .patterns import PatternCandidate
 
@@ -46,7 +46,6 @@ def find_class_candidates(
     support_mode: str = "instances",
     numerosity_reduction: bool = True,
     min_split_fraction: float = 0.3,
-    tracer=NOOP,
     discretize_cache=None,
 ) -> list[PatternCandidate]:
     """Candidates for one class (the inner loop of Algorithm 1).
@@ -73,17 +72,16 @@ def find_class_candidates(
         Disable only for ablation studies.
     min_split_fraction:
         The 30 % rule of the bisection refinement.
-    tracer:
-        An :class:`~repro.obs.tracer.Tracer` recording the
-        ``discretize`` / ``grammar`` / ``refine`` stage spans (the
-        shared no-op by default). Candidate counts additionally go to
-        the process-wide metrics registry (``candidates.generated``,
-        ``candidates.dropped_support``, ``grammar.rules``).
     discretize_cache:
         Optional :class:`~repro.runtime.DiscretizationCache`. The
         parameter search re-mines the same concatenated class series
         under many SAX triples; the cache lets every triple sharing a
         window size reuse the sliding/z-norm/PAA stages.
+
+    Records ``discretize`` / ``grammar`` / ``refine`` spans on the active
+    tracer; candidate counts also go to the metrics registry
+    (``candidates.generated``, ``candidates.dropped_support``,
+    ``grammar.rules``).
     """
     if prototype not in _PROTOTYPES:
         raise ValueError(f"prototype must be one of {_PROTOTYPES}, got {prototype!r}")
@@ -93,8 +91,8 @@ def find_class_candidates(
         raise ValueError(f"unknown support_mode {support_mode!r}")
 
     metrics = registry()
-    with tracer.span("class", label=str(label)):
-        with tracer.span("discretize"):
+    with span("class", label=str(label)):
+        with span("discretize"):
             record, starts, lengths = discretize_class(
                 instances,
                 params,
@@ -104,7 +102,7 @@ def find_class_candidates(
         series = np.concatenate(
             [np.asarray(inst, dtype=float).ravel() for inst in instances]
         )
-        with tracer.span("grammar") as grammar_span:
+        with span("grammar") as grammar_span:
             motifs = induce_motifs(record, starts, lengths)
             grammar_span.add("grammar.rules", len(motifs))
         metrics.inc("grammar.rules", len(motifs))
@@ -113,7 +111,7 @@ def find_class_candidates(
 
         candidates: list[PatternCandidate] = []
         dropped_support = 0
-        with tracer.span("refine") as refine_span:
+        with span("refine") as refine_span:
             for motif in motifs:
                 # A cluster's members are a subset of its rule's
                 # occurrences, so a rule that covers fewer than
@@ -126,7 +124,7 @@ def find_class_candidates(
                     continue
                 aligned = align_subsequences(_occurrence_subsequences(series, motif))
                 clusters = bisect_refine(
-                    aligned, min_split_fraction=min_split_fraction, tracer=tracer
+                    aligned, min_split_fraction=min_split_fraction
                 )
                 for cluster in clusters:
                     instances_covered = {
@@ -173,7 +171,6 @@ def find_candidates(
     prototype: str = "centroid",
     support_mode: str = "instances",
     numerosity_reduction: bool = True,
-    tracer=NOOP,
     discretize_cache=None,
 ) -> list[PatternCandidate]:
     """Algorithm 1 over the full training set.
@@ -190,8 +187,8 @@ def find_candidates(
     y = np.asarray(y)
     labels = np.unique(y)
     candidates: list[PatternCandidate] = []
-    with tracer.span("mine") as span:
-        span.add("mine.classes", len(labels))
+    with span("mine") as mine_span:
+        mine_span.add("mine.classes", len(labels))
         for label in labels:
             candidates.extend(
                 find_class_candidates(
@@ -202,7 +199,6 @@ def find_candidates(
                     prototype=prototype,
                     support_mode=support_mode,
                     numerosity_reduction=numerosity_reduction,
-                    tracer=tracer,
                     discretize_cache=discretize_cache,
                 )
             )

@@ -27,7 +27,7 @@ from ..ml.crossval import kfold_predictions, stratified_split
 from ..ml.metrics import precision_recall_f1
 from ..ml.svm import SVC
 from ..obs.metrics import registry
-from ..obs.tracer import NOOP
+from ..obs.tracer import span
 from ..opt.direct import direct_minimize
 from ..opt.grid import PRUNED_VALUE, grid_search
 from ..runtime.cache import DiscretizationCache, WindowStatsCache
@@ -98,7 +98,6 @@ class ParamSelector:
         cv_folds: int = 5,
         classifier_factory=None,
         seed: int = 0,
-        tracer=NOOP,
         discretize_cache=None,
     ) -> None:
         self.X = np.asarray(X, dtype=float)
@@ -113,7 +112,6 @@ class ParamSelector:
         self.cv_folds = cv_folds
         self.classifier_factory = classifier_factory or (lambda: SVC(kernel="rbf", C=1.0))
         self.seed = seed
-        self.tracer = tracer
         self._stats_cache = WindowStatsCache()
         # Shared discretization pre-work: evaluations revisiting a
         # (class series, window size) pair skip sliding/z-norm/PAA.
@@ -177,7 +175,7 @@ class ParamSelector:
     def _evaluate_uncached(self, params: SaxParams) -> _Evaluation:
         # The R of §5.3: one increment per *unique* triple actually mined.
         registry().inc("direct.evaluations")
-        with self.tracer.span("evaluate", params=params.as_tuple()):
+        with span("evaluate", params=params.as_tuple()):
             return self._run_evaluation(params)
 
     def _run_evaluation(self, params: SaxParams) -> _Evaluation:
@@ -197,7 +195,6 @@ class ParamSelector:
                     gamma=self.gamma,
                     prototype=self.prototype,
                     support_mode=self.support_mode,
-                    tracer=self.tracer,
                     discretize_cache=self._discretize_cache,
                 )
             except ValueError:
@@ -211,13 +208,11 @@ class ParamSelector:
                 candidates,
                 tau_percentile=self.tau_percentile,
                 cache=self._stats_cache,
-                tracer=self.tracer,
             )
             X_val_t = pattern_features(
                 X_val,
                 selection.patterns,
                 cache=self._stats_cache,
-                tracer=self.tracer,
             )
 
             def fit_predict(Xa, ya, Xb):
@@ -264,7 +259,7 @@ class ParamSelector:
             (float(self.ranges.alphabet[0]), float(self.ranges.alphabet[1])),
         ]
         best: dict = {}
-        with self.tracer.span("direct") as span:
+        with span("direct") as direct_span:
             for label in self.classes_:
 
                 def objective(x: np.ndarray, _label=label) -> float:
@@ -291,7 +286,7 @@ class ParamSelector:
                 )
                 key = self.ranges.clip(*(int(round(v)) for v in result.x))
                 best[label] = SaxParams(*self._best_key_for(label, fallback=key))
-            span.add("direct.evaluations", self.n_evaluations)
+            direct_span.add("direct.evaluations", self.n_evaluations)
         return best
 
     def select_grid(self, axes: list[list[int]] | None = None) -> dict:
@@ -306,9 +301,9 @@ class ParamSelector:
             values = list(evaluation.f1_by_class.values())
             return 1.0 - float(np.mean(values))
 
-        with self.tracer.span("grid") as span:
+        with span("grid") as grid_span:
             grid_search(objective, axes)
-            span.add("direct.evaluations", self.n_evaluations)
+            grid_span.add("direct.evaluations", self.n_evaluations)
         return {
             label: SaxParams(*self._best_key_for(label, fallback=None))
             for label in self.classes_

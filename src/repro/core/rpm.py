@@ -28,9 +28,9 @@ from ..base import BaseEstimator
 from ..ml.svm import SVC
 from ..obs import resolve_tracer
 from ..obs.metrics import registry
+from ..obs.tracer import span, tracing
 from ..runtime.cache import DiscretizationCache, WindowStatsCache
 from ..runtime.executor import ParallelExecutor
-from ..runtime.kernel import KERNEL_BACKENDS
 from ..sax.discretize import SaxParams
 from ..sax.znorm import znorm
 from .candidates import find_candidates
@@ -127,12 +127,6 @@ class RPMClassifier(BaseEstimator):
         ``transform``/``predict`` (``-1`` = all CPUs, ``1`` = serial).
         ``fit`` is one serial path whatever the value. Results are
         bitwise identical for every value — see ``docs/runtime.md``.
-    kernel_backend:
-        Distance-kernel cross-correlation implementation:
-        ``'auto'`` (default — FFT above the calibrated crossover,
-        exact mat-vec below it), ``'fft'``, or ``'matvec'``. See
-        :func:`~repro.runtime.kernel.resolve_backend` and
-        ``docs/runtime.md``.
     numerosity_reduction:
         ``True`` (paper default, collapse exact-duplicate consecutive
         words), ``False`` (keep all), or one of ``'exact'`` /
@@ -143,8 +137,10 @@ class RPMClassifier(BaseEstimator):
         :class:`~repro.obs.tracer.Tracer`; an existing tracer is used
         as-is. The resolved tracer is available as ``self.tracer`` —
         render it with :func:`repro.obs.format_tree` or dump it with
-        :func:`repro.obs.write_jsonl`. Tracing never changes results:
-        traced runs are bitwise identical to untraced ones.
+        :func:`repro.obs.write_jsonl`. ``fit`` and ``transform`` make
+        it the active tracer, so an untraced classifier records nothing
+        into an outer one. Tracing never changes results: traced runs
+        are bitwise identical to untraced ones.
     """
 
     def __init__(
@@ -166,15 +162,10 @@ class RPMClassifier(BaseEstimator):
         cv_folds: int = 5,
         seed: int = 0,
         n_jobs: int = 1,
-        kernel_backend: str = "auto",
         trace=None,
     ) -> None:
         if param_search not in ("direct", "grid"):
             raise ValueError(f"param_search must be 'direct' or 'grid', got {param_search!r}")
-        if kernel_backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"kernel_backend must be one of {KERNEL_BACKENDS}, got {kernel_backend!r}"
-            )
         self.sax_params = sax_params
         self.param_search = param_search
         self.ranges = ranges
@@ -191,7 +182,6 @@ class RPMClassifier(BaseEstimator):
         self.cv_folds = cv_folds
         self.seed = seed
         self.n_jobs = n_jobs
-        self.kernel_backend = kernel_backend
         # ``trace`` is kept verbatim for get_params()/clone(); the
         # resolved tracer is what the pipeline actually uses.
         self.trace = trace
@@ -227,10 +217,9 @@ class RPMClassifier(BaseEstimator):
         _require_trainable_classes(X, y, self.classes_)
         self.n_timesteps_ = int(X.shape[1])
 
-        tracer = self.tracer
-        with tracer.span("fit") as fit_span:
+        with tracing(self.tracer), span("fit") as fit_span:
             fit_span.add("fit.series", X.shape[0])
-            with tracer.span("params"):
+            with span("params"):
                 self.params_by_class_ = self._resolve_params(X, y)
             candidates = self._mine_with_fallback(X, y)
             self.selection_ = find_distinct(
@@ -240,13 +229,11 @@ class RPMClassifier(BaseEstimator):
                 tau_percentile=self.tau_percentile,
                 rotation_invariant=self.rotation_invariant,
                 cache=self._stats_cache,
-                tracer=tracer,
-                kernel_backend=self.kernel_backend,
             )
             self.patterns_ = self.selection_.patterns
             self._train_labels = y
             self.classifier_ = self.classifier_factory()
-            with tracer.span("classifier"):
+            with span("classifier"):
                 self.classifier_.fit(self.selection_.train_features, y)
         return self
 
@@ -271,7 +258,6 @@ class RPMClassifier(BaseEstimator):
             cv_folds=self.cv_folds,
             classifier_factory=self.classifier_factory,
             seed=self.seed,
-            tracer=self.tracer,
             discretize_cache=self._discretize_cache,
         )
         if self.param_search == "direct":
@@ -293,7 +279,6 @@ class RPMClassifier(BaseEstimator):
                 prototype=self.prototype,
                 support_mode=self.support_mode,
                 numerosity_reduction=self.numerosity_reduction,
-                tracer=self.tracer,
                 discretize_cache=self._discretize_cache,
             )
             if candidates:
@@ -344,14 +329,12 @@ class RPMClassifier(BaseEstimator):
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
         _require_finite(X)
         metrics = registry() if self.tracer.enabled else None
-        with ParallelExecutor(self.n_jobs, metrics=metrics) as executor:
+        with tracing(self.tracer), ParallelExecutor(self.n_jobs, metrics=metrics) as executor:
             return pattern_features(
                 X,
                 self._pattern_bank(),
                 rotation_invariant=self.rotation_invariant,
                 executor=executor,
-                tracer=self.tracer,
-                kernel_backend=self.kernel_backend,
             )
 
     def predict(self, X: np.ndarray) -> np.ndarray:

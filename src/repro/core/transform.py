@@ -34,11 +34,9 @@ expressions, keeping results bitwise identical to the serial loop.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from ..obs.tracer import NOOP
+from ..obs.tracer import span
 from ..runtime.cache import WindowStatsCache, default_cache, fingerprint
 from ..runtime.kernel import (
     PrenormalizedPattern,
@@ -53,7 +51,6 @@ __all__ = [
     "LengthBucket",
     "PatternBank",
     "pattern_features",
-    "pattern_feature_row",
     "pattern_values",
     "rotate_halves",
 ]
@@ -115,18 +112,18 @@ def _bucket_block(args) -> tuple[list[int], np.ndarray]:
     """Feature columns of one bucket.
 
     One view of the batch prefix (and of the rotated copy's) and one
-    batched kernel call for the whole bucket; ``auto`` resolves per
+    batched kernel call for the whole bucket; the backend resolves per
     (series length × bucket size) workload.
     """
-    bucket, prefix, prefix_rot, backend = args
+    bucket, prefix, prefix_rot = args
     dists = SlidingWindowStats(prefix, bucket.length).batch_best_distances_prenormalized(
-        bucket.pres, backend=backend
+        bucket.pres
     )
     if prefix_rot is not None:
         dists = np.minimum(
             dists,
             SlidingWindowStats(prefix_rot, bucket.length).batch_best_distances_prenormalized(
-                bucket.pres, backend=backend
+                bucket.pres
             ),
         )
     return bucket.cols, dists.T
@@ -177,7 +174,6 @@ class PatternBank:
         X: np.ndarray,
         *,
         rotation_invariant: bool = False,
-        backend: str = "auto",
         executor=None,
     ) -> np.ndarray:
         """Pattern-distance features ``(n, K)`` of a batch.
@@ -190,7 +186,7 @@ class PatternBank:
         X = np.asarray(X, dtype=float)
         prefix = SeriesPrefix(X)
         prefix_rot = SeriesPrefix(rotate_halves(X)) if rotation_invariant else None
-        jobs = [(bucket, prefix, prefix_rot, backend) for bucket in self.plan(X.shape[1])]
+        jobs = [(bucket, prefix, prefix_rot) for bucket in self.plan(X.shape[1])]
         if executor is None or executor.backend == "serial" or len(jobs) == 1:
             blocks = [_bucket_block(job) for job in jobs]
         else:
@@ -201,39 +197,6 @@ class PatternBank:
         return out
 
 
-def pattern_feature_row(
-    series: np.ndarray,
-    patterns: Sequence,
-    *,
-    rotation_invariant: bool = False,
-    cache: WindowStatsCache | None = None,
-    kernel_backend: str = "auto",
-) -> np.ndarray:
-    """Closest-match distances of one series to every pattern.
-
-    Delegates to :func:`pattern_features` on the series viewed as a
-    one-row matrix, so the single-series path runs the exact same
-    sliding-window kernel as the batch transform — flat-window
-    handling, pattern-longer-than-series resampling and the rotation
-    copy are bitwise identical between the two (asserted by the parity
-    test suite). An earlier implementation recomputed the profile
-    through ``distance_profile`` per pattern, leaving the two code
-    paths free to drift.
-    """
-    series = np.asarray(series, dtype=float)
-    if series.ndim != 1:
-        raise ValueError(f"pattern_feature_row expects a 1-D series, got shape {series.shape}")
-    if not patterns:
-        return np.empty(0)
-    return pattern_features(
-        series[np.newaxis, :],
-        patterns,
-        rotation_invariant=rotation_invariant,
-        cache=cache,
-        kernel_backend=kernel_backend,
-    )[0]
-
-
 def pattern_features(
     X: np.ndarray,
     patterns,
@@ -241,8 +204,6 @@ def pattern_features(
     rotation_invariant: bool = False,
     executor=None,
     cache: WindowStatsCache | None = None,
-    tracer=NOOP,
-    kernel_backend: str = "auto",
 ) -> np.ndarray:
     """Transform ``(n, m)`` series into ``(n, K)`` pattern distances.
 
@@ -253,10 +214,9 @@ def pattern_features(
     kernel call per length bucket over one window-statistics prefix per
     batch (the inference path; ``cache`` is not used, and ``executor``,
     a :class:`~repro.runtime.executor.ParallelExecutor`, fans the
-    buckets out across threads). ``tracer`` records the whole call as
-    one ``transform`` span. ``kernel_backend`` selects the
-    distance-kernel cross-correlation implementation
-    (``auto``/``fft``/``matvec`` — see
+    buckets out across threads). The active tracer records the whole
+    call as one ``transform`` span. Each kernel call picks its
+    cross-correlation backend from its workload (see
     :func:`~repro.runtime.kernel.resolve_backend`); output is
     independent of executor and cache choices and, wherever the
     backend resolves to the mat-vec, of the path as well.
@@ -266,14 +226,13 @@ def pattern_features(
         raise ValueError(f"X must be 2-D, got shape {X.shape}")
     if not patterns:
         raise ValueError("patterns must be non-empty")
-    with tracer.span("transform") as span:
-        span.add("transform.series", X.shape[0])
-        span.add("transform.patterns", len(patterns))
+    with span("transform") as transform_span:
+        transform_span.add("transform.series", X.shape[0])
+        transform_span.add("transform.patterns", len(patterns))
         if isinstance(patterns, PatternBank):
             return patterns.transform(
                 X,
                 rotation_invariant=rotation_invariant,
-                backend=kernel_backend,
                 executor=executor,
             )
         X_rot = rotate_halves(X) if rotation_invariant else None
@@ -284,13 +243,13 @@ def pattern_features(
         for k, pattern in enumerate(patterns):
             values = pattern_values(pattern)
             dist = sliding_best_distances(
-                values, X, cache=cache, token=token, backend=kernel_backend
+                values, X, cache=cache, token=token
             )
             if X_rot is not None:
                 dist = np.minimum(
                     dist,
                     sliding_best_distances(
-                        values, X_rot, cache=cache, token=token_rot, backend=kernel_backend
+                        values, X_rot, cache=cache, token=token_rot
                     ),
                 )
             out[:, k] = dist

@@ -5,10 +5,9 @@ from .best_match import (
     batch_best_distances,
     batch_distance_profiles,
     best_match,
-    best_match_scalar,
     distance_profile,
 )
-from .dtw import dtw_distance, dtw_distance_reference, envelope, lb_keogh
+from .dtw import dtw_distance, envelope, lb_keogh
 from .euclidean import (
     euclidean,
     euclidean_early_abandon,
@@ -22,10 +21,8 @@ __all__ = [
     "batch_best_distances",
     "batch_distance_profiles",
     "best_match",
-    "best_match_scalar",
     "distance_profile",
     "dtw_distance",
-    "dtw_distance_reference",
     "envelope",
     "euclidean",
     "euclidean_early_abandon",

@@ -11,9 +11,11 @@ rolling-statistics identity (the MASS/UCR-suite trick):
     dist²(ẑ(w), q) = 2·n − 2·⟨w, q⟩ / σ_w          with  q = ẑ(pattern),
 
 which follows from ``Σ q = 0``, ``Σ q² = n`` and ``Σ ẑ(w)² = n``. This
-makes the transform a dense mat-vec instead of a Python loop; an
-explicit early-abandoning scalar implementation is kept for reference
-and as a test oracle.
+makes the transform a dense mat-vec instead of a Python loop. Every
+function here runs the one sliding-window kernel
+(:class:`~repro.runtime.kernel.SlidingWindowStats`); the explicit
+early-abandoning scalar search the paper describes lives in
+``tests/oracles.py`` as the test oracle.
 """
 
 from __future__ import annotations
@@ -23,15 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..runtime.kernel import SlidingWindowStats, resample_pattern, tie_break_argmin
-from ..sax.znorm import NORM_THRESHOLD, is_flat, znorm
-from .euclidean import euclidean_early_abandon
 
 __all__ = [
     "Match",
     "batch_best_distances",
     "batch_distance_profiles",
     "best_match",
-    "best_match_scalar",
     "distance_profile",
 ]
 
@@ -45,18 +44,13 @@ class Match:
     length: int
 
 
-# Resampling for patterns longer than the series they are matched
-# against lives in the runtime kernel; kept under the old private name
-# for the in-module callers below.
-_resample = resample_pattern
-
-
 def distance_profile(pattern: np.ndarray, series: np.ndarray) -> np.ndarray:
     """Z-normalized Euclidean distance of *pattern* to every window of *series*.
 
     Returns an array of length ``len(series) - len(pattern) + 1``. If the
     pattern is longer than the series, the pattern is linearly resampled
-    to the series length and a single-element profile is returned.
+    to the series length and a single-element profile is returned. The
+    profile is the kernel's one-row profile, bit for bit.
     """
     pattern = np.asarray(pattern, dtype=float)
     series = np.asarray(series, dtype=float)
@@ -65,48 +59,8 @@ def distance_profile(pattern: np.ndarray, series: np.ndarray) -> np.ndarray:
     if pattern.size < 2:
         raise ValueError("pattern must have at least 2 points")
     if pattern.size > series.size:
-        pattern = _resample(pattern, series.size)
-
-    n = pattern.size
-    q = znorm(pattern)
-    q_is_flat = not q.any()
-
-    # Centering the series before the cumulative sums avoids the
-    # catastrophic cancellation of sum(x²)/n − mean² for series with a
-    # large offset; window-level z-normalization is unaffected.
-    series = series - series.mean()
-
-    # Rolling mean / std of every window of the series.
-    cumsum = np.concatenate(([0.0], np.cumsum(series)))
-    cumsum2 = np.concatenate(([0.0], np.cumsum(series * series)))
-    window_sum = cumsum[n:] - cumsum[:-n]
-    window_sum2 = cumsum2[n:] - cumsum2[:-n]
-    mean = window_sum / n
-    var = window_sum2 / n - mean * mean
-    np.maximum(var, 0.0, out=var)
-    sd = np.sqrt(var)
-    # Flatness threshold with a magnitude-relative noise floor: the
-    # cumulative-sum variance estimate carries cancellation noise
-    # proportional to the series' squared magnitude.
-    rms = float(np.sqrt(cumsum2[-1] / max(series.size, 1)))
-    flat = is_flat(sd, max(NORM_THRESHOLD, 1e-7 * rms))
-
-    # Cross-correlation ⟨w, q⟩ for every alignment.
-    windows = np.lib.stride_tricks.sliding_window_view(series, n)
-    dot = windows @ q
-
-    d2 = np.empty_like(dot)
-    nonflat = ~flat
-    # Guard the division; flat windows are overwritten just below.
-    safe_sd = np.where(flat, 1.0, sd)
-    d2[:] = 2.0 * n - 2.0 * dot / safe_sd
-    # Flat window vs pattern: ẑ(w) = 0, so dist² = Σ q².
-    d2[flat] = 0.0 if q_is_flat else float(q @ q)
-    if q_is_flat:
-        # Pattern flat vs non-flat window: dist² = Σ ẑ(w)² = n.
-        d2[nonflat] = float(n)
-    np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2)
+        pattern = resample_pattern(pattern, series.size)
+    return SlidingWindowStats(series[np.newaxis, :], pattern.size).profiles(pattern)[0]
 
 
 def batch_distance_profiles(pattern: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -124,7 +78,7 @@ def batch_distance_profiles(pattern: np.ndarray, X: np.ndarray) -> np.ndarray:
     if X.ndim != 2:
         raise ValueError("batch_distance_profiles expects a 2-D series matrix")
     if pattern.size > X.shape[1]:
-        pattern = _resample(pattern, X.shape[1])
+        pattern = resample_pattern(pattern, X.shape[1])
     return SlidingWindowStats(X, pattern.size).profiles(pattern)
 
 
@@ -145,27 +99,3 @@ def best_match(pattern: np.ndarray, series: np.ndarray) -> Match:
     position = tie_break_argmin(profile)
     length = min(np.asarray(pattern).size, np.asarray(series).size)
     return Match(distance=float(profile[position]), position=position, length=length)
-
-
-def best_match_scalar(pattern: np.ndarray, series: np.ndarray) -> Match:
-    """Reference implementation with explicit early abandonment.
-
-    Semantically identical to :func:`best_match`; kept as the oracle for
-    property tests and as a faithful rendering of the paper's described
-    early-abandoning subsequence matching (§5.3).
-    """
-    pattern = np.asarray(pattern, dtype=float)
-    series = np.asarray(series, dtype=float)
-    if pattern.size > series.size:
-        pattern = _resample(pattern, series.size)
-    q = znorm(pattern)
-    n = pattern.size
-    best = float("inf")
-    best_pos = 0
-    for pos in range(series.size - n + 1):
-        window = znorm(series[pos : pos + n])
-        dist = euclidean_early_abandon(window, q, best)
-        if dist < best:
-            best = dist
-            best_pos = pos
-    return Match(distance=best, position=best_pos, length=n)

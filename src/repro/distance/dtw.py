@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["dtw_distance", "dtw_distance_reference", "lb_keogh", "envelope"]
+__all__ = ["dtw_distance", "lb_keogh", "envelope"]
 
 
 def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,27 +92,6 @@ def dtw_distance(
             if row_min > limit:
                 return float(inf)
         prev, cur = cur, prev
-    return float(np.sqrt(prev[m]))
-
-
-def dtw_distance_reference(
-    a: np.ndarray, b: np.ndarray, window: int | None = None
-) -> float:
-    """Plain-loop DTW used as the test oracle for :func:`dtw_distance`."""
-    a, b = _check_pair(a, b)
-    n, m = a.size, b.size
-    band = _resolve_band(n, m, window)
-    inf = float("inf")
-    prev = [inf] * (m + 1)
-    prev[0] = 0.0
-    for i in range(1, n + 1):
-        cur = [inf] * (m + 1)
-        lo = max(1, i - band)
-        hi = min(m, i + band)
-        for j in range(lo, hi + 1):
-            cost = (a[i - 1] - b[j - 1]) ** 2
-            cur[j] = cost + min(prev[j], prev[j - 1], cur[j - 1])
-        prev = cur
     return float(np.sqrt(prev[m]))
 
 

@@ -4,8 +4,8 @@ Three small pieces, wired through every expensive stage of the RPM
 pipeline (see ``docs/observability.md`` for the span and metric
 catalogue):
 
-* :class:`Tracer` / :data:`NOOP` — nestable wall-time spans with a
-  zero-cost disabled default;
+* :class:`Tracer` / :data:`NOOP` / :func:`tracing` — nestable
+  wall-time spans on the active tracer, zero-cost when disabled;
 * :class:`MetricsRegistry` / :func:`registry` — process-wide counters,
   gauges and quantile-capable histograms (cache hits, dropped
   candidates, executor chunk timings, …), with snapshot/delta diffing
@@ -51,7 +51,7 @@ from .sketch import (
     ks_distance,
     psi,
 )
-from .tracer import NOOP, NullTracer, Span, Tracer
+from .tracer import NOOP, NullTracer, Span, Tracer, tracing
 
 __all__ = [
     "NOOP",
@@ -79,6 +79,7 @@ __all__ = [
     "span_subtree",
     "to_json",
     "to_prometheus",
+    "tracing",
     "write_jsonl",
 ]
 

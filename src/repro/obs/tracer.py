@@ -8,21 +8,24 @@ dict, and nest through a per-thread stack: a span opened while another
 is active on the same thread becomes its child, and a span opened on a
 thread with nothing open (a serving batcher, say) becomes a root.
 
-The default tracer everywhere is :data:`NOOP`, a stateless singleton
-whose ``span()`` returns one shared no-op context manager — the
-disabled path is two attribute lookups and no allocation, so tracing
-costs nothing unless a real ``Tracer`` is passed in. Tracing never
-touches the numeric pipeline: spans wrap computations, they do not
-reorder or alter them, so traced runs stay bitwise identical to
-untraced ones.
+Pipeline stages take no tracer: :func:`span` opens a span on the
+*active* tracer, a context variable that :func:`tracing` sets for a
+``with`` block (``RPMClassifier.fit`` and ``transform`` set their own).
+Its default, also in every new thread, is :data:`NOOP`, a stateless
+singleton whose ``span()`` returns one shared no-op context manager —
+no allocation. Tracing never touches the numeric pipeline: spans wrap
+computations, they do not reorder or alter them, so traced runs stay
+bitwise identical to untraced ones.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 
-__all__ = ["NOOP", "NullTracer", "Span", "Tracer"]
+__all__ = ["NOOP", "NullTracer", "Span", "Tracer", "span", "tracing"]
 
 
 class Span:
@@ -200,5 +203,22 @@ class NullTracer:
         return 0.0
 
 
-#: The shared disabled tracer — the default for every ``tracer=`` knob.
+#: The shared disabled tracer, active wherever :func:`tracing` set none.
 NOOP = NullTracer()
+
+_ACTIVE: ContextVar["Tracer | NullTracer"] = ContextVar("repro_active_tracer", default=NOOP)
+
+
+def span(name: str, **meta):
+    """Open a named span on the active tracer for a ``with`` block."""
+    return _ACTIVE.get().span(name, **meta)
+
+
+@contextmanager
+def tracing(tracer: "Tracer | NullTracer"):
+    """Make ``tracer`` the active tracer inside the ``with`` block."""
+    token = _ACTIVE.set(tracer)
+    try:
+        yield tracer
+    finally:
+        _ACTIVE.reset(token)

@@ -42,7 +42,6 @@ from .cache import (
 )
 from .executor import ParallelExecutor, resolve_n_jobs
 from .kernel import (
-    KERNEL_BACKENDS,
     PrenormalizedPattern,
     SeriesPrefix,
     SlidingWindowStats,
@@ -59,7 +58,6 @@ __all__ = [
     "DEFAULT_DISCRETIZE_CACHE_SIZE",
     "DiscretizationCache",
     "DiscretizationEntry",
-    "KERNEL_BACKENDS",
     "ParallelExecutor",
     "PrenormalizedPattern",
     "SeriesPrefix",

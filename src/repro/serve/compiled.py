@@ -25,7 +25,6 @@ import numpy as np
 from ..core.transform import LengthBucket, PatternBank, pattern_values
 from ..obs import resolve_tracer
 from ..runtime.executor import ParallelExecutor
-from ..runtime.kernel import KERNEL_BACKENDS
 
 __all__ = ["CompiledModel"]
 
@@ -55,12 +54,6 @@ class CompiledModel:
         serving process must not pay pool start-up per request. Call
         :meth:`close` (or use the model as a context manager) to tear
         it down.
-    kernel_backend:
-        Distance-kernel implementation per bucket: ``'auto'`` (default
-        — batched FFT above the calibrated crossover, exact mat-vec
-        below it), ``'fft'``, or ``'matvec'``. Below the crossover
-        ``'auto'`` is the bitwise-exact training arithmetic; above it
-        distances agree to ~1e-9 relative (see ``docs/runtime.md``).
     trace:
         Observability knob (same contract as ``RPMClassifier(trace=)``).
     """
@@ -74,7 +67,6 @@ class CompiledModel:
         classes=None,
         series_length: int | None = None,
         n_jobs: int = 1,
-        kernel_backend: str = "auto",
         trace=None,
     ) -> None:
         if not patterns:
@@ -86,7 +78,6 @@ class CompiledModel:
             classes=classes,
             series_length=series_length,
             n_jobs=n_jobs,
-            kernel_backend=kernel_backend,
             trace=trace,
         )
 
@@ -99,18 +90,12 @@ class CompiledModel:
         classes,
         series_length: int | None,
         n_jobs: int,
-        kernel_backend: str,
         trace,
         native_plan: list[LengthBucket] | None = None,
     ) -> None:
         """Shared by :meth:`__init__` and :meth:`from_shared_bank`, which
         injects an already-built native plan."""
-        if kernel_backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"kernel_backend must be one of {KERNEL_BACKENDS}, got {kernel_backend!r}"
-            )
         self.classifier = classifier
-        self.kernel_backend = kernel_backend
         self.rotation_invariant = bool(rotation_invariant)
         self.classes = None if classes is None else np.asarray(classes)
         self.series_length = None if series_length is None else int(series_length)
@@ -124,14 +109,9 @@ class CompiledModel:
 
     @classmethod
     def from_classifier(cls, clf, **runtime) -> "CompiledModel":
-        """Compile a fitted :class:`~repro.core.rpm.RPMClassifier`.
-
-        The model takes the classifier's ``kernel_backend`` unless
-        ``runtime`` names one, so it serves ``clf.predict``'s numbers.
-        """
+        """Compile a fitted :class:`~repro.core.rpm.RPMClassifier`."""
         if not getattr(clf, "patterns_", None) or clf.classifier_ is None:
             raise RuntimeError("cannot compile an unfitted RPMClassifier")
-        runtime.setdefault("kernel_backend", clf.kernel_backend)
         return cls(
             clf.patterns_,
             clf.classifier_,
@@ -166,7 +146,6 @@ class CompiledModel:
         classes=None,
         series_length: int | None = None,
         n_jobs: int = 1,
-        kernel_backend: str = "auto",
         trace=None,
     ) -> "CompiledModel":
         """Wrap an already-compiled bank (e.g. shared-memory views).
@@ -189,7 +168,6 @@ class CompiledModel:
             classes=classes,
             series_length=series_length,
             n_jobs=n_jobs,
-            kernel_backend=kernel_backend,
             trace=trace,
             native_plan=native_plan,
         )
@@ -213,8 +191,7 @@ class CompiledModel:
         """Pattern-distance features ``(n, K)`` of a request batch.
 
         Bitwise identical to ``RPMClassifier.transform`` on the same
-        rows (with the same kernel backend), for every executor
-        configuration.
+        rows, for every executor configuration.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
@@ -225,7 +202,6 @@ class CompiledModel:
             return self.bank.transform(
                 X,
                 rotation_invariant=self.rotation_invariant,
-                backend=self.kernel_backend,
                 executor=self._executor,
             )
 
@@ -255,6 +231,5 @@ class CompiledModel:
         )
         return (
             f"CompiledModel({self.n_patterns} patterns, "
-            f"buckets [{lengths}], rotation_invariant={self.rotation_invariant}, "
-            f"kernel_backend={self.kernel_backend})"
+            f"buckets [{lengths}], rotation_invariant={self.rotation_invariant})"
         )

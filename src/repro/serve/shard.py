@@ -266,7 +266,6 @@ def _shard_worker_main(
             classes=payload["classes"],
             series_length=payload["series_length"],
             n_jobs=1,
-            kernel_backend=payload["kernel_backend"],
         )
         if knobs["warmup"]:
             model.warmup(n=min(4, knobs["max_batch"]))
@@ -397,7 +396,6 @@ class ShardedPredictionService(ServingFrontEnd):
             "classes": self.model.classes,
             "series_length": self.model.series_length,
             "rotation_invariant": self.model.rotation_invariant,
-            "kernel_backend": self.model.kernel_backend,
             "model_version": self.handle.version,
         }
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.data import Dataset, cbf, gun_point_sim
+from repro.runtime import kernel
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +36,30 @@ def two_blob_features(rng) -> tuple[np.ndarray, np.ndarray]:
     )
     y = np.array([0] * 40 + [1] * 40)
     return X, y
+
+
+@pytest.fixture
+def force_backend(monkeypatch):
+    """Move the kernel's ``auto`` crossover so every bucket takes one backend.
+
+    ``force_backend("fft")`` sends every kernel call to the FFT,
+    ``force_backend("matvec")`` every one to the mat-vec, and
+    ``force_backend("auto")`` keeps the calibrated crossover. The
+    backend follows from the input, so tests move the crossover instead
+    of passing a backend through the pipeline.
+    """
+
+    def force(backend: str) -> None:
+        if backend == "fft":
+            monkeypatch.setattr(kernel, "FFT_MIN_SERIES_LENGTH", 0)
+            monkeypatch.setattr(kernel, "FFT_MIN_BATCH_WORK", 0)
+            monkeypatch.setattr(kernel, "FFT_LENGTH_CROSSOVER", 0.0)
+        elif backend == "matvec":
+            monkeypatch.setattr(kernel, "FFT_MIN_SERIES_LENGTH", float("inf"))
+        elif backend != "auto":
+            raise ValueError(f"unknown backend {backend!r}")
+
+    return force
 
 
 @pytest.fixture

@@ -49,7 +49,12 @@ paths replaced and must reproduce bitwise:
   bitwise equal;
 * the unpruned refinement loop (:func:`unpruned_class_candidates`) that
   ``repro.core.candidates`` replaced with one that skips rules covering
-  too few series — same candidates, bit for bit.
+  too few series — same candidates, bit for bit;
+* the early-abandoning scalar closest-match search
+  (:func:`best_match_scalar`) of the paper's §5.3, against which
+  ``repro.distance.best_match`` runs the sliding-window kernel;
+* the plain-loop DTW (:func:`dtw_distance_reference`) that
+  ``repro.distance.dtw`` vectorizes row by row.
 """
 
 from __future__ import annotations
@@ -61,7 +66,9 @@ import numpy as np
 
 from repro.cluster.refine import align_subsequences, bisect_refine, medoid_of
 from repro.core.patterns import PatternCandidate
-from repro.distance.best_match import batch_best_distances
+from repro.distance.best_match import Match, batch_best_distances
+from repro.distance.dtw import _check_pair, _resolve_band
+from repro.distance.euclidean import euclidean_early_abandon
 from repro.grammar.inference import discretize_class, induce_motifs
 from repro.ml.cfs import (
     DEFAULT_BINS,
@@ -118,6 +125,8 @@ __all__ = [
     "recording_token_streams",
     "std_znorm",
     "unpruned_class_candidates",
+    "best_match_scalar",
+    "dtw_distance_reference",
 ]
 
 #: Shared tolerance model for cross-backend distance comparisons.
@@ -883,3 +892,48 @@ def unpruned_class_candidates(
                 )
             )
     return candidates
+
+
+def best_match_scalar(pattern: np.ndarray, series: np.ndarray) -> Match:
+    """Closest match by an explicit scan with early abandonment.
+
+    Semantically identical to :func:`repro.distance.best_match.best_match`;
+    a faithful rendering of the paper's early-abandoning subsequence
+    matching (§5.3).
+    """
+    pattern = np.asarray(pattern, dtype=float)
+    series = np.asarray(series, dtype=float)
+    if pattern.size > series.size:
+        pattern = resample_pattern(pattern, series.size)
+    q = znorm(pattern)
+    n = pattern.size
+    best = float("inf")
+    best_pos = 0
+    for pos in range(series.size - n + 1):
+        window = znorm(series[pos : pos + n])
+        dist = euclidean_early_abandon(window, q, best)
+        if dist < best:
+            best = dist
+            best_pos = pos
+    return Match(distance=best, position=best_pos, length=n)
+
+
+def dtw_distance_reference(
+    a: np.ndarray, b: np.ndarray, window: int | None = None
+) -> float:
+    """Plain-loop DTW, the oracle for :func:`repro.distance.dtw.dtw_distance`."""
+    a, b = _check_pair(a, b)
+    n, m = a.size, b.size
+    band = _resolve_band(n, m, window)
+    inf = float("inf")
+    prev = [inf] * (m + 1)
+    prev[0] = 0.0
+    for i in range(1, n + 1):
+        cur = [inf] * (m + 1)
+        lo = max(1, i - band)
+        hi = min(m, i + band)
+        for j in range(lo, hi + 1):
+            cost = (a[i - 1] - b[j - 1]) ** 2
+            cur[j] = cost + min(prev[j], prev[j - 1], cur[j - 1])
+        prev = cur
+    return float(np.sqrt(prev[m]))

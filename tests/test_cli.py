@@ -78,6 +78,23 @@ class TestFlagValidation:
             build_parser().parse_args(argv)
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "CBF"],
+            ["evaluate", "CBF"],
+            ["predict", "data.txt", "--model", "m.npz"],
+            ["serve", "--model", "m.npz"],
+        ],
+        ids=["train", "evaluate", "predict", "serve"],
+    )
+    def test_kernel_backend_flag_is_gone(self, argv, capsys):
+        # The kernel picks its backend from the input.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, "--kernel-backend", "fft"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_serve_admin_flags(self):
         args = build_parser().parse_args(
             ["serve", "--model", "m.npz", "--http-port", "0",
@@ -277,8 +294,10 @@ class TestCommands:
         out = capsys.readouterr().out
         # The span tree covers the pipeline stages with wall times.
         assert "-- trace --" in out
+        # Spans reach the cluster and selection layers through the
+        # active tracer, not through a parameter.
         for stage in ("fit", "mine", "discretize", "grammar", "refine",
-                      "select", "transform"):
+                      "bisect", "select", "dedup", "transform", "cfs"):
             assert stage in out, f"span tree missing stage {stage!r}"
         assert "s" in out  # wall-time column
 
@@ -291,6 +310,42 @@ class TestCommands:
         assert {"meta", "span", "counter"} <= kinds
         counters = {r["name"] for r in records if r["type"] == "counter"}
         assert "cache.hits" in counters and "cache.misses" in counters
+
+    def test_serve_coalesces_piped_lines_into_batches(self, tmp_path, capsys):
+        import json
+        import logging
+
+        from repro import RPMClassifier, SaxParams
+        from repro.core.io import load_model, save_model
+        from repro.data import load
+
+        ds = load("ItalyPowerSim")
+        model_path = tmp_path / "model.npz"
+        save_model(
+            RPMClassifier(sax_params=SaxParams(12, 4, 4)).fit(ds.X_train, ds.y_train),
+            model_path,
+        )
+        X = ds.X_test[:64]
+        requests = tmp_path / "requests.txt"
+        np.savetxt(requests, X, fmt="%.6f")
+        # ``rpm serve`` installs a stderr log handler; keep it from
+        # outliving the captured stream.
+        log = logging.getLogger("repro")
+        handlers, level = list(log.handlers), log.level
+        try:
+            rc = main(["serve", "--model", str(model_path), "--input", str(requests),
+                       "--max-delay-ms", "20"])
+        finally:
+            for handler in [h for h in log.handlers if h not in handlers]:
+                log.removeHandler(handler)
+            log.setLevel(level)
+        assert rc == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["index"] for r in records] == list(range(64))
+        assert all(r["status"] == "ok" for r in records)
+        expected = load_model(model_path).predict(np.loadtxt(requests))
+        assert [r["label"] for r in records] == [np.asarray(v).item() for v in expected]
+        assert len({r["batch_id"] for r in records}) < 64
 
     def test_trace_off_by_default(self, capsys):
         rc = main(["evaluate", "ItalyPowerSim", "--window", "12", "--paa", "4",

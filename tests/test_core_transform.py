@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.core.transform import pattern_feature_row, pattern_features
+from repro.core.transform import pattern_features
 from repro.data.rotate import rotate_series
 from repro.distance.best_match import best_match
 
@@ -26,7 +26,7 @@ class TestPatternFeatures:
         F = pattern_features(X, patterns)
         for i in range(3):
             np.testing.assert_allclose(
-                pattern_feature_row(X[i], patterns), F[i], atol=1e-8
+                pattern_features(X[i : i + 1], patterns)[0], F[i], atol=1e-8
             )
 
     def test_embedded_pattern_gives_near_zero_feature(self, rng):

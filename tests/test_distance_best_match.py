@@ -5,10 +5,10 @@ from repro.distance.best_match import (
     batch_best_distances,
     batch_distance_profiles,
     best_match,
-    best_match_scalar,
     distance_profile,
 )
 from repro.distance.euclidean import znormed_euclidean
+from tests.oracles import best_match_scalar
 
 
 class TestDistanceProfile:

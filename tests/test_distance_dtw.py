@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from repro.distance.dtw import dtw_distance, dtw_distance_reference, envelope, lb_keogh
+from repro.distance.dtw import dtw_distance, envelope, lb_keogh
 from repro.distance.euclidean import euclidean
+from tests.oracles import dtw_distance_reference
 
 
 class TestDtw:

@@ -17,7 +17,6 @@ import pytest
 from repro.distance.best_match import (
     batch_best_distances,
     batch_distance_profiles,
-    best_match_scalar,
     distance_profile,
 )
 from repro.runtime import (
@@ -29,6 +28,7 @@ from repro.runtime import (
 from tests.oracles import (
     assert_argmin_equal,
     assert_profiles_close,
+    best_match_scalar,
     naive_best_distances,
     naive_profiles,
 )

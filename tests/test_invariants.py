@@ -39,14 +39,21 @@ class TestSvmKkt:
         _, y, svm = self._fit(rng, kernel)
         assert abs(float(svm.alpha_ @ y)) < 1e-6
 
-    def test_larger_C_fits_train_harder(self, rng):
+    def test_larger_C_fits_train_harder(self):
+        # Its own generator: the data must not depend on which tests ran
+        # first. The total hinge slack falls as C grows; the training
+        # 0-1 error need not (C=100 can misclassify one more point than
+        # C=0.01 at a KKT-exact solution).
+        rng = np.random.default_rng(7)
         X = np.vstack([rng.normal(0, 1.2, (50, 2)), rng.normal(2, 1.2, (50, 2))])
         y = np.array([-1.0] * 50 + [1.0] * 50)
         soft = BinarySVM(kernel="rbf", C=0.01).fit(X, y)
         hard = BinarySVM(kernel="rbf", C=100.0).fit(X, y)
-        err_soft = np.mean(soft.predict(X) != y)
-        err_hard = np.mean(hard.predict(X) != y)
-        assert err_hard <= err_soft + 1e-9
+
+        def hinge_slack(svm):
+            return float(np.maximum(0.0, 1.0 - y * svm.decision_function(X)).sum())
+
+        assert hinge_slack(hard) <= hinge_slack(soft)
 
 
 class TestCfsInvariants:

@@ -3,8 +3,9 @@
 Three contracts under test:
 
 1. spans nest correctly (per-thread stacks; a span opened on a thread
-   with nothing open is a root) and the emitters render them
-   faithfully;
+   with nothing open is a root), reach every layer through the active
+   tracer (one per context, none in a new thread) and the emitters
+   render them faithfully;
 2. the registry is exactly thread-safe — concurrent increments are
    never lost;
 3. tracing is an observer only — a traced ``fit``/``transform`` is
@@ -22,7 +23,9 @@ import numpy as np
 import pytest
 
 from repro import RPMClassifier, SaxParams
-from repro.data import cbf
+from repro.core import ParamSelector
+from repro.core.params import ParamRanges
+from repro.data import cbf, italy_power_sim
 from repro.obs import (
     NOOP,
     MetricsRegistry,
@@ -33,8 +36,10 @@ from repro.obs import (
     resolve_tracer,
     scoped_registry,
     span_records,
+    tracing,
     write_jsonl,
 )
+from repro.obs.tracer import span
 from repro.runtime import ParallelExecutor
 
 FIXED_PARAMS = SaxParams(window_size=24, paa_size=5, alphabet_size=4)
@@ -110,6 +115,90 @@ class TestTracer:
         assert resolve_tracer(tracer) is tracer
         with pytest.raises(TypeError):
             resolve_tracer("yes")
+
+
+class TestActiveTracer:
+    def test_tracing_sets_and_restores_the_active_tracer(self):
+        outer, inner = Tracer(), Tracer()
+        with tracing(outer):
+            with span("a"):
+                with tracing(inner):
+                    with span("b"):
+                        pass
+            with span("c"):
+                pass
+        with span("untraced"):
+            pass
+        assert [s.name for s in outer.roots] == ["a", "c"]
+        assert outer.roots[0].children == []
+        assert [s.name for s in inner.roots] == ["b"]
+
+    def test_new_thread_starts_with_nothing_active(self):
+        tracer = Tracer()
+
+        def worker():
+            with span("request"):
+                pass
+
+        with tracing(tracer), span("main"):
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert [s.name for s in tracer.roots] == ["main"]
+        assert tracer.roots[0].children == []
+
+    def test_concurrent_fits_record_into_their_own_tracers(self, dataset):
+        italy = italy_power_sim(n_train_per_class=8, n_test_per_class=4, seed=3)
+        jobs = {
+            "cbf": (dataset, FIXED_PARAMS, Tracer()),
+            "italy": (italy, SaxParams(window_size=8, paa_size=4, alphabet_size=4), Tracer()),
+        }
+        barrier = threading.Barrier(len(jobs))
+        errors = []
+
+        def fit(data, params, tracer):
+            try:
+                barrier.wait(timeout=60)
+                RPMClassifier(sax_params=params, trace=tracer).fit(data.X_train, data.y_train)
+            except Exception as exc:  # surfaced on the test thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=fit, args=job) for job in jobs.values()]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert not errors
+        for data, _params, tracer in jobs.values():
+            assert [s.name for s in tracer.roots] == ["fit"]
+            mines = [s for s, _ in tracer.roots[0].walk() if s.name == "mine"]
+            assert mines
+            n_classes = np.unique(data.y_train).size
+            assert all(s.counters["mine.classes"] == n_classes for s in mines)
+
+    def test_untraced_fit_records_nothing_into_an_outer_tracer(self, dataset):
+        outer = Tracer()
+        with tracing(outer):
+            RPMClassifier(sax_params=FIXED_PARAMS, trace=None).fit(
+                dataset.X_train, dataset.y_train
+            )
+        assert outer.roots == []
+
+    def test_standalone_param_search_records_into_the_active_tracer(self, dataset):
+        tracer = Tracer()
+        selector = ParamSelector(
+            dataset.X_train,
+            dataset.y_train,
+            ranges=ParamRanges(window=(16, 32), paa=(3, 5), alphabet=(3, 4)),
+            n_splits=1,
+        )
+        with tracing(tracer):
+            selector.select_direct(max_evaluations=3)
+        names = {s.name for root in tracer.roots for s, _ in root.walk()}
+        assert {"direct", "evaluate", "bisect"} <= names
+        assert [s.name for s in tracer.roots] == ["direct"]
 
 
 class TestNullTracer:

@@ -3,7 +3,8 @@
 ``RPMClassifier.transform`` (and so ``predict``) and the serving
 ``CompiledModel`` run the same :class:`~repro.core.transform.PatternBank`,
 so their features are bitwise equal, also where ``auto`` sends a
-length bucket to the FFT. The per-length views of a
+length bucket to the FFT, and with the crossover moved so that every
+bucket takes one backend. The per-length views of a
 :class:`~repro.runtime.kernel.SeriesPrefix` are pinned bitwise against
 the one-piece window-statistics arithmetic in ``tests/oracles.py``.
 """
@@ -34,22 +35,24 @@ def cbf_128():
 class TestPredictEqualsServing:
     @pytest.mark.parametrize("n_jobs", [1, 2])
     @pytest.mark.parametrize("rotation_invariant", [False, True])
-    @pytest.mark.parametrize("kernel_backend", ["auto", "fft", "matvec"])
+    @pytest.mark.parametrize("backend", ["auto", "fft", "matvec"])
     def test_transform_bitwise_equals_compiled(
-        self, cbf_128, kernel_backend, rotation_invariant, n_jobs
+        self, cbf_128, force_backend, backend, rotation_invariant, n_jobs
     ):
+        force_backend(backend)
         clf = RPMClassifier(
             sax_params=SaxParams(45, 4, 6),
             rotation_invariant=rotation_invariant,
-            kernel_backend=kernel_backend,
             n_jobs=n_jobs,
         ).fit(cbf_128.X_train, cbf_128.y_train)
         X = cbf_128.X_test
         with scoped_registry() as reg:
             features = clf.transform(X)
             fft_calls = reg.counter_value("kernel.backend.fft")
-        if kernel_backend != "matvec":
+        if backend != "matvec":
             assert fft_calls > 0, "no bucket went to the FFT; the test lost its point"
+        else:
+            assert fft_calls == 0
         with CompiledModel.from_classifier(clf, n_jobs=n_jobs) as model:
             np.testing.assert_array_equal(model.transform(X), features)
             np.testing.assert_array_equal(model.predict(X), clf.predict(X))
@@ -120,15 +123,17 @@ class TestSeriesPrefix:
             assert reg.counter_value("kernel.backend.fft") == 3
             assert reg.counter_value("kernel.fft.series_ffts") == 1
 
-    def test_bank_builds_one_spectrum_per_matrix(self):
+    def test_bank_builds_one_spectrum_per_matrix(self, force_backend):
+        force_backend("fft")
         rng = np.random.default_rng(6)
         bank = PatternBank([rng.standard_normal(n) for n in (40, 40, 52, 52, 64)])
         X = rng.standard_normal((3, 160))
         with scoped_registry() as reg:
-            bank.transform(X, backend="fft")
+            bank.transform(X)
+            assert reg.counter_value("kernel.backend.fft") == 3
             assert reg.counter_value("kernel.fft.series_ffts") == 1
         with scoped_registry() as reg:
-            bank.transform(X, rotation_invariant=True, backend="fft")
+            bank.transform(X, rotation_invariant=True)
             assert reg.counter_value("kernel.fft.series_ffts") == 2
 
     def test_pickles_without_its_spectrum(self):

@@ -1,12 +1,11 @@
 """Row/batch transform parity, and both against the naive oracle.
 
-``pattern_feature_row`` must produce exactly the row the batch
-``pattern_features`` transform would — it now delegates structurally,
-but these tests pin the contract (an earlier implementation recomputed
-the profile through a separate code path, which could drift on flat
-windows and resampled patterns). The batch transform itself is pinned
-against the explicit z-norm-per-window reference in
-:mod:`tests.oracles`, on both kernel backends.
+``pattern_features`` on a one-row matrix must produce exactly the row
+the batch transform would: the window statistics are per row, so flat
+windows and resampled patterns come out the same. The batch transform
+itself is pinned against the explicit z-norm-per-window reference in
+:mod:`tests.oracles`, with the crossover forced onto each kernel
+backend.
 """
 
 from __future__ import annotations
@@ -14,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.transform import pattern_feature_row, pattern_features
+from repro.core.transform import pattern_features
+from repro.obs.metrics import scoped_registry
 from repro.runtime.cache import WindowStatsCache
 from repro.sax.znorm import znorm
 from tests.oracles import assert_profiles_close, naive_best_distances
@@ -33,7 +33,7 @@ def patterns(rng):
 def _assert_row_parity(X, patterns, **kwargs):
     batch = pattern_features(X, patterns, **kwargs)
     for i, row in enumerate(X):
-        single = pattern_feature_row(row, patterns, **kwargs)
+        single = pattern_features(row[np.newaxis, :], patterns, **kwargs)[0]
         np.testing.assert_array_equal(single, batch[i], strict=True)
 
 
@@ -106,21 +106,18 @@ class TestBatchVsOracle:
                 err_msg=f"col {j}",
             )
 
-    def test_fft_backend_matches_matvec_and_naive(self, series_matrix, patterns):
-        mat = pattern_features(series_matrix, patterns, kernel_backend="matvec")
-        fft = pattern_features(series_matrix, patterns, kernel_backend="fft")
+    def test_fft_backend_matches_matvec_and_naive(
+        self, series_matrix, patterns, force_backend
+    ):
+        force_backend("matvec")
+        mat = pattern_features(series_matrix, patterns)
+        force_backend("fft")
+        with scoped_registry() as reg:
+            fft = pattern_features(series_matrix, patterns)
+            assert reg.counter_value("kernel.backend.matvec") == 0
         assert_profiles_close(fft, mat)
         for j, p in enumerate(patterns):
             assert_profiles_close(
                 fft[:, j], naive_best_distances(p, series_matrix), err_msg=f"col {j}"
             )
 
-
-class TestRowValidation:
-    def test_rejects_matrix_input(self, series_matrix, patterns):
-        with pytest.raises(ValueError, match="1-D"):
-            pattern_feature_row(series_matrix, patterns)
-
-    def test_empty_patterns_returns_empty(self, series_matrix):
-        out = pattern_feature_row(series_matrix[0], [])
-        assert out.shape == (0,)
