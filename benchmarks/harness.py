@@ -9,10 +9,11 @@ Scale control: set ``RPM_BENCH_SUITE`` to ``tiny`` (3 datasets, small
 budgets — smoke test), ``small`` (8 datasets — the default) or ``full``
 (all 16 UCR-like datasets).
 
-Observability: set ``RPM_BENCH_METRICS`` to a path and every RPM run is
-traced (``repro.obs``); the spans plus the process-wide metric counters
-are dumped there as JSON lines whenever a report is written. CI uploads
-the resulting file as a build artifact.
+Observability: set ``RPM_BENCH_METRICS`` to a path and every :func:`run`
+is traced (``repro.obs.tracing``; only RPM opens spans); the spans plus
+the process-wide metric counters are dumped there as JSON lines
+whenever a report is written. CI uploads the resulting file as a build
+artifact.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.baselines import (
 )
 from repro.data import load
 from repro.ml.metrics import error_rate
-from repro.obs import Tracer, registry, write_jsonl
+from repro.obs import NOOP, Tracer, registry, tracing, write_jsonl
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -86,10 +87,10 @@ def bench_metrics_path() -> Path | None:
     return Path(path) if path else None
 
 
-#: One tracer shared by every RPM bench run, so the dumped span forest
-#: covers the whole suite. ``None`` when metrics are off — the
-#: classifiers then run with the zero-cost no-op tracer.
-BENCH_TRACER = Tracer() if bench_metrics_path() else None
+#: One tracer active around every :func:`run`, so the dumped span
+#: forest covers the whole suite. The zero-cost no-op tracer when
+#: metrics are off.
+BENCH_TRACER = Tracer() if bench_metrics_path() else NOOP
 
 
 def flush_metrics() -> Path | None:
@@ -147,12 +148,7 @@ def make_method(name: str):
     if name == "LS":
         return TunedLearningShapelets(grid=b["ls_grid"], epochs=b["ls_epochs"], seed=0)
     if name == "RPM":
-        return RPMClassifier(
-            direct_budget=b["rpm_budget"],
-            n_splits=b["rpm_splits"],
-            seed=0,
-            trace=BENCH_TRACER,
-        )
+        return RPMClassifier(direct_budget=b["rpm_budget"], n_splits=b["rpm_splits"], seed=0)
     raise KeyError(name)
 
 
@@ -181,12 +177,13 @@ def run(method: str, dataset_name: str) -> RunResult:
         return cached
     dataset = load(dataset_name)
     model = make_method(method)
-    t0 = time.perf_counter()
-    model.fit(dataset.X_train, dataset.y_train)
-    train_time = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    predictions = model.predict(dataset.X_test)
-    test_time = time.perf_counter() - t0
+    with tracing(BENCH_TRACER):
+        t0 = time.perf_counter()
+        model.fit(dataset.X_train, dataset.y_train)
+        train_time = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        predictions = model.predict(dataset.X_test)
+        test_time = time.perf_counter() - t0
     result = RunResult(
         method=method,
         dataset=dataset_name,

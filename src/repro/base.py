@@ -43,9 +43,9 @@ class BaseEstimator:
     """Mixin deriving sklearn-style parameter handling from ``__init__``.
 
     Subclasses must store every constructor argument verbatim under the
-    same attribute name (resolved or derived state goes elsewhere —
-    e.g. a ``trace`` argument is kept as ``self.trace`` even though the
-    resolved tracer lives on ``self.tracer``).
+    same attribute name; resolved or derived state goes under another
+    name (``RPMClassifier`` keeps its caches as ``_stats_cache`` and
+    ``_discretize_cache``, say).
     """
 
     @classmethod

@@ -34,7 +34,10 @@ labels as ``RPMClassifier.predict``, bit for bit.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
+import logging
 import queue
 import sys
 import threading
@@ -56,6 +59,7 @@ from .data import GENERATORS, available_ucr_datasets, load
 from .data.ucr import load_ucr_file
 from .ml.metrics import error_rate
 from .obs import (
+    NOOP,
     Tracer,
     configure_logging,
     format_tree,
@@ -63,6 +67,7 @@ from .obs import (
     snapshot_from_jsonl,
     to_json,
     to_prometheus,
+    tracing,
     write_jsonl,
 )
 from .sax.discretize import REDUCTIONS, SaxParams
@@ -160,45 +165,38 @@ def _jobs_count(text: str) -> int:
     return value
 
 
-def _tracer_for(args) -> Tracer | None:
-    """A live tracer when ``--trace``/``--metrics-out`` ask for one."""
-    if getattr(args, "trace", False) or getattr(args, "metrics_out", None):
-        return Tracer()
-    return None
+def _observed(command):
+    """Run ``command`` inside ``tracing()`` of the tracer that ``--trace``
+    or ``--metrics-out`` ask for; then print the span tree and/or write
+    the JSON-lines dump of its spans and the registry's metrics."""
+
+    @functools.wraps(command)
+    def run(args) -> int:
+        tracer = Tracer() if args.trace or args.metrics_out else NOOP
+        with tracing(tracer):
+            code = command(args)
+        if args.trace:
+            print("\n-- trace --")
+            print(format_tree(tracer))
+        if args.metrics_out:
+            path = write_jsonl(
+                args.metrics_out,
+                tracer=tracer,
+                metrics=registry(),
+                meta={"command": args.command, "dataset": getattr(args, "dataset", None)},
+            )
+            print(f"metrics written to {path}")
+        return code
+
+    return run
 
 
-def _emit_observability(args, tracer: Tracer | None) -> None:
-    """Print the span tree and/or write the JSON-lines dump."""
-    if tracer is None:
-        return
-    if args.trace:
-        print("\n-- trace --")
-        print(format_tree(tracer))
-    if args.metrics_out:
-        path = write_jsonl(
-            args.metrics_out,
-            tracer=tracer,
-            metrics=registry(),
-            meta={"command": args.command, "dataset": getattr(args, "dataset", None)},
-        )
-        print(f"metrics written to {path}")
-
-
-def _build_rpm(args, tracer: Tracer | None = None) -> RPMClassifier:
-    runtime = dict(
-        numerosity_reduction=args.numerosity,
-        trace=tracer,
-    )
+def _build_rpm(args) -> RPMClassifier:
+    common = dict(gamma=args.gamma, seed=args.seed, numerosity_reduction=args.numerosity)
     if args.window:
         params = SaxParams(args.window, args.paa, args.alphabet)
-        return RPMClassifier(sax_params=params, gamma=args.gamma, seed=args.seed, **runtime)
-    return RPMClassifier(
-        direct_budget=args.budget,
-        n_splits=args.splits,
-        gamma=args.gamma,
-        seed=args.seed,
-        **runtime,
-    )
+        return RPMClassifier(sax_params=params, **common)
+    return RPMClassifier(direct_budget=args.budget, n_splits=args.splits, **common)
 
 
 def cmd_datasets(_args) -> int:
@@ -214,11 +212,11 @@ def cmd_datasets(_args) -> int:
     return 0
 
 
+@_observed
 def cmd_train(args) -> int:
     """``repro train``: fit RPM on a dataset, optionally save it."""
     dataset = load(args.dataset)
-    tracer = _tracer_for(args)
-    clf = _build_rpm(args, tracer)
+    clf = _build_rpm(args)
     start = time.perf_counter()
     clf.fit(dataset.X_train, dataset.y_train)
     elapsed = time.perf_counter() - start
@@ -228,16 +226,15 @@ def cmd_train(args) -> int:
     if args.output:
         save_model(clf, args.output)
         print(f"model saved to {args.output}")
-    _emit_observability(args, tracer)
     return 0
 
 
+@_observed
 def cmd_evaluate(args) -> int:
     """``repro evaluate``: score one method on one dataset."""
     dataset = load(args.dataset)
-    tracer = _tracer_for(args) if args.method == "RPM" else None
     if args.method == "RPM":
-        model = _build_rpm(args, tracer)
+        model = _build_rpm(args)
     else:
         model = BASELINES[args.method]()
     start = time.perf_counter()
@@ -251,7 +248,6 @@ def cmd_evaluate(args) -> int:
         f"{dataset.name} / {args.method}: error {err:.3f} "
         f"(train {train_time:.1f}s, classify {test_time:.1f}s)"
     )
-    _emit_observability(args, tracer)
     return 0
 
 
@@ -262,7 +258,7 @@ def cmd_patterns(args) -> int:
     return 0
 
 
-def _open_handle(args, tracer: Tracer | None = None) -> ModelHandle:
+def _open_handle(args) -> ModelHandle:
     """The serving :class:`ModelHandle` from the model-source flags.
 
     ``--model PATH`` opens one artifact directly; ``--registry DIR``
@@ -270,21 +266,17 @@ def _open_handle(args, tracer: Tracer | None = None) -> ModelHandle:
     ``current``) with integrity checks and enables version-name
     hot-swap via the admin ``POST /swap``.
     """
-    shards = getattr(args, "shards", 0)
-    runtime = dict(
-        n_jobs=1 if shards else args.jobs,
-        trace=tracer,
-    )
+    n_jobs = 1 if getattr(args, "shards", 0) else args.jobs
     registry_dir = getattr(args, "registry", None)
     if registry_dir:
         version = getattr(args, "model_version", None) or "current"
-        return ModelHandle.open(version, registry=registry_dir, **runtime)
+        return ModelHandle.open(version, registry=registry_dir, n_jobs=n_jobs)
     if not args.model:
         raise ValueError("pass --model PATH or --registry DIR")
-    return ModelHandle.open(args.model, **runtime)
+    return ModelHandle.open(args.model, n_jobs=n_jobs)
 
 
-def _build_service(args, tracer: Tracer | None = None):
+def _build_service(args):
     """Serving tier from the serve flags, all knobs via ServeConfig.
 
     ``--shards 0`` (default) builds the in-process
@@ -294,10 +286,10 @@ def _build_service(args, tracer: Tracer | None = None):
     never branch.
     """
     config = ServeConfig.from_args(args)
-    handle = _open_handle(args, tracer)
+    handle = _open_handle(args)
     if config.n_shards:
-        return ShardedPredictionService(handle, config=config, trace=tracer)
-    return PredictionService(handle, config=config, trace=tracer)
+        return ShardedPredictionService(handle, config=config)
+    return PredictionService(handle, config=config)
 
 
 def _result_record(index, result) -> dict:
@@ -321,6 +313,7 @@ def _result_record(index, result) -> dict:
     return record
 
 
+@_observed
 def cmd_predict(args) -> int:
     """``rpm predict``: label UCR-format series through ``repro.serve``.
 
@@ -328,9 +321,8 @@ def cmd_predict(args) -> int:
     micro-batching, deadlines — and reports a typed per-row status
     instead of failing on the first bad row.
     """
-    tracer = _tracer_for(args)
     X, _ = load_ucr_file(args.data)
-    with _build_service(args, tracer) as service:
+    with _build_service(args) as service:
         results = service.predict_many(X, deadline_ms=args.deadline_ms)
     failed = sum(not r.ok for r in results)
     for i, result in enumerate(results):
@@ -342,7 +334,6 @@ def cmd_predict(args) -> int:
             print(f"{i}\t<{result.status.value}:{result.error_code or '-'}>")
     if failed:
         print(f"{failed}/{len(results)} requests failed", file=sys.stderr)
-    _emit_observability(args, tracer)
     return 0 if failed == 0 else 3
 
 
@@ -393,6 +384,26 @@ def _serve_lines(service, lines, *, deadline_ms) -> int:
     return count
 
 
+@contextlib.contextmanager
+def _serve_logging(log_format: str):
+    """:func:`configure_logging` for one ``rpm serve`` run: the ``repro``
+    logger gets its handlers and level back on every exit path."""
+    log = logging.getLogger("repro")
+    handlers, level = list(log.handlers), log.level
+    configure_logging(log_format)
+    try:
+        yield
+    finally:
+        for handler in list(log.handlers):
+            if handler not in handlers:
+                log.removeHandler(handler)
+                handler.close()
+        for handler in handlers:
+            log.addHandler(handler)
+        log.setLevel(level)
+
+
+@_observed
 def cmd_serve(args) -> int:
     """``rpm serve``: micro-batched serving loop over stdin lines.
 
@@ -401,64 +412,60 @@ def cmd_serve(args) -> int:
     the same engine ``predict`` uses, kept open until EOF — pipe
     requests in, stream typed predictions out.
     """
-    configure_logging(args.log_format)
-    tracer = _tracer_for(args)
-    stream = sys.stdin if args.input == "-" else open(args.input)
-    try:
-        with _build_service(args, tracer) as service:
-            print(service.model.describe(), file=sys.stderr)
-            if service.admin is not None:
-                print(f"admin endpoint on {service.admin.url()}", file=sys.stderr)
-            if args.shadow:
-                scorer = service.attach_shadow(
-                    args.shadow, fraction=args.shadow_fraction
-                )
+    with (
+        _serve_logging(args.log_format),
+        contextlib.nullcontext(sys.stdin) if args.input == "-" else open(args.input) as lines,
+        _build_service(args) as service,
+    ):
+        print(service.model.describe(), file=sys.stderr)
+        if service.admin is not None:
+            print(f"admin endpoint on {service.admin.url()}", file=sys.stderr)
+        if args.shadow:
+            scorer = service.attach_shadow(
+                args.shadow, fraction=args.shadow_fraction
+            )
+            print(
+                f"shadow scoring {args.shadow} "
+                f"(fraction {scorer.fraction})",
+                file=sys.stderr,
+            )
+        if args.drift:
+            # Registry serving resolves the stored (or rebuilt)
+            # reference for the live version; bare-path serving
+            # rebuilds one from the artifact's archived features.
+            monitor = service.attach_drift(
+                None if getattr(args, "registry", None) else args.model
+            )
+            print(
+                f"drift monitoring on (window {monitor.window}, "
+                f"threshold {monitor.threshold})",
+                file=sys.stderr,
+            )
+        count = _serve_lines(service, lines, deadline_ms=args.deadline_ms)
+        print(f"served {count} requests", file=sys.stderr)
+        report = service.detach_shadow()
+        if report is not None:
+            print(
+                f"shadow report: {report.n_scored} scored, "
+                f"disagreement {report.disagreement_rate:.4f}",
+                file=sys.stderr,
+            )
+            if args.shadow_report_out:
+                with open(args.shadow_report_out, "w") as fh:
+                    json.dump(report.as_record(), fh, indent=2)
+                    fh.write("\n")
                 print(
-                    f"shadow scoring {args.shadow} "
-                    f"(fraction {scorer.fraction})",
+                    f"shadow report written to {args.shadow_report_out}",
                     file=sys.stderr,
                 )
-            if args.drift:
-                # Registry serving resolves the stored (or rebuilt)
-                # reference for the live version; bare-path serving
-                # rebuilds one from the artifact's archived features.
-                monitor = service.attach_drift(
-                    None if getattr(args, "registry", None) else args.model
-                )
-                print(
-                    f"drift monitoring on (window {monitor.window}, "
-                    f"threshold {monitor.threshold})",
-                    file=sys.stderr,
-                )
-            count = _serve_lines(service, stream, deadline_ms=args.deadline_ms)
-            print(f"served {count} requests", file=sys.stderr)
-            report = service.detach_shadow()
-            if report is not None:
-                print(
-                    f"shadow report: {report.n_scored} scored, "
-                    f"disagreement {report.disagreement_rate:.4f}",
-                    file=sys.stderr,
-                )
-                if args.shadow_report_out:
-                    with open(args.shadow_report_out, "w") as fh:
-                        json.dump(report.as_record(), fh, indent=2)
-                        fh.write("\n")
-                    print(
-                        f"shadow report written to {args.shadow_report_out}",
-                        file=sys.stderr,
-                    )
-            drift_state = service.detach_drift()
-            if drift_state is not None:
-                print(
-                    f"drift: score {drift_state['score']:.4f} "
-                    f"(threshold {drift_state['threshold']}, "
-                    f"alert {drift_state['alert']})",
-                    file=sys.stderr,
-                )
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
-    _emit_observability(args, tracer)
+        drift_state = service.detach_drift()
+        if drift_state is not None:
+            print(
+                f"drift: score {drift_state['score']:.4f} "
+                f"(threshold {drift_state['threshold']}, "
+                f"alert {drift_state['alert']})",
+                file=sys.stderr,
+            )
     return 0
 
 

@@ -26,9 +26,8 @@ import numpy as np
 
 from ..base import BaseEstimator
 from ..ml.svm import SVC
-from ..obs import resolve_tracer
 from ..obs.metrics import registry
-from ..obs.tracer import span, tracing
+from ..obs.tracer import active_tracer, span
 from ..runtime.cache import DiscretizationCache, WindowStatsCache
 from ..runtime.executor import ParallelExecutor
 from ..sax.discretize import SaxParams
@@ -131,16 +130,11 @@ class RPMClassifier(BaseEstimator):
         ``True`` (paper default, collapse exact-duplicate consecutive
         words), ``False`` (keep all), or one of ``'exact'`` /
         ``'mindist'`` / ``'none'``.
-    trace:
-        Observability knob: ``None``/``False`` (default) runs with the
-        zero-cost no-op tracer; ``True`` builds a fresh
-        :class:`~repro.obs.tracer.Tracer`; an existing tracer is used
-        as-is. The resolved tracer is available as ``self.tracer`` —
-        render it with :func:`repro.obs.format_tree` or dump it with
-        :func:`repro.obs.write_jsonl`. ``fit`` and ``transform`` make
-        it the active tracer, so an untraced classifier records nothing
-        into an outer one. Tracing never changes results: traced runs
-        are bitwise identical to untraced ones.
+
+    ``fit`` and ``transform`` record their spans on the active tracer:
+    run them inside ``with repro.obs.tracing(tracer):`` to trace them.
+    Tracing never changes results: traced runs are bitwise identical to
+    untraced ones.
     """
 
     def __init__(
@@ -162,7 +156,6 @@ class RPMClassifier(BaseEstimator):
         cv_folds: int = 5,
         seed: int = 0,
         n_jobs: int = 1,
-        trace=None,
     ) -> None:
         if param_search not in ("direct", "grid"):
             raise ValueError(f"param_search must be 'direct' or 'grid', got {param_search!r}")
@@ -182,10 +175,6 @@ class RPMClassifier(BaseEstimator):
         self.cv_folds = cv_folds
         self.seed = seed
         self.n_jobs = n_jobs
-        # ``trace`` is kept verbatim for get_params()/clone(); the
-        # resolved tracer is what the pipeline actually uses.
-        self.trace = trace
-        self.tracer = resolve_tracer(trace)
         # The window-statistics cache serves the fit's per-pattern
         # transforms, the discretization cache the parameter search and
         # mining. Inference runs the pattern bank, built on first use.
@@ -217,7 +206,7 @@ class RPMClassifier(BaseEstimator):
         _require_trainable_classes(X, y, self.classes_)
         self.n_timesteps_ = int(X.shape[1])
 
-        with tracing(self.tracer), span("fit") as fit_span:
+        with span("fit") as fit_span:
             fit_span.add("fit.series", X.shape[0])
             with span("params"):
                 self.params_by_class_ = self._resolve_params(X, y)
@@ -319,8 +308,8 @@ class RPMClassifier(BaseEstimator):
         batch: the path :class:`~repro.serve.CompiledModel` serves, so
         the two agree bitwise. The buckets fan out over ``n_jobs``
         threads of a pool opened and closed per call, so the classifier
-        never holds one; with tracing on, per-chunk timings go to the
-        process-wide metrics registry.
+        never holds one; with a tracer active, per-chunk timings go to
+        the process-wide metrics registry.
         """
         if not self.patterns_:
             raise RuntimeError("classifier used before fit()")
@@ -328,8 +317,8 @@ class RPMClassifier(BaseEstimator):
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
         _require_finite(X)
-        metrics = registry() if self.tracer.enabled else None
-        with tracing(self.tracer), ParallelExecutor(self.n_jobs, metrics=metrics) as executor:
+        metrics = registry() if active_tracer().enabled else None
+        with ParallelExecutor(self.n_jobs, metrics=metrics) as executor:
             return pattern_features(
                 X,
                 self._pattern_bank(),

@@ -1,11 +1,12 @@
 """repro.obs — pipeline observability: spans, metrics, emitters.
 
-Three small pieces, wired through every expensive stage of the RPM
-pipeline (see ``docs/observability.md`` for the span and metric
+Wired through every expensive stage of the RPM pipeline and the
+serving tiers (see ``docs/observability.md`` for the span and metric
 catalogue):
 
 * :class:`Tracer` / :data:`NOOP` / :func:`tracing` — nestable
-  wall-time spans on the active tracer, zero-cost when disabled;
+  wall-time spans, recorded on the tracer that :func:`tracing` makes
+  active; zero-cost when none is;
 * :class:`MetricsRegistry` / :func:`registry` — process-wide counters,
   gauges and quantile-capable histograms (cache hits, dropped
   candidates, executor chunk timings, …), with snapshot/delta diffing
@@ -15,15 +16,18 @@ catalogue):
 * :func:`to_prometheus` / :func:`to_json` — live export formats (the
   serve admin endpoint's ``/metrics`` and ``/metrics.json``);
 * :func:`configure_logging` / :class:`JsonLogFormatter` — structured
-  JSON log lines with request-ID correlation.
+  JSON log lines with request-ID correlation;
+* the streaming sketches behind drift monitoring
+  (:class:`DistributionSketch`, :func:`psi`, …).
 
 Typical use::
 
     from repro import RPMClassifier
-    from repro.obs import Tracer, format_tree, registry, write_jsonl
+    from repro.obs import Tracer, format_tree, registry, tracing, write_jsonl
 
     tracer = Tracer()
-    clf = RPMClassifier(seed=0, trace=tracer).fit(X, y)
+    with tracing(tracer):
+        clf = RPMClassifier(seed=0).fit(X, y)
     print(format_tree(tracer))
     write_jsonl("metrics.jsonl", tracer=tracer, metrics=registry())
 """
@@ -72,7 +76,6 @@ __all__ = [
     "ks_distance",
     "psi",
     "registry",
-    "resolve_tracer",
     "scoped_registry",
     "snapshot_from_jsonl",
     "span_records",
@@ -82,18 +85,3 @@ __all__ = [
     "tracing",
     "write_jsonl",
 ]
-
-
-def resolve_tracer(trace) -> "Tracer | NullTracer":
-    """Normalize the public ``trace=`` knob to a tracer instance.
-
-    ``None``/``False`` → the shared no-op, ``True`` → a fresh
-    :class:`Tracer`, an existing tracer → itself.
-    """
-    if trace is None or trace is False:
-        return NOOP
-    if trace is True:
-        return Tracer()
-    if isinstance(trace, (Tracer, NullTracer)):
-        return trace
-    raise TypeError(f"trace must be a bool, None or a Tracer, got {type(trace).__name__}")

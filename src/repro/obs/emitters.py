@@ -95,15 +95,18 @@ def span_subtree(root: Span) -> list[dict]:
     ``serve.batch`` subtree to its flight entry.
     """
     records = []
+    path: list[str] = []  # names from the root down to the parent
     for span, depth in root.walk():
+        del path[depth:]
         record = {
             "type": "span",
             "name": span.name,
             "start": span.start,
             "duration": span.duration,
             "depth": depth,
-            "parent": span.parent.name if span.parent is not None else None,
+            "parent": path[-1] if path else None,
         }
+        path.append(span.name)
         if span.counters:
             record["counters"] = dict(span.counters)
         if span.meta:

@@ -8,14 +8,15 @@ dict, and nest through a per-thread stack: a span opened while another
 is active on the same thread becomes its child, and a span opened on a
 thread with nothing open (a serving batcher, say) becomes a root.
 
-Pipeline stages take no tracer: :func:`span` opens a span on the
-*active* tracer, a context variable that :func:`tracing` sets for a
-``with`` block (``RPMClassifier.fit`` and ``transform`` set their own).
-Its default, also in every new thread, is :data:`NOOP`, a stateless
-singleton whose ``span()`` returns one shared no-op context manager —
-no allocation. Tracing never touches the numeric pipeline: spans wrap
-computations, they do not reorder or alter them, so traced runs stay
-bitwise identical to untraced ones.
+Nothing takes a tracer: :func:`span` opens a span on the *active*
+tracer, a context variable that :func:`tracing` sets for a ``with``
+block. Its default, also in every new thread, is :data:`NOOP`, a
+stateless singleton whose ``span()`` returns one shared no-op context
+manager — no allocation. The serving tiers start their batcher and
+backlog threads in a copy of the starting context, so they record into
+the tracer that was active at ``start()``. Tracing never touches the
+numeric pipeline: spans wrap computations, they do not reorder or alter
+them, so traced runs stay bitwise identical to untraced ones.
 """
 
 from __future__ import annotations
@@ -25,20 +26,22 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 
-__all__ = ["NOOP", "NullTracer", "Span", "Tracer", "span", "tracing"]
+__all__ = ["NOOP", "NullTracer", "Span", "Tracer", "active_tracer", "span", "tracing"]
 
 
 class Span:
     """One timed stage: name, wall time, counters and children."""
 
-    __slots__ = ("name", "meta", "start", "duration", "parent", "children", "counters")
+    # No parent pointer: a span tree holds no reference cycle, so a
+    # served batch's spans are freed by reference counting, not by the
+    # cyclic garbage collector. Walks track the parent themselves.
+    __slots__ = ("name", "meta", "start", "duration", "children", "counters")
 
-    def __init__(self, name: str, meta: dict | None = None, parent: "Span | None" = None):
+    def __init__(self, name: str, meta: dict | None = None):
         self.name = name
         self.meta = meta or {}
         self.start = 0.0
         self.duration = 0.0
-        self.parent = parent
         self.children: list[Span] = []
         self.counters: dict[str, float] = {}
 
@@ -109,7 +112,6 @@ class Tracer:
     def _open(self, span: Span) -> None:
         stack = self._stack()
         parent = stack[-1] if stack else None
-        span.parent = parent
         with self._lock:
             if parent is None:
                 self.roots.append(span)
@@ -128,21 +130,6 @@ class Tracer:
         """Open a named child span for the duration of a ``with`` block."""
         return _SpanHandle(self, Span(name, meta or None))
 
-    def current(self) -> Span | None:
-        """The innermost open span on this thread."""
-        stack = self._stack()
-        return stack[-1] if stack else None
-
-    def count(self, counter: str, amount: float = 1) -> None:
-        """Bump a counter on the current span (no-op without one)."""
-        span = self.current()
-        if span is not None:
-            span.add(counter, amount)
-
-    def total_duration(self) -> float:
-        """Wall time summed over root spans."""
-        return sum(span.duration for span in self.roots)
-
 
 class _NullSpan:
     """Inert span returned by the disabled tracer."""
@@ -152,7 +139,6 @@ class _NullSpan:
     meta: dict = {}
     start = 0.0
     duration = 0.0
-    parent = None
     children: tuple = ()
     counters: dict = {}
 
@@ -193,20 +179,16 @@ class NullTracer:
     def span(self, name: str, **meta) -> _NullHandle:
         return _NULL_HANDLE
 
-    def current(self) -> None:
-        return None
-
-    def count(self, counter: str, amount: float = 1) -> None:
-        pass
-
-    def total_duration(self) -> float:
-        return 0.0
-
 
 #: The shared disabled tracer, active wherever :func:`tracing` set none.
 NOOP = NullTracer()
 
 _ACTIVE: ContextVar["Tracer | NullTracer"] = ContextVar("repro_active_tracer", default=NOOP)
+
+
+def active_tracer() -> "Tracer | NullTracer":
+    """The tracer :func:`span` records into in the current context."""
+    return _ACTIVE.get()
 
 
 def span(name: str, **meta):

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..obs.metrics import MetricsRegistry, registry
+from ..obs.metrics import registry
 from ..sax.discretize import sliding_windows
 from ..sax.paa import paa_rows
 from ..sax.znorm import znorm_rows
@@ -88,23 +88,18 @@ class LRUCache:
     the interface stays the same.
 
     Counters ``hits`` / ``misses`` / ``evictions`` are kept as instance
-    attributes for tests and mirrored to a
-    :class:`~repro.obs.metrics.MetricsRegistry` — the process-wide one
-    by default — as ``<prefix>.hits`` / ``<prefix>.misses`` /
-    ``<prefix>.evictions``, so cache behaviour shows up in
-    ``--metrics-out`` dumps alongside the rest of the pipeline.
+    attributes for tests and mirrored to the process-wide
+    :func:`~repro.obs.metrics.registry` of the cache's construction as
+    ``<prefix>.hits`` / ``<prefix>.misses`` / ``<prefix>.evictions``, so
+    cache behaviour shows up in ``--metrics-out`` dumps alongside the
+    rest of the pipeline.
     """
 
     #: Metric-name prefix and default entry cap; each cache sets its own.
     prefix: str
     size: int
 
-    def __init__(
-        self,
-        max_entries: int | None = None,
-        *,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, max_entries: int | None = None) -> None:
         if max_entries is None:
             max_entries = self.size
         if max_entries < 0:
@@ -113,7 +108,7 @@ class LRUCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._metrics = metrics if metrics is not None else registry()
+        self._metrics = registry()
         self._names = tuple(
             f"{self.prefix}.{name}" for name in ("hits", "misses", "evictions")
         )

@@ -13,7 +13,7 @@ below the FFT crossover and by FFT rounding above it (see
 
 The model adds a *persistent*
 :class:`~repro.runtime.executor.ParallelExecutor` that fans the
-buckets out, and the serving trace.
+buckets out. Its ``compiled.*`` spans go to the active tracer.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core.transform import LengthBucket, PatternBank, pattern_values
-from ..obs import resolve_tracer
+from ..obs.tracer import span
 from ..runtime.executor import ParallelExecutor
 
 __all__ = ["CompiledModel"]
@@ -54,8 +54,6 @@ class CompiledModel:
         serving process must not pay pool start-up per request. Call
         :meth:`close` (or use the model as a context manager) to tear
         it down.
-    trace:
-        Observability knob (same contract as ``RPMClassifier(trace=)``).
     """
 
     def __init__(
@@ -67,7 +65,6 @@ class CompiledModel:
         classes=None,
         series_length: int | None = None,
         n_jobs: int = 1,
-        trace=None,
     ) -> None:
         if not patterns:
             raise ValueError("CompiledModel needs a non-empty pattern bank")
@@ -78,7 +75,6 @@ class CompiledModel:
             classes=classes,
             series_length=series_length,
             n_jobs=n_jobs,
-            trace=trace,
         )
 
     def _init_runtime(
@@ -90,7 +86,6 @@ class CompiledModel:
         classes,
         series_length: int | None,
         n_jobs: int,
-        trace,
         native_plan: list[LengthBucket] | None = None,
     ) -> None:
         """Shared by :meth:`__init__` and :meth:`from_shared_bank`, which
@@ -99,7 +94,6 @@ class CompiledModel:
         self.rotation_invariant = bool(rotation_invariant)
         self.classes = None if classes is None else np.asarray(classes)
         self.series_length = None if series_length is None else int(series_length)
-        self.tracer = resolve_tracer(trace)
         self.bank = PatternBank(values, native_plan)
         self.n_patterns = len(self.bank)
         self.max_pattern_length = self.bank.max_pattern_length
@@ -146,7 +140,6 @@ class CompiledModel:
         classes=None,
         series_length: int | None = None,
         n_jobs: int = 1,
-        trace=None,
     ) -> "CompiledModel":
         """Wrap an already-compiled bank (e.g. shared-memory views).
 
@@ -168,7 +161,6 @@ class CompiledModel:
             classes=classes,
             series_length=series_length,
             n_jobs=n_jobs,
-            trace=trace,
             native_plan=native_plan,
         )
         return model
@@ -196,9 +188,9 @@ class CompiledModel:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
-        with self.tracer.span("compiled.transform") as span:
-            span.add("transform.series", X.shape[0])
-            span.add("transform.patterns", self.n_patterns)
+        with span("compiled.transform") as transform_span:
+            transform_span.add("transform.series", X.shape[0])
+            transform_span.add("transform.patterns", self.n_patterns)
             return self.bank.transform(
                 X,
                 rotation_invariant=self.rotation_invariant,
@@ -207,7 +199,7 @@ class CompiledModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Class labels for every row of ``X``."""
-        with self.tracer.span("compiled.predict"):
+        with span("compiled.predict"):
             return self.classifier.predict(self.transform(X))
 
     def warmup(self, n: int = 4, length: int | None = None) -> None:
@@ -221,7 +213,7 @@ class CompiledModel:
         length = length or self.series_length or self.max_pattern_length
         t = np.arange(int(length), dtype=float)
         batch = np.stack([np.sin(0.1 * t + k) for k in range(max(1, n))])
-        with self.tracer.span("compiled.warmup"):
+        with span("compiled.warmup"):
             self.predict(batch)
 
     def describe(self) -> str:

@@ -21,6 +21,7 @@ answered requests, and they do their work on their own thread.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 from collections import deque
@@ -160,8 +161,10 @@ class BacklogThread:
     never applies backpressure to serving. The thread takes up to
     ``batch`` items at a time and passes them to :meth:`_consume`,
     which subclasses implement (:class:`~repro.serve.lifecycle.ShadowScorer`,
-    :class:`~repro.serve.monitor.DriftMonitor`). ``_lock`` guards the
-    backlog; subclasses may guard their own counters with it too.
+    :class:`~repro.serve.monitor.DriftMonitor`). The thread runs in a
+    copy of the context that called :meth:`start`, so its spans go to
+    the tracer active there. ``_lock`` guards the backlog; subclasses
+    may guard their own counters with it too.
     """
 
     #: Name of the drain thread (set by each subclass).
@@ -189,7 +192,10 @@ class BacklogThread:
             return self
         self._stop.clear()
         self._thread = threading.Thread(
-            target=self._loop, name=self.thread_name, daemon=True
+            target=contextvars.copy_context().run,
+            args=(self._loop,),
+            name=self.thread_name,
+            daemon=True,
         )
         self._thread.start()
         return self

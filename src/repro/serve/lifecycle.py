@@ -518,8 +518,8 @@ class ModelHandle:
         runtime: dict | None = None,
     ) -> None:
         self.registry = registry
-        #: Runtime kwargs (n_jobs, trace) reused when a swap target
-        #: is resolved by path/version.
+        #: Runtime kwargs (n_jobs) reused when a swap target is
+        #: resolved by path/version.
         self.runtime = dict(runtime or {})
         self._swap_lock = threading.Lock()
         self._lease = _ModelLease(model, version, generation=1)
@@ -542,8 +542,8 @@ class ModelHandle:
           (also the ``current``/``latest`` aliases), integrity-checked;
         * ``ModelHandle.open(compiled_model)`` — adopt as-is.
 
-        ``runtime`` kwargs (``n_jobs``, ``trace``) reach the compiled
-        model and are reused by later :meth:`swap` resolutions.
+        ``runtime`` kwargs (``n_jobs``) reach the compiled model and
+        are reused by later :meth:`swap` resolutions.
         """
         if isinstance(registry, (str, Path)):
             registry = ModelRegistry(registry)

@@ -53,6 +53,7 @@ the whole surface is queryable live through the embedded
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import logging
 import queue
@@ -62,10 +63,9 @@ from concurrent.futures import Future
 
 import numpy as np
 
-from ..obs import resolve_tracer
 from ..obs.emitters import span_subtree
-from ..obs.metrics import MetricsRegistry, registry
-from ..obs.tracer import Tracer
+from ..obs.metrics import registry
+from ..obs.tracer import Tracer, active_tracer, tracing
 from .admin import AdminServer
 from .compiled import CompiledModel
 from .config import ServeConfig
@@ -220,9 +220,11 @@ class ServingFrontEnd:
         serving knob (batching window, deadlines, flight capture, admin
         endpoint, shadow fraction, drift window); ``None`` means the
         defaults.
-    trace / metrics:
-        Observability wiring; defaults to the no-op tracer and the
-        process-wide registry.
+
+    The tier publishes its metrics to the process-wide registry of its
+    construction (:func:`~repro.obs.registry`; build it inside
+    :func:`~repro.obs.scoped_registry` to isolate them), and its spans
+    to the tracer active where it runs.
 
     A tier implements ``start``, ``stop``, ``submit`` (validate, then
     enqueue) and ``_install`` (the model half of :meth:`swap`), and
@@ -237,8 +239,6 @@ class ServingFrontEnd:
         model: CompiledModel | ModelHandle,
         *,
         config: ServeConfig | None = None,
-        trace=None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.config = config if config is not None else ServeConfig()
         self.handle = model if isinstance(model, ModelHandle) else ModelHandle(model)
@@ -248,8 +248,7 @@ class ServingFrontEnd:
         self.shadow: ShadowScorer | None = None
         self._shadow_owns_candidate = False
         self.drift: DriftMonitor | None = None
-        self.tracer = resolve_tracer(trace)
-        self.metrics = metrics if metrics is not None else registry()
+        self.metrics = registry()
         self._running = False
         self._ready = threading.Event()
         self._ids = itertools.count(1)
@@ -707,7 +706,9 @@ class PredictionService(ServingFrontEnd):
     and :func:`answer_batch` over a :class:`queue.SimpleQueue`.
 
     Takes the :class:`ServingFrontEnd` parameters; the sharding knobs
-    of the config are ignored.
+    of the config are ignored. The batcher thread runs in a copy of the
+    context that called :meth:`start`, so a tier started inside
+    ``tracing(tracer)`` records every batch into ``tracer``.
     """
 
     def __init__(
@@ -715,10 +716,8 @@ class PredictionService(ServingFrontEnd):
         model: CompiledModel | ModelHandle,
         *,
         config: ServeConfig | None = None,
-        trace=None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
-        super().__init__(model, config=config, trace=trace, metrics=metrics)
+        super().__init__(model, config=config)
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._thread: threading.Thread | None = None
         self._batches_done = 0
@@ -733,7 +732,10 @@ class PredictionService(ServingFrontEnd):
         self._ready.set()
         self._running = True
         self._thread = threading.Thread(
-            target=self._worker, name="rpm-serve-batcher", daemon=True
+            target=contextvars.copy_context().run,
+            args=(self._worker,),
+            name="rpm-serve-batcher",
+            daemon=True,
         )
         self._thread.start()
         self._announce_start(max_batch=self.max_batch)
@@ -803,12 +805,12 @@ class PredictionService(ServingFrontEnd):
         requests = [request for request, _ in batch]
         for request in requests:
             self.metrics.observe("serve.queue_wait_seconds", now - request.enqueued_at)
-        # The serve.batch span goes to the configured tracer; with
-        # tracing off but the flight recorder on, a throwaway local
-        # Tracer records it instead, so captured entries always carry
-        # their span subtree without accumulating unbounded span state
-        # in a long-running service.
-        tracer = self.tracer
+        # The serve.batch span goes to the active tracer; with tracing
+        # off but the flight recorder on, a throwaway local Tracer is
+        # made active for the batch instead, so captured entries always
+        # carry their span subtree without accumulating unbounded span
+        # state in a long-running service.
+        tracer = active_tracer()
         if not tracer.enabled and self.flight.enabled:
             tracer = Tracer()
         with self._hooks_lock:
@@ -819,7 +821,7 @@ class PredictionService(ServingFrontEnd):
             # model, and every result names the version that made it.
             lease = self.handle.acquire()
             try:
-                with tracer.span("serve.batch") as span:
+                with tracing(tracer), tracer.span("serve.batch") as span:
                     span.annotate(
                         batch_id=batch_id,
                         request_ids=[request.request_id for request in requests],

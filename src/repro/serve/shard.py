@@ -59,7 +59,6 @@ from multiprocessing import resource_tracker, shared_memory
 import numpy as np
 
 from ..core.transform import LengthBucket
-from ..obs.metrics import MetricsRegistry
 from .compiled import CompiledModel
 from .config import ServeConfig
 from .lifecycle import ModelHandle
@@ -366,10 +365,8 @@ class ShardedPredictionService(ServingFrontEnd):
         model: CompiledModel | ModelHandle,
         *,
         config: ServeConfig | None = None,
-        trace=None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
-        super().__init__(model, config=config, trace=trace, metrics=metrics)
+        super().__init__(model, config=config)
         self.n_shards = self.config.n_shards or 2
         self.admission_budget_ms = self.config.admission_budget_ms
         self.max_queue_per_shard = self.config.max_queue_per_shard

@@ -211,6 +211,21 @@ class TestFlagValidation:
             )
 
 
+@pytest.fixture(scope="module")
+def italy_model(tmp_path_factory):
+    """A saved ItalyPowerSim model and the test split it serves."""
+    from repro import RPMClassifier, SaxParams
+    from repro.core.io import save_model
+    from repro.data import load
+
+    ds = load("ItalyPowerSim")
+    path = tmp_path_factory.mktemp("cli_model") / "model.npz"
+    save_model(
+        RPMClassifier(sax_params=SaxParams(12, 4, 4)).fit(ds.X_train, ds.y_train), path
+    )
+    return {"path": path, "X": ds.X_test}
+
+
 class TestCommands:
     def test_datasets_lists_registry(self, capsys):
         assert main(["datasets"]) == 0
@@ -311,34 +326,61 @@ class TestCommands:
         counters = {r["name"] for r in records if r["type"] == "counter"}
         assert "cache.hits" in counters and "cache.misses" in counters
 
-    def test_serve_coalesces_piped_lines_into_batches(self, tmp_path, capsys):
+    def test_evaluate_baseline_honours_trace_and_metrics_out(self, tmp_path, capsys):
         import json
-        import logging
 
-        from repro import RPMClassifier, SaxParams
-        from repro.core.io import load_model, save_model
-        from repro.data import load
+        from repro.obs import scoped_registry
 
-        ds = load("ItalyPowerSim")
-        model_path = tmp_path / "model.npz"
-        save_model(
-            RPMClassifier(sax_params=SaxParams(12, 4, 4)).fit(ds.X_train, ds.y_train),
-            model_path,
-        )
-        X = ds.X_test[:64]
+        metrics_path = tmp_path / "metrics.jsonl"
+        with scoped_registry() as reg:
+            reg.inc("probe.counter", 3)
+            rc = main(["evaluate", "ItalyPowerSim", "--method", "NN-ED", "--trace",
+                       "--metrics-out", str(metrics_path)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "-- trace --" in out and "(no spans recorded)" in out
+        records = [json.loads(line) for line in metrics_path.read_text().splitlines()]
+        assert records[0]["type"] == "meta" and records[0]["spans"] == 0
+        assert not [r for r in records if r["type"] == "span"]
+        counters = {r["name"]: r["value"] for r in records if r["type"] == "counter"}
+        assert counters["probe.counter"] == 3
+
+    def test_predict_trace_nests_the_model_under_each_batch(
+        self, italy_model, tmp_path, capsys
+    ):
+        import json
+
+        data = tmp_path / "data.txt"
+        X = italy_model["X"][:10]
+        np.savetxt(data, np.column_stack([np.zeros(len(X)), X]), fmt="%.6f")
+        metrics_path = tmp_path / "metrics.jsonl"
+        rc = main(["predict", "--model", str(italy_model["path"]), str(data),
+                   "--no-warmup", "--metrics-out", str(metrics_path)])
+        assert rc == 0
+        spans = [
+            record
+            for record in map(json.loads, metrics_path.read_text().splitlines())
+            if record["type"] == "span"
+        ]
+        batches = [i for i, r in enumerate(spans) if r["name"] == "serve.batch"]
+        assert batches
+        for i in batches:
+            assert spans[i]["depth"] == 0
+            child = spans[i + 1]
+            assert (child["name"], child["parent"], child["depth"]) == (
+                "compiled.transform", "serve.batch", 1
+            )
+
+    def test_serve_coalesces_piped_lines_into_batches(self, italy_model, tmp_path, capsys):
+        import json
+
+        from repro.core.io import load_model
+
+        model_path = italy_model["path"]
         requests = tmp_path / "requests.txt"
-        np.savetxt(requests, X, fmt="%.6f")
-        # ``rpm serve`` installs a stderr log handler; keep it from
-        # outliving the captured stream.
-        log = logging.getLogger("repro")
-        handlers, level = list(log.handlers), log.level
-        try:
-            rc = main(["serve", "--model", str(model_path), "--input", str(requests),
-                       "--max-delay-ms", "20"])
-        finally:
-            for handler in [h for h in log.handlers if h not in handlers]:
-                log.removeHandler(handler)
-            log.setLevel(level)
+        np.savetxt(requests, italy_model["X"][:64], fmt="%.6f")
+        rc = main(["serve", "--model", str(model_path), "--input", str(requests),
+                   "--max-delay-ms", "20"])
         assert rc == 0
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [r["index"] for r in records] == list(range(64))
@@ -346,6 +388,20 @@ class TestCommands:
         expected = load_model(model_path).predict(np.loadtxt(requests))
         assert [r["label"] for r in records] == [np.asarray(v).item() for v in expected]
         assert len({r["batch_id"] for r in records}) < 64
+
+    def test_serve_leaves_the_repro_logger_as_it_found_it(self, italy_model, tmp_path):
+        import logging
+
+        log = logging.getLogger("repro")
+        before = (list(log.handlers), log.level)
+        requests = tmp_path / "requests.txt"
+        np.savetxt(requests, italy_model["X"][:4], fmt="%.6f")
+        model = str(italy_model["path"])
+        assert main(["serve", "--model", model, "--input", str(requests)]) == 0
+        assert (list(log.handlers), log.level) == before
+        missing = str(tmp_path / "missing.txt")
+        assert main(["serve", "--model", model, "--input", missing]) == 1
+        assert (list(log.handlers), log.level) == before
 
     def test_trace_off_by_default(self, capsys):
         rc = main(["evaluate", "ItalyPowerSim", "--window", "12", "--paa", "4",

@@ -32,6 +32,7 @@ from repro import RPMClassifier
 from repro.core import params as params_module
 from repro.core import rpm as rpm_module
 from repro.core import transform as transform_module
+from repro.obs import Tracer, tracing
 from repro.runtime.cache import DiscretizationCache, WindowStatsCache
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -115,16 +116,18 @@ class TestDeterminismMatrix:
 
     @pytest.mark.parametrize("training_set", TINY_SETS)
     def test_traced(self, training_set):
-        clf = _fit_and_check(training_set, "tiny", trace=True)
-        assert [span.name for span in clf.tracer.roots] == ["fit"]
+        tracer = Tracer()
+        with tracing(tracer):
+            _fit_and_check(training_set, "tiny")
+        assert [span.name for span in tracer.roots] == ["fit"]
 
     @pytest.mark.parametrize("training_set", TINY_SETS)
     def test_caches_off(self, training_set, monkeypatch):
         built = []
 
         def uncached(cls):
-            def make(max_entries=None, **kwargs):
-                built.append(cls(0, **kwargs))
+            def make(max_entries=None):
+                built.append(cls(0))
                 return built[-1]
 
             return make

@@ -5,7 +5,8 @@ key-and-build wrappers over :class:`repro.runtime.cache.LRUCache`, keyed
 on a content :func:`~repro.runtime.cache.fingerprint`. Every LRU
 guarantee is pinned here once, over both caches: hits and misses,
 eviction order, the ``max_entries=0`` bypass, size validation, the
-metrics mirrored to the registry and concurrent misses.
+metrics mirrored to the registry of the cache's construction and
+concurrent misses.
 """
 
 from __future__ import annotations
@@ -47,11 +48,17 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240806)
 
 
+def _isolated(cls, max_entries: int):
+    """A cache publishing to a registry of its own."""
+    with scoped_registry():
+        return cls(max_entries=max_entries)
+
+
 class TestLRU:
     def test_hit_and_miss_counters(self, kind, rng):
         cls, _, make, fetch = kind
         data = make(rng)
-        cache = cls(max_entries=4, metrics=MetricsRegistry())
+        cache = _isolated(cls, 4)
         first = fetch(cache, data, 8)
         assert (cache.hits, cache.misses) == (0, 1)
         assert fetch(cache, data, 8) is first
@@ -62,7 +69,7 @@ class TestLRU:
     def test_lru_eviction(self, kind, rng):
         cls, _, make, fetch = kind
         data = make(rng)
-        cache = cls(max_entries=2, metrics=MetricsRegistry())
+        cache = _isolated(cls, 2)
         a = fetch(cache, data, 4)
         fetch(cache, data, 5)
         fetch(cache, data, 6)  # evicts the size-4 entry (least recent)
@@ -75,7 +82,7 @@ class TestLRU:
     def test_recency_updates_on_hit(self, kind, rng):
         cls, _, make, fetch = kind
         data = make(rng)
-        cache = cls(max_entries=2, metrics=MetricsRegistry())
+        cache = _isolated(cls, 2)
         a = fetch(cache, data, 4)
         fetch(cache, data, 5)
         assert fetch(cache, data, 4) is a  # touch 4 → 5 is now least recent
@@ -88,7 +95,7 @@ class TestLRU:
         data = make(rng)
         other = data.copy()
         other.flat[0] += 1.0
-        cache = cls(max_entries=8, metrics=MetricsRegistry())
+        cache = _isolated(cls, 8)
         fetch(cache, data, 8)
         fetch(cache, other, 8)
         assert (cache.hits, cache.misses) == (0, 2)
@@ -98,7 +105,7 @@ class TestLRU:
     def test_zero_size_disables_caching(self, kind, rng):
         cls, _, make, fetch = kind
         data = make(rng)
-        cache = cls(max_entries=0, metrics=MetricsRegistry())
+        cache = _isolated(cls, 0)
         assert fetch(cache, data, 5) is not fetch(cache, data, 5)
         assert len(cache) == 0
         assert (cache.hits, cache.misses) == (0, 2)
@@ -110,7 +117,7 @@ class TestLRU:
 
     def test_clear_keeps_counters(self, kind, rng):
         cls, _, make, fetch = kind
-        cache = cls(max_entries=4, metrics=MetricsRegistry())
+        cache = _isolated(cls, 4)
         fetch(cache, make(rng), 5)
         cache.clear()
         assert len(cache) == 0 and cache.misses == 1
@@ -118,8 +125,9 @@ class TestLRU:
     def test_metrics_mirrored(self, kind, rng):
         cls, prefix, make, fetch = kind
         data = make(rng)
-        metrics = MetricsRegistry()
-        cache = cls(max_entries=1, metrics=metrics)
+        # Built inside the scope, the cache keeps publishing there.
+        with scoped_registry() as metrics:
+            cache = cls(max_entries=1)
         fetch(cache, data, 8)
         fetch(cache, data, 8)
         fetch(cache, data, 9)  # evicts size 8
@@ -141,8 +149,8 @@ class TestLRU:
         # interleave; a lost counter update would break the sums.
         cls, prefix, make, fetch = kind
         data = make(rng)
-        metrics = MetricsRegistry()
-        cache = cls(max_entries=2, metrics=metrics)
+        with scoped_registry() as metrics:
+            cache = cls(max_entries=2)
         n_threads, rounds, sizes = 8, 100, (5, 6, 7)
         barrier = threading.Barrier(n_threads)
         errors: list = []

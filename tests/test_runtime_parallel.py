@@ -20,7 +20,7 @@ from repro.core.params import ParamSelector
 from repro.core.selection import find_distinct
 from repro.core.transform import PatternBank, pattern_features
 from repro.data import cbf
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, scoped_registry
 from repro.runtime import (
     DiscretizationCache,
     ParallelExecutor,
@@ -225,11 +225,11 @@ class TestFitTransformEquivalence:
 
     def test_cache_disabled_is_equivalent(self, dataset):
         """The caches change no bit of the search, selection or transform."""
-        metrics = MetricsRegistry()
 
         def run(max_entries):
-            stats = WindowStatsCache(max_entries, metrics=metrics)
-            windows = DiscretizationCache(max_entries, metrics=metrics)
+            with scoped_registry():
+                stats = WindowStatsCache(max_entries)
+                windows = DiscretizationCache(max_entries)
             selector = ParamSelector(
                 dataset.X_train, dataset.y_train, n_splits=2, cv_folds=3, seed=0,
                 discretize_cache=windows,

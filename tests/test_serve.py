@@ -23,7 +23,7 @@ import pytest
 
 from repro import RPMClassifier, SaxParams
 from repro.core.io import FORMAT_VERSION, ModelFormatError, load_model, save_model
-from repro.obs.metrics import MetricsRegistry, registry, scoped_registry
+from repro.obs import Tracer, registry, scoped_registry, tracing
 from repro.ml.svm import SVC
 from repro.serve import (
     CompiledModel,
@@ -110,12 +110,11 @@ class TestCompiledModel:
 
 @pytest.fixture(scope="module")
 def in_process(compiled):
-    """A running in-process service shared by the read-only contract tests."""
-    with PredictionService(
-        compiled,
-        config=ServeConfig(max_delay_ms=20.0),
-        metrics=MetricsRegistry(),
-    ) as service:
+    """A running in-process service shared by the read-only contract
+    tests, publishing to a registry of its own."""
+    with scoped_registry():
+        service = PredictionService(compiled, config=ServeConfig(max_delay_ms=20.0))
+    with service:
         yield service
 
 
@@ -123,11 +122,11 @@ def in_process(compiled):
 def one_shard(compiled):
     """A running one-shard service shared by the read-only contract tests
     (a sharded start spawns a worker process, about a second)."""
-    with ShardedPredictionService(
-        compiled,
-        config=ServeConfig(n_shards=1, max_delay_ms=20.0, warmup=False),
-        metrics=MetricsRegistry(),
-    ) as service:
+    with scoped_registry():
+        service = ShardedPredictionService(
+            compiled, config=ServeConfig(n_shards=1, max_delay_ms=20.0, warmup=False)
+        )
+    with service:
         yield service
 
 
@@ -186,11 +185,10 @@ class TierContract:
             served.predict(X)
 
     def test_stop_drains_queued_requests(self, compiled, tiny_gun):
-        service = self.tier(
-            compiled,
-            config=self.config(max_batch=4, max_delay_ms=50.0, warmup=False),
-            metrics=MetricsRegistry(),
-        )
+        with scoped_registry():
+            service = self.tier(
+                compiled, config=self.config(max_batch=4, max_delay_ms=50.0, warmup=False)
+            )
         service.start()
         futures = [service.submit(row) for row in tiny_gun.X_test[:10]]
         service.stop()
@@ -204,11 +202,10 @@ class TierContract:
         # a typed "service-stopped" ERROR) and none hangs.
         rows = tiny_gun.X_test
         for _ in range(self.racing_rounds):
-            service = self.tier(
-                compiled,
-                config=self.config(max_batch=4, max_delay_ms=5.0, warmup=False),
-                metrics=MetricsRegistry(),
-            )
+            with scoped_registry():
+                service = self.tier(
+                    compiled, config=self.config(max_batch=4, max_delay_ms=5.0, warmup=False)
+                )
             service.start()
             futures: list = []
             barrier = threading.Barrier(3)
@@ -236,9 +233,8 @@ class TierContract:
             assert service.metrics.gauge_value("serve.queue_depth") == 0
 
     def test_metrics_emitted(self, compiled, tiny_gun):
-        # Exercise the default-registry path: without an explicit
-        # ``metrics=``, the service lands its counters in the scoped
-        # process-global registry, and nothing leaks out of the scope.
+        # The service lands its counters in the scoped process-global
+        # registry, and nothing leaks out of the scope.
         with scoped_registry() as metrics:
             with self.tier(compiled, config=self.config(warmup=False)) as service:
                 service.predict(tiny_gun.X_test[:5])
@@ -251,6 +247,15 @@ class TierContract:
         assert snap["histograms"]["serve.queue_wait_seconds"]["count"] == 5
         assert registry() is not metrics
 
+    def test_publishes_to_the_registry_of_its_construction(self, compiled, tiny_gun):
+        with scoped_registry() as metrics:
+            service = self.tier(compiled, config=self.config(warmup=False))
+        with service:
+            service.predict(tiny_gun.X_test[:3])
+        assert service.metrics is metrics
+        assert metrics.counter_value("serve.requests") == 3
+        assert registry() is not metrics
+
     def test_model_failure_answers_every_live_member_and_keeps_serving(
         self, fitted, compiled, tiny_gun
     ):
@@ -260,12 +265,11 @@ class TierContract:
         broken = CompiledModel(
             fitted.patterns_, SVC(), series_length=compiled.series_length
         )
-        metrics = MetricsRegistry()
-        with self.tier(
-            broken,
-            config=self.config(max_batch=4, max_delay_ms=50.0, warmup=False),
-            metrics=metrics,
-        ) as service:
+        with scoped_registry() as metrics:
+            service = self.tier(
+                broken, config=self.config(max_batch=4, max_delay_ms=50.0, warmup=False)
+            )
+        with service:
             futures = [service.submit(row) for row in tiny_gun.X_test[:3]]
             futures.append(service.submit(tiny_gun.X_test[3], deadline_ms=0.0))
             results = [f.result(timeout=60.0) for f in futures]
@@ -315,6 +319,23 @@ class TestPredictionService(TierContract):
             result.features, fitted.transform(tiny_gun.X_test[:1])[0]
         )
         assert result.latency_ms >= 0.0
+
+    def test_started_inside_tracing_records_every_batch(self, compiled, tiny_gun):
+        # The batcher thread runs in a copy of start()'s context: every
+        # batch lands in the tracer as a serve.batch root with the
+        # model's compiled.transform child, also after the block exits.
+        tracer = Tracer()
+        service = PredictionService(compiled, config=ServeConfig(warmup=False))
+        with tracing(tracer):
+            service.start()
+            service.predict(tiny_gun.X_test[:3])
+        service.predict(tiny_gun.X_test[3:6])
+        service.stop()
+        assert tracer.roots
+        assert sum(root.counters["batch.size"] for root in tracer.roots) == 6
+        for root in tracer.roots:
+            assert root.name == "serve.batch"
+            assert [child.name for child in root.children] == ["compiled.transform"]
 
     def test_submit_requires_running_service(self, compiled, tiny_gun):
         service = PredictionService(compiled, config=ServeConfig(warmup=False))

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro import RPMClassifier, SaxParams
-from repro.obs import Tracer, scoped_registry
+from repro.obs import Tracer, scoped_registry, tracing
 from repro.serve import (
     AdminServer,
     CompiledModel,
@@ -228,10 +228,8 @@ class TestFlightRecorder:
 class TestRequestCorrelation:
     def test_id_round_trip_submit_result_span_flight(self, compiled, tiny_gun):
         tracer = Tracer()
-        with PredictionService(
-            compiled,
-            config=ServeConfig(warmup=False),
-            trace=tracer,
+        with tracing(tracer), PredictionService(
+            compiled, config=ServeConfig(warmup=False)
         ) as service:
             result = service.predict_one(tiny_gun.X_test[0], deadline_ms=0.0)
         assert result.status is ResultStatus.TIMEOUT
@@ -281,7 +279,8 @@ class TestRequestCorrelation:
 
     def test_slow_requests_are_captured_without_tracing(self, compiled, tiny_gun):
         # slow_ms=0.0001: every OK request counts as slow; the flight
-        # span subtree comes from the throwaway per-batch tracer.
+        # span subtree comes from the throwaway per-batch tracer, which
+        # is active for the batch, so the model's span nests under it.
         with PredictionService(
             compiled,
             config=ServeConfig(warmup=False, slow_ms=0.0001, flight_capacity=8),
@@ -291,7 +290,10 @@ class TestRequestCorrelation:
         entry = service.flight.find(result.request_id)
         assert entry is not None
         assert entry.reason == "slow"
-        assert any(s["name"] == "serve.batch" for s in entry.spans)
+        assert [(s["name"], s["parent"]) for s in entry.spans] == [
+            ("serve.batch", None),
+            ("compiled.transform", "serve.batch"),
+        ]
 
     def test_invalid_requests_are_captured(self, compiled):
         with PredictionService(compiled, config=ServeConfig(warmup=False)) as service:

@@ -34,7 +34,7 @@ import pytest
 
 from repro import RPMClassifier, SaxParams
 from repro.obs.export import to_prometheus
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import scoped_registry
 from repro.serve import (
     CompiledModel,
     PredictionService,
@@ -59,18 +59,14 @@ def compiled(fitted):
 
 
 @pytest.fixture(scope="module")
-def sharded_metrics():
-    return MetricsRegistry()
-
-
-@pytest.fixture(scope="module")
-def sharded(compiled, sharded_metrics):
-    """A running two-shard service shared by the read-only tests."""
-    with ShardedPredictionService(
-        compiled,
-        config=ServeConfig(n_shards=2, warmup=False),
-        metrics=sharded_metrics,
-    ) as service:
+def sharded(compiled):
+    """A running two-shard service shared by the read-only tests,
+    publishing to a registry of its own."""
+    with scoped_registry():
+        service = ShardedPredictionService(
+            compiled, config=ServeConfig(n_shards=2, warmup=False)
+        )
+    with service:
         yield service
 
 
@@ -199,14 +195,14 @@ class TestShardedEquivalence:
 
 class TestAdmissionControl:
     def test_burst_past_queue_cap_sheds_typed_overload(self, compiled, tiny_gun):
-        metrics = MetricsRegistry()
-        with ShardedPredictionService(
-            compiled,
-            config=ServeConfig(
-                n_shards=1, warmup=False, max_queue_per_shard=1, max_delay_ms=0.0
-            ),
-            metrics=metrics,
-        ) as service:
+        with scoped_registry() as metrics:
+            service = ShardedPredictionService(
+                compiled,
+                config=ServeConfig(
+                    n_shards=1, warmup=False, max_queue_per_shard=1, max_delay_ms=0.0
+                ),
+            )
+        with service:
             futures = [service.submit(row) for row in tiny_gun.X_test]
             results = [f.result(timeout=60.0) for f in futures]
             statuses = {r.status for r in results}
@@ -224,13 +220,14 @@ class TestAdmissionControl:
             assert metrics.gauge_value("serve.queue_depth") == 0
 
     def test_overload_lands_in_the_flight_recorder(self, compiled, tiny_gun):
-        with ShardedPredictionService(
-            compiled,
-            config=ServeConfig(
-                n_shards=1, warmup=False, max_queue_per_shard=1, max_delay_ms=0.0
-            ),
-            metrics=MetricsRegistry(),
-        ) as service:
+        with scoped_registry():
+            service = ShardedPredictionService(
+                compiled,
+                config=ServeConfig(
+                    n_shards=1, warmup=False, max_queue_per_shard=1, max_delay_ms=0.0
+                ),
+            )
+        with service:
             futures = [service.submit(row) for row in tiny_gun.X_test[:8]]
             [f.result(timeout=60.0) for f in futures]
             reasons = {entry["reason"] for entry in service.flight.records()}
@@ -241,13 +238,12 @@ class TestWorkerLoss:
     def test_killed_worker_loses_no_accepted_requests(
         self, compiled, fitted, tiny_gun
     ):
-        metrics = MetricsRegistry()
         expected = fitted.predict(tiny_gun.X_test)
-        with ShardedPredictionService(
-            compiled,
-            config=ServeConfig(n_shards=2, warmup=False, max_delay_ms=20.0),
-            metrics=metrics,
-        ) as service:
+        with scoped_registry() as metrics:
+            service = ShardedPredictionService(
+                compiled, config=ServeConfig(n_shards=2, warmup=False, max_delay_ms=20.0)
+            )
+        with service:
             futures = [service.submit(row) for row in tiny_gun.X_test]
             service._shards[0].process.kill()
             results = [f.result(timeout=60.0) for f in futures]
@@ -263,12 +259,11 @@ class TestWorkerLoss:
     def test_graceful_recycle_respawns_and_stays_bitwise(
         self, compiled, fitted, tiny_gun
     ):
-        metrics = MetricsRegistry()
-        with ShardedPredictionService(
-            compiled,
-            config=ServeConfig(n_shards=2, warmup=False),
-            metrics=metrics,
-        ) as service:
+        with scoped_registry() as metrics:
+            service = ShardedPredictionService(
+                compiled, config=ServeConfig(n_shards=2, warmup=False)
+            )
+        with service:
             before = [s["generation"] for s in service.shard_states()]
             service.recycle(1)
             after = {s["shard"]: s for s in service.shard_states()}
@@ -280,19 +275,17 @@ class TestWorkerLoss:
 
 
 class TestShardObservability:
-    def test_per_shard_series_use_the_label_convention(
-        self, sharded, sharded_metrics, tiny_gun
-    ):
+    def test_per_shard_series_use_the_label_convention(self, sharded, tiny_gun):
         sharded.predict(tiny_gun.X_test)
-        snap = sharded_metrics.snapshot()
+        snap = sharded.metrics.snapshot()
         labeled = [k for k in snap["counters"] if k.startswith("serve.requests[")]
         assert "serve.requests[shard=0]" in labeled
         assert "serve.requests[shard=1]" in labeled
         assert snap["gauges"]["serve.queue_depth[shard=0]"] == 0
         assert snap["histograms"]["serve.latency_seconds[shard=0]"]["count"] >= 1
 
-    def test_prometheus_export_renders_shard_labels(self, sharded_metrics):
-        text = to_prometheus(sharded_metrics)
+    def test_prometheus_export_renders_shard_labels(self, sharded):
+        text = to_prometheus(sharded.metrics)
         assert 'serve_requests_total{shard="0"}' in text
         assert 'serve_requests_total{shard="1"}' in text
         # One TYPE header per base metric, not one per labeled series.
@@ -300,22 +293,22 @@ class TestShardObservability:
         assert 'serve_latency_seconds{shard="0",quantile="0.5"}' in text
 
     def test_admin_shards_route(self, compiled, tiny_gun):
-        with ShardedPredictionService(
-            compiled,
-            config=ServeConfig(n_shards=1, warmup=False, admin_port=0),
-            metrics=MetricsRegistry(),
-        ) as service:
+        with scoped_registry():
+            service = ShardedPredictionService(
+                compiled, config=ServeConfig(n_shards=1, warmup=False, admin_port=0)
+            )
+        with service:
             with urllib.request.urlopen(service.admin.url("/shards")) as response:
                 payload = json.load(response)
         assert [s["shard"] for s in payload["shards"]] == [0]
         assert payload["shards"][0]["state"] == "up"
 
     def test_single_process_service_has_no_shards_route(self, compiled):
-        with PredictionService(
-            compiled,
-            config=ServeConfig(warmup=False, admin_port=0),
-            metrics=MetricsRegistry(),
-        ) as service:
+        with scoped_registry():
+            service = PredictionService(
+                compiled, config=ServeConfig(warmup=False, admin_port=0)
+            )
+        with service:
             url = service.admin.url("/shards")
             try:
                 urllib.request.urlopen(url)

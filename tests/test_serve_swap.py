@@ -31,7 +31,7 @@ import pytest
 
 from repro import RPMClassifier, SaxParams
 from repro.core.io import save_model
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import Tracer, scoped_registry, tracing
 from repro.serve import (
     ModelHandle,
     ModelRegistry,
@@ -39,6 +39,12 @@ from repro.serve import (
     ServeConfig,
     ShardedPredictionService,
 )
+
+
+def _isolated(tier, handle, config):
+    """``tier(handle, config=config)`` publishing to a registry of its own."""
+    with scoped_registry():
+        return tier(handle, config=config)
 
 
 @pytest.fixture(scope="module")
@@ -101,13 +107,10 @@ class TestSingleProcessSwap:
     def test_swap_under_load_drops_nothing_and_stamps_versions(
         self, registry, tiny_gun
     ):
-        metrics = MetricsRegistry()
         handle = ModelHandle.open("current", registry=registry.root, n_jobs=1)
-        with PredictionService(
-            handle, config=ServeConfig(max_delay_ms=1.0), metrics=metrics
-        ) as service:
+        with _isolated(PredictionService, handle, ServeConfig(max_delay_ms=1.0)) as service:
             assert service.model_version == "v1"
-            assert metrics.gauge_value("serve.model_version") == 1.0
+            assert service.metrics.gauge_value("serve.model_version") == 1.0
             before, after = _stream_and_swap(
                 service, tiny_gun.X_test, lambda: service.swap("v2")
             )
@@ -122,17 +125,17 @@ class TestSingleProcessSwap:
             assert {r.model_version for r in after} == {"v2"}
             assert service.model_version == "v2"
             # The gauge is the handle generation: it moved exactly once.
-            assert metrics.gauge_value("serve.model_version") == 2.0
-            assert metrics.counter_value("serve.swaps") == 1
-            assert metrics.gauge_value("serve.model_version[version=v2]") == 2.0
+            assert service.metrics.gauge_value("serve.model_version") == 2.0
+            assert service.metrics.counter_value("serve.swaps") == 1
+            assert (
+                service.metrics.gauge_value("serve.model_version[version=v2]") == 2.0
+            )
 
     def test_swapped_model_computes_the_new_predictions(
         self, registry, fitted, fitted_b, tiny_gun
     ):
         handle = ModelHandle.open("v1", registry=registry.root)
-        with PredictionService(
-            handle, config=ServeConfig(warmup=False), metrics=MetricsRegistry()
-        ) as service:
+        with _isolated(PredictionService, handle, ServeConfig(warmup=False)) as service:
             np.testing.assert_array_equal(
                 service.predict(tiny_gun.X_test), fitted.predict(tiny_gun.X_test)
             )
@@ -143,9 +146,7 @@ class TestSingleProcessSwap:
 
     def test_refused_swap_keeps_serving_the_old_model(self, registry, tiny_gun):
         handle = ModelHandle.open("v1", registry=registry.root)
-        with PredictionService(
-            handle, config=ServeConfig(warmup=False), metrics=MetricsRegistry()
-        ) as service:
+        with _isolated(PredictionService, handle, ServeConfig(warmup=False)) as service:
             with pytest.raises(Exception, match="v99"):
                 service.swap("v99")
             result = service.predict_one(tiny_gun.X_test[0])
@@ -153,9 +154,7 @@ class TestSingleProcessSwap:
 
     def test_describe_model_names_version_and_generation(self, registry):
         handle = ModelHandle.open("v1", registry=registry.root)
-        with PredictionService(
-            handle, config=ServeConfig(warmup=False), metrics=MetricsRegistry()
-        ) as service:
+        with _isolated(PredictionService, handle, ServeConfig(warmup=False)) as service:
             info = service.describe_model()
             assert info["version"] == "v1"
             assert info["generation"] == 1
@@ -165,10 +164,7 @@ class TestSingleProcessSwap:
 class TestServiceShadow:
     def test_attached_shadow_scores_ok_traffic(self, registry, tiny_gun):
         handle = ModelHandle.open("v1", registry=registry.root)
-        metrics = MetricsRegistry()
-        with PredictionService(
-            handle, config=ServeConfig(warmup=False), metrics=metrics
-        ) as service:
+        with _isolated(PredictionService, handle, ServeConfig(warmup=False)) as service:
             service.attach_shadow("v2", fraction=1.0)
             results = service.predict_many(tiny_gun.X_test)
             assert all(r.ok for r in results)
@@ -177,9 +173,24 @@ class TestServiceShadow:
             assert report.candidate_version == "v2"
             assert report.n_scored == len(results)
             assert 0.0 <= report.disagreement_rate <= 1.0
-            assert metrics.counter_value("serve.shadow.requests") == len(results)
+            assert service.metrics.counter_value("serve.shadow.requests") == len(results)
             # Idempotent: a second detach is a no-op.
             assert service.detach_shadow() is None
+
+    def test_candidate_spans_reach_the_tracer_active_at_attach(self, registry, tiny_gun):
+        # The scorer's thread runs in a copy of attach_shadow()'s context.
+        handle = ModelHandle.open("v1", registry=registry.root)
+        tracer = Tracer()
+        with _isolated(PredictionService, handle, ServeConfig(warmup=False)) as service:
+            with tracing(tracer):
+                service.attach_shadow("v2", fraction=1.0)
+            results = service.predict_many(tiny_gun.X_test)
+            report = service.detach_shadow()
+        assert report.n_scored == len(results)
+        assert tracer.roots
+        for root in tracer.roots:
+            assert root.name == "compiled.predict"
+            assert [child.name for child in root.children] == ["compiled.transform"]
 
     @staticmethod
     def _detach_loses_nothing(service, rows, stall_offers) -> None:
@@ -196,9 +207,7 @@ class TestServiceShadow:
         self, registry, tiny_gun, stall_offers
     ):
         handle = ModelHandle.open("v1", registry=registry.root)
-        with PredictionService(
-            handle, config=ServeConfig(warmup=False), metrics=MetricsRegistry()
-        ) as service:
+        with _isolated(PredictionService, handle, ServeConfig(warmup=False)) as service:
             self._detach_loses_nothing(service, tiny_gun.X_test, stall_offers)
 
     def test_sharded_detach_waits_for_the_result_in_flight(
@@ -206,16 +215,12 @@ class TestServiceShadow:
     ):
         handle = ModelHandle.open("v1", registry=registry.root, n_jobs=1)
         config = ServeConfig(n_shards=1, warmup=False)
-        with ShardedPredictionService(
-            handle, config=config, metrics=MetricsRegistry()
-        ) as service:
+        with _isolated(ShardedPredictionService, handle, config) as service:
             self._detach_loses_nothing(service, tiny_gun.X_test[:8], stall_offers)
 
     def test_double_attach_is_refused(self, registry):
         handle = ModelHandle.open("v1", registry=registry.root)
-        with PredictionService(
-            handle, config=ServeConfig(warmup=False), metrics=MetricsRegistry()
-        ) as service:
+        with _isolated(PredictionService, handle, ServeConfig(warmup=False)) as service:
             service.attach_shadow("v2", fraction=1.0)
             with pytest.raises(RuntimeError, match="already attached"):
                 service.attach_shadow("v2")
@@ -225,9 +230,7 @@ class TestServiceShadow:
         self, registry, tiny_gun
     ):
         handle = ModelHandle.open("v1", registry=registry.root)
-        with PredictionService(
-            handle, config=ServeConfig(warmup=False), metrics=MetricsRegistry()
-        ) as service:
+        with _isolated(PredictionService, handle, ServeConfig(warmup=False)) as service:
             service.attach_shadow("v1", fraction=1.0)
             service.predict_many(tiny_gun.X_test)
             report = service.detach_shadow()
@@ -240,9 +243,7 @@ class TestAdminSwapRoute:
     def served(self, registry):
         handle = ModelHandle.open("v1", registry=registry.root)
         config = ServeConfig(warmup=False, admin_port=0)
-        with PredictionService(
-            handle, config=config, metrics=MetricsRegistry()
-        ) as service:
+        with _isolated(PredictionService, handle, config) as service:
             yield service
 
     @staticmethod
@@ -295,12 +296,9 @@ class TestShardedSwap:
     def test_rolling_swap_under_load_keeps_ready_and_drops_nothing(
         self, registry, tiny_gun
     ):
-        metrics = MetricsRegistry()
         handle = ModelHandle.open("v1", registry=registry.root, n_jobs=1)
         config = ServeConfig(n_shards=2, warmup=False, max_delay_ms=1.0)
-        with ShardedPredictionService(
-            handle, config=config, metrics=metrics
-        ) as service:
+        with _isolated(ShardedPredictionService, handle, config) as service:
             assert service.model_version == "v1"
             ready_flips = []
 
@@ -329,10 +327,10 @@ class TestShardedSwap:
             assert {r.model_version for r in results} <= {"v1", "v2"}
             assert {r.model_version for r in after} == {"v2"}
             assert not ready_flips, "readiness flipped during the rolling swap"
-            assert metrics.gauge_value("serve.model_version") == 2.0
-            assert metrics.counter_value("serve.swaps") == 1
+            assert service.metrics.gauge_value("serve.model_version") == 2.0
+            assert service.metrics.counter_value("serve.swaps") == 1
             # Every shard recycled exactly once for the swap.
-            assert metrics.counter_value("serve.worker_recycles") == 2
+            assert service.metrics.counter_value("serve.worker_recycles") == 2
             # Post-swap output is the new model's, bitwise.
             assert service.model_version == "v2"
 
@@ -341,9 +339,7 @@ class TestShardedSwap:
     ):
         handle = ModelHandle.open("v1", registry=registry.root, n_jobs=1)
         config = ServeConfig(n_shards=2, warmup=False)
-        with ShardedPredictionService(
-            handle, config=config, metrics=MetricsRegistry()
-        ) as service:
+        with _isolated(ShardedPredictionService, handle, config) as service:
             service.swap("v2")
             np.testing.assert_array_equal(
                 service.predict(tiny_gun.X_test), fitted_b.predict(tiny_gun.X_test)
@@ -351,10 +347,8 @@ class TestShardedSwap:
 
     def test_swap_on_stopped_service_is_refused(self, registry):
         handle = ModelHandle.open("v1", registry=registry.root, n_jobs=1)
-        service = ShardedPredictionService(
-            handle,
-            config=ServeConfig(n_shards=1, warmup=False),
-            metrics=MetricsRegistry(),
+        service = _isolated(
+            ShardedPredictionService, handle, ServeConfig(n_shards=1, warmup=False)
         )
         with pytest.raises(RuntimeError, match="stopped"):
             service.swap("v2")
