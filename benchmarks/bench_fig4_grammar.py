@@ -23,8 +23,11 @@ def _grammar_experiment():
     instances = [row for row in dataset.class_instances(label)]
     params = SaxParams(30, 5, 5)
     record, starts, lengths = discretize_class(instances, params)
-    motifs = induce_motifs(record, starts, lengths)
-    motifs.sort(key=lambda m: (m.support, m.frequency), reverse=True)
+    motifs = sorted(
+        induce_motifs(record, starts, lengths),
+        key=lambda m: (m.support, m.frequency),
+        reverse=True,
+    )
     return dataset, instances, params, record, starts, lengths, motifs
 
 

@@ -31,8 +31,11 @@ def main() -> None:
     print(f"discretized to {len(record)} SAX words "
           f"({record.dropped} junction-spanning windows dropped)")
 
-    motifs = induce_motifs(record, starts, lengths)
-    motifs.sort(key=lambda m: (m.support, m.frequency), reverse=True)
+    motifs = sorted(
+        induce_motifs(record, starts, lengths),
+        key=lambda m: (m.support, m.frequency),
+        reverse=True,
+    )
     print(f"grammar produced {len(motifs)} candidate motifs\n")
 
     best = motifs[0]

@@ -191,6 +191,39 @@ def _observed(command):
     return run
 
 
+#: Flags of the DIRECT parameter search, which a fixed ``--window`` skips.
+_SEARCH_FLAGS = ("budget", "splits", "seed")
+#: Flags of the fixed SAX triple, which only ``--window`` sets.
+_FIXED_FLAGS = ("paa", "alphabet")
+
+
+class _NoteGiven(argparse.Action):
+    """``store`` that also notes the flag in ``namespace.given``, so that a
+    flag the run would ignore can be told from one left at its default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        if self.dest not in namespace.given:
+            namespace.given = (*namespace.given, self.dest)
+
+
+def _ignored_rpm_flags(args) -> str | None:
+    """Why the run would ignore RPM flags given on the command line, naming them."""
+    method = getattr(args, "method", "RPM")
+    if method != "RPM":
+        flags, reason = args.given, f"only to --method RPM, not {method}"
+    elif args.window:
+        flags = [name for name in args.given if name in _SEARCH_FLAGS]
+        reason = "only without --window (a fixed window skips the parameter search)"
+    else:
+        flags = [name for name in args.given if name in _FIXED_FLAGS]
+        reason = "only with --window (the parameter search picks the SAX triple)"
+    if not flags:
+        return None
+    names = ", ".join(f"--{name}" for name in flags)
+    return f"{names} appl{'y' if len(flags) > 1 else 'ies'} {reason}"
+
+
 def _build_rpm(args) -> RPMClassifier:
     common = dict(gamma=args.gamma, seed=args.seed, numerosity_reduction=args.numerosity)
     if args.window:
@@ -703,15 +736,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     def add_rpm_options(p):
-        p.add_argument("--gamma", type=float, default=0.2, help="min motif support")
-        p.add_argument("--budget", type=int, default=40, help="DIRECT evaluations")
-        p.add_argument("--splits", type=int, default=3, help="validation splits")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--window", type=int, default=0,
+        # The RPM flags note themselves in ``given``: main() rejects one
+        # the run would ignore (see _ignored_rpm_flags).
+        p.set_defaults(given=())
+        p.add_argument("--gamma", type=float, default=0.2, action=_NoteGiven,
+                       help="min motif support")
+        p.add_argument("--budget", type=int, default=40, action=_NoteGiven,
+                       help="DIRECT evaluations (not with --window)")
+        p.add_argument("--splits", type=int, default=3, action=_NoteGiven,
+                       help="validation splits (not with --window)")
+        p.add_argument("--seed", type=int, default=0, action=_NoteGiven,
+                       help="parameter-search seed (not with --window)")
+        p.add_argument("--window", type=int, default=0, action=_NoteGiven,
                        help="fixed SAX window (skips parameter search)")
-        p.add_argument("--paa", type=int, default=6, help="fixed PAA size")
-        p.add_argument("--alphabet", type=int, default=5, help="fixed alphabet size")
+        p.add_argument("--paa", type=int, default=6, action=_NoteGiven,
+                       help="fixed PAA size (with --window)")
+        p.add_argument("--alphabet", type=int, default=5, action=_NoteGiven,
+                       help="fixed alphabet size (with --window)")
         p.add_argument("--numerosity", choices=list(REDUCTIONS), default="exact",
+                       action=_NoteGiven,
                        help="numerosity reduction mode: 'exact' collapses "
                             "runs of identical SAX words (paper default), "
                             "'mindist' also collapses near-identical "
@@ -946,7 +989,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("train", "evaluate"):
+        ignored = _ignored_rpm_flags(args)
+        if ignored:
+            parser.error(ignored)
     try:
         return args.func(args)
     except (FileNotFoundError, KeyError, ValueError) as exc:

@@ -3,20 +3,22 @@
 from .linkage import Linkage, Merge, agglomerate, cut_k
 from .refine import (
     MIN_SPLIT_FRACTION,
+    AlignedGroups,
     RefinedCluster,
-    align_subsequences,
+    align_groups,
     bisect_refine,
     centroid_of,
     medoid_of,
 )
 
 __all__ = [
+    "AlignedGroups",
     "Linkage",
     "MIN_SPLIT_FRACTION",
     "Merge",
     "RefinedCluster",
     "agglomerate",
-    "align_subsequences",
+    "align_groups",
     "bisect_refine",
     "centroid_of",
     "cut_k",

@@ -29,8 +29,9 @@ from ..sax.znorm import znorm, znorm_rows
 from .linkage import _check_distance_matrix, complete_two_cut
 
 __all__ = [
+    "AlignedGroups",
     "RefinedCluster",
-    "align_subsequences",
+    "align_groups",
     "bisect_refine",
     "centroid_of",
     "medoid_of",
@@ -93,37 +94,119 @@ class RefinedCluster:
         return self.pairwise[_upper_triangle(self.size)]
 
 
-def align_subsequences(
-    subsequences: list[np.ndarray],
-    target_length: int | None = None,
-) -> np.ndarray:
-    """Z-normalize and resample variable-length subsequences to one length.
+@lru_cache(maxsize=1024)
+def _resampling(size: int, target: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.interp(_unit_grid(target), _unit_grid(size), fp)`` as two tables.
 
-    The target defaults to the *median* member length, which keeps the
-    prototype faithful to the dominant scale of the motif.
+    ``knots[0]`` holds, for each target point ``x``, the knot ``j`` below
+    it (the binary search ``np.interp`` makes) and ``knots[1]`` the knot
+    above (``j`` itself at the right end). ``steps[0]`` holds the knot
+    spacing ``xp[j + 1] - xp[j]`` (1 where unused) and ``steps[1]`` the
+    offset ``x - xp[j]``, which is 0 exactly where ``np.interp`` takes
+    ``fp[j]`` as is: at an exact knot and at the right end. Built once
+    per length pair and read-only.
     """
-    if not subsequences:
-        raise ValueError("need at least one subsequence")
-    lengths = sorted(np.asarray(s).size for s in subsequences)
-    if lengths[0] < 2:
+    xp, x = _unit_grid(size), _unit_grid(target)
+    below = np.searchsorted(xp, x, side="right") - 1
+    above = np.minimum(below + 1, size - 1)
+    offset = x - xp[below]
+    spacing = np.where(offset == 0.0, 1.0, xp[above] - xp[below])
+    knots, steps = np.stack([below, above]), np.stack([spacing, offset])
+    knots.flags.writeable = False
+    steps.flags.writeable = False
+    return knots, steps
+
+
+def _resample(
+    series: np.ndarray, starts: np.ndarray, lengths: np.ndarray, target: int
+) -> np.ndarray:
+    """``np.interp`` of every ``series[start:start + length]`` onto ``target``
+    points, bit for bit: ``slope * (x - xp[j]) + fp[j]`` with ``slope =
+    (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])``, and ``fp[j]`` at exact
+    knots and at the right end. Members already ``target`` long sit on a
+    knot everywhere: they are copied.
+    """
+    first = starts[:, None]
+    if (lengths == target).all():
+        return series[first + np.arange(target)]
+    sizes = sorted(set(lengths.tolist()))
+    tables = [_resampling(size, target) for size in sizes]
+    which = np.searchsorted(sizes, lengths)
+    knots = np.array([table[0] for table in tables])[which]
+    steps = np.array([table[1] for table in tables])[which]
+    low = series[knots[:, 0] + first]
+    offset = steps[:, 1]
+    rows = (series[knots[:, 1] + first] - low) / steps[:, 0] * offset + low
+    np.copyto(rows, low, where=offset == 0.0)
+    return rows
+
+
+@dataclass(frozen=True, eq=False)
+class AlignedGroups:
+    """Groups of subsequences, each resampled to one length and z-normalized.
+
+    Group ``g`` is a ``(sizes[g], lengths[g])`` matrix, read as
+    ``groups[g]``: rows ``first_rows[g]:first_rows[g] + sizes[g]`` of
+    ``matrices[lengths[g]]``, which stacks every group of that length in
+    group order.
+    """
+
+    matrices: dict[int, np.ndarray]
+    lengths: np.ndarray
+    first_rows: np.ndarray
+    sizes: np.ndarray
+
+    def __getitem__(self, g: int) -> np.ndarray:
+        first = int(self.first_rows[g])
+        return self.matrices[int(self.lengths[g])][first : first + int(self.sizes[g])]
+
+
+def align_groups(
+    series: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    bounds: np.ndarray,
+) -> AlignedGroups:
+    """Z-normalize and resample groups of subsequences of *series*.
+
+    Group ``g`` holds ``series[starts[i]:ends[i]]`` for ``i`` in
+    ``bounds[g]:bounds[g + 1]``. Each group is resampled to the integer
+    median of its member lengths (``int(np.median(lengths))``), which
+    keeps the prototype faithful to the dominant scale of the motif.
+    The members of all groups of one length are resampled together (see
+    :func:`_resample`) and z-normalized by one
+    :func:`~repro.sax.znorm.znorm_rows` call, so every row equals that of
+    one ``np.interp`` and one ``znorm_rows`` per group.
+    """
+    series = np.asarray(series, dtype=float)
+    starts = np.asarray(starts, dtype=np.intp)
+    lengths = np.asarray(ends, dtype=np.intp) - starts
+    bounds = np.asarray(bounds, dtype=np.intp)
+    sizes = np.diff(bounds)
+    if sizes.size and sizes.min() < 1:
+        raise ValueError("need at least one subsequence per group")
+    if lengths.size and lengths.min() < 2:
         raise ValueError("subsequences must have at least 2 points")
-    if target_length is None:
-        # int(np.median(lengths)) in integer arithmetic: the mean of the
-        # two middle lengths of an even count is truncated.
-        mid = len(lengths) // 2
-        target_length = (
-            lengths[mid] if len(lengths) % 2 else (lengths[mid - 1] + lengths[mid]) // 2
-        )
-    target_length = max(int(target_length), 2)
-    grid = _unit_grid(target_length)
-    rows = np.empty((len(subsequences), target_length))
-    for i, sub in enumerate(subsequences):
-        values = np.asarray(sub, dtype=float)
-        if values.size == target_length:
-            rows[i] = values
-        else:
-            rows[i] = np.interp(grid, _unit_grid(values.size), values)
-    return znorm_rows(rows)
+    group = np.repeat(np.arange(sizes.size), sizes)
+    ordered = lengths[np.lexsort((lengths, group))]
+    # The mean of the two middle lengths of an even count is truncated.
+    mid = bounds[:-1] + sizes // 2
+    target = np.where(sizes % 2 == 1, ordered[mid], (ordered[mid - 1] + ordered[mid]) // 2)
+    # Members, and groups, ordered by target length; ties keep their order.
+    members = np.argsort(target[group], kind="stable")
+    groups = np.argsort(target, kind="stable")
+    first_rows = np.empty(sizes.size, dtype=np.intp)
+    matrices: dict[int, np.ndarray] = {}
+    member_lo = group_lo = 0
+    for length in np.unique(target).tolist():
+        group_hi = group_lo + int(np.count_nonzero(target == length))
+        block = groups[group_lo:group_hi]
+        first_rows[block] = np.cumsum(sizes[block]) - sizes[block]
+        member_hi = member_lo + int(sizes[block].sum())
+        block = members[member_lo:member_hi]
+        matrices[length] = znorm_rows(_resample(series, starts[block], lengths[block], length))
+        member_lo, group_lo = member_hi, group_hi
+    return AlignedGroups(matrices, target, first_rows, sizes)
 
 
 def bisect_refine(

@@ -14,12 +14,16 @@ RPM's Algorithm 1 needs (paper §3.2.2, Figure 4):
 * occurrences that would cross a junction in raw coordinates are
   dropped, and each occurrence is tagged with the training instance it
   lies in.
+
+The occurrences of all rules are found and mapped as one table of
+arrays (:func:`occurrence_table`, :class:`MotifTable`), not one rule at
+a time.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -28,12 +32,13 @@ from ..sax.discretize import SaxParams, SaxRecord, discretize
 from .sequitur import Sequitur
 
 __all__ = [
+    "MotifTable",
     "Occurrence",
     "RuleMotif",
     "concatenate_with_junctions",
-    "find_token_occurrences",
-    "find_word_occurrences",
+    "discretize_class",
     "induce_motifs",
+    "occurrence_table",
     "rule_spans",
 ]
 
@@ -117,43 +122,165 @@ def concatenate_with_junctions(
     return series, starts, valid
 
 
-def find_word_occurrences(words: Sequence[str], needle: Sequence[str]) -> list[int]:
-    """All start indices at which the token sequence *needle* occurs in *words*.
+def occurrence_table(
+    token_ids: np.ndarray, expansions: Sequence[Sequence[int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every occurrence of every expansion in *token_ids*, as two arrays.
 
-    Uses a first-token index to keep the scan near-linear for the short
-    needles Sequitur produces. Overlapping occurrences are reported.
-    Tokens may be any equality-comparable objects (strings, ints).
+    Returns ``(rule, position)``: for each occurrence, the index of its
+    expansion in *expansions* and the token position it starts at,
+    sorted by expansion and then by position. Overlapping occurrences
+    are reported. The candidates of an expansion are the positions of
+    its first token from which it fits in the stream; they are filtered
+    one expansion position at a time, across all expansions at once, so
+    the work is one numpy pass per position of the longest expansion.
     """
-    if not needle:
-        return []
-    first = needle[0]
-    k = len(needle)
-    n = len(words)
-    out: list[int] = []
-    for i, word in enumerate(words):
-        if word != first or i + k > n:
-            continue
-        if all(words[i + j] == needle[j] for j in range(1, k)):
-            out.append(i)
-    return out
-
-
-def find_token_occurrences(token_ids: np.ndarray, needle: Sequence[int]) -> list[int]:
-    """Vectorized :func:`find_word_occurrences` over an integer id array.
-
-    One boolean AND per needle position instead of a Python scan per
-    window; overlapping occurrences are reported, matching the scalar
-    path exactly.
-    """
-    token_ids = np.asarray(token_ids)
-    k = len(needle)
+    token_ids = np.asarray(token_ids, dtype=np.int64)
     n = token_ids.size
-    if k == 0 or k > n:
-        return []
-    hits = token_ids[: n - k + 1] == needle[0]
-    for j in range(1, k):
-        hits &= token_ids[j : n - k + 1 + j] == needle[j]
-    return np.flatnonzero(hits).tolist()
+    sizes = np.fromiter(map(len, expansions), dtype=np.intp, count=len(expansions))
+    if sizes.size and sizes.min() < 1:
+        raise ValueError("every expansion must hold at least one token")
+    if n == 0 or sizes.size == 0:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    flat = np.fromiter(chain.from_iterable(expansions), dtype=np.int64, count=int(sizes.sum()))
+    head = np.cumsum(sizes) - sizes  # each expansion's first token in ``flat``
+    first = flat[head]
+    # Token t's positions, ascending: by_token[token_start[t]:token_start[t + 1]].
+    by_token = np.argsort(token_ids, kind="stable")
+    counts = np.bincount(token_ids, minlength=int(first.max()) + 1)
+    token_start = np.concatenate(([0], np.cumsum(counts)))
+    counts = counts[first]
+    block = np.cumsum(counts) - counts
+    rule = np.repeat(np.arange(sizes.size), counts)
+    position = by_token[
+        np.arange(int(counts.sum())) + np.repeat(token_start[first] - block, counts)
+    ]
+    size = sizes[rule]
+    fits = position + size <= n
+    # Longest expansions first, so the candidates still being matched at
+    # step j are a prefix; a stable sort keeps positions ascending.
+    order = np.argsort(-size[fits], kind="stable")
+    rule, position, size = rule[fits][order], position[fits][order], size[fits][order]
+    cursor = head[rule]
+    matched_rule, matched_position = [], []
+    for j in range(1, int(sizes.max())):
+        live = int(np.count_nonzero(size > j))
+        matched_rule.append(rule[live:])
+        matched_position.append(position[live:])
+        rule, position, size, cursor = rule[:live], position[:live], size[:live], cursor[:live]
+        same = token_ids[position + j] == flat[cursor + j]
+        rule, position, size, cursor = rule[same], position[same], size[same], cursor[same]
+    matched_rule.append(rule)
+    matched_position.append(position)
+    rule = np.concatenate(matched_rule)
+    position = np.concatenate(matched_position)
+    # All of an expansion's candidates finish at one step, in position order.
+    order = np.argsort(rule, kind="stable")
+    return rule[order], position[order]
+
+
+def _rule_occurrences(
+    record: SaxRecord, min_word_count: int
+) -> tuple[list[int], list[tuple[int, ...]], np.ndarray, np.ndarray, np.ndarray]:
+    """Induce a grammar over *record*'s token ids and find all its occurrences.
+
+    Returns ``(rule_ids, expansions, rule, starts, ends)``: the id and
+    token-id expansion of every rule with a distinct expansion of at
+    least *min_word_count* tokens, in rule-id order (of rules sharing an
+    expansion, the first wins), and per occurrence (sorted by rule, then
+    position) its rule's index and its raw span, from the first word's
+    offset to the last word's offset plus the window.
+    """
+    grammar = Sequitur().feed_all(record.token_ids.tolist())
+    rule_ids: list[int] = []
+    expansions: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    for grammar_rule in grammar.non_start_rules():
+        expansion = tuple(grammar_rule.expansion())
+        if len(expansion) < min_word_count or expansion in seen:
+            continue
+        seen.add(expansion)
+        rule_ids.append(grammar_rule.rule_id)
+        expansions.append(expansion)
+    rule, position = occurrence_table(record.token_ids, expansions)
+    sizes = np.fromiter(map(len, expansions), dtype=np.intp, count=len(expansions))
+    offsets = record.offsets
+    starts = offsets[position]
+    ends = offsets[position + sizes[rule] - 1] + record.params.window_size
+    return rule_ids, expansions, rule, starts, ends
+
+
+@dataclass(frozen=True, eq=False)
+class MotifTable:
+    """The motifs of one grammar and all their occurrences, as arrays.
+
+    Motif ``m`` is grammar rule ``rule_ids[m]``, expanding to the token
+    ids ``expansions[m]``. Its occurrences are rows
+    ``bounds[m]:bounds[m + 1]`` of ``starts``/``ends`` (raw coordinates,
+    end exclusive) and ``instances`` (the training instance holding
+    each), in series order. Indexing or iterating the table builds
+    :class:`RuleMotif` objects; the SAX words are rendered only there
+    and by :meth:`words`.
+    """
+
+    rule_ids: np.ndarray
+    expansions: tuple[tuple[int, ...], ...]
+    bounds: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    instances: np.ndarray
+    #: Distinct training instances covered, per motif.
+    support: np.ndarray
+    record: SaxRecord = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.expansions)
+
+    @property
+    def frequency(self) -> np.ndarray:
+        """Occurrence count per motif."""
+        return np.diff(self.bounds)
+
+    def words(self, m: int) -> tuple[str, ...]:
+        """The SAX words of motif *m*."""
+        vocabulary = self.record.vocabulary
+        return tuple(vocabulary[i] for i in self.expansions[m])
+
+    def select(self, motifs: np.ndarray) -> "MotifTable":
+        """The table of the motifs at indices *motifs*, in that order."""
+        motifs = np.asarray(motifs, dtype=np.intp)
+        sizes = self.frequency[motifs]
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        rows = np.arange(int(bounds[-1])) + np.repeat(self.bounds[motifs] - bounds[:-1], sizes)
+        return MotifTable(
+            rule_ids=self.rule_ids[motifs],
+            expansions=tuple(self.expansions[m] for m in motifs.tolist()),
+            bounds=bounds,
+            starts=self.starts[rows],
+            ends=self.ends[rows],
+            instances=self.instances[rows],
+            support=self.support[motifs],
+            record=self.record,
+        )
+
+    def __getitem__(self, m: int) -> RuleMotif:
+        m = range(len(self))[m]
+        lo, hi = int(self.bounds[m]), int(self.bounds[m + 1])
+        return RuleMotif(
+            rule_id=int(self.rule_ids[m]),
+            words=self.words(m),
+            occurrences=[
+                Occurrence(start=start, end=end, instance=instance)
+                for start, end, instance in zip(
+                    self.starts[lo:hi].tolist(),
+                    self.ends[lo:hi].tolist(),
+                    self.instances[lo:hi].tolist(),
+                )
+            ],
+        )
+
+    def __iter__(self) -> Iterator[RuleMotif]:
+        return (self[m] for m in range(len(self)))
 
 
 def induce_motifs(
@@ -163,7 +290,7 @@ def induce_motifs(
     *,
     min_frequency: int = 2,
     min_word_count: int = 1,
-) -> list[RuleMotif]:
+) -> MotifTable:
     """Run Sequitur over a :class:`SaxRecord` and map rules to raw motifs.
 
     Parameters
@@ -182,33 +309,38 @@ def induce_motifs(
 
     Returns
     -------
-    list[RuleMotif]
-        Candidate motifs ordered by rule id (creation order).
+    MotifTable
+        The candidate motifs in rule-id (creation) order, with every
+        occurrence, its instance, and each motif's support.
     """
-    starts = np.asarray(instance_starts, dtype=int)
-    lengths = np.asarray(instance_lengths, dtype=int)
-    start_list = starts.tolist()
-    end_list = (starts + lengths).tolist()
-    motifs: list[RuleMotif] = []
-    for rule_id, expansion, spans in rule_spans(record, min_word_count=min_word_count):
-        occurrences: list[Occurrence] = []
-        for raw_start, raw_end in spans:
-            instance = bisect_right(start_list, raw_start) - 1
-            # Drop occurrences crossing a junction (can happen when
-            # numerosity reduction made two sides of a junction adjacent).
-            if raw_end > end_list[instance]:
-                continue
-            occurrences.append(Occurrence(start=raw_start, end=raw_end, instance=instance))
-        if len(occurrences) >= min_frequency:
-            vocabulary = record.vocabulary
-            motifs.append(
-                RuleMotif(
-                    rule_id=rule_id,
-                    words=tuple(vocabulary[i] for i in expansion),
-                    occurrences=occurrences,
-                )
-            )
-    return motifs
+    rule_ids, expansions, rule, starts, ends = _rule_occurrences(record, min_word_count)
+    first = np.asarray(instance_starts, dtype=np.intp)
+    last = first + np.asarray(instance_lengths, dtype=np.intp)
+    instances = np.searchsorted(first, starts, side="right") - 1
+    # Drop occurrences crossing a junction (can happen when numerosity
+    # reduction made two sides of a junction adjacent).
+    inside = ends <= last[instances]
+    rule, starts, ends, instances = rule[inside], starts[inside], ends[inside], instances[inside]
+    frequency = np.bincount(rule, minlength=len(expansions))
+    frequent = frequency >= min_frequency
+    kept = np.flatnonzero(frequent)
+    inside = frequent[rule]
+    motif = (np.cumsum(frequent) - 1)[rule[inside]]
+    starts, ends, instances = starts[inside], ends[inside], instances[inside]
+    # Occurrences run in series order, so a motif's instances never
+    # decrease: each new (motif, instance) pair starts a run.
+    new = np.ones(motif.size, dtype=bool)
+    new[1:] = (motif[1:] != motif[:-1]) | (instances[1:] != instances[:-1])
+    return MotifTable(
+        rule_ids=np.asarray(rule_ids, dtype=np.intp)[kept],
+        expansions=tuple(expansions[m] for m in kept.tolist()),
+        bounds=np.concatenate(([0], np.cumsum(frequency[kept]))),
+        starts=starts,
+        ends=ends,
+        instances=instances,
+        support=np.bincount(motif[new], minlength=kept.size),
+        record=record,
+    )
 
 
 def rule_spans(
@@ -228,22 +360,12 @@ def rule_spans(
     saved-model metadata). Equal words share an id, so the grammar — and
     the dedup — is identical to feeding the strings.
     """
-    token_ids = record.token_ids
-    offsets = record.offsets.tolist()
-    window = record.params.window_size
-    grammar = Sequitur().feed_all(token_ids.tolist())
-    seen: set[tuple[int, ...]] = set()
-    for rule in grammar.non_start_rules():
-        expansion = tuple(rule.expansion())
-        if len(expansion) < min_word_count or expansion in seen:
-            continue
-        seen.add(expansion)
-        last = len(expansion) - 1
-        spans = [
-            (offsets[i], offsets[i + last] + window)
-            for i in find_token_occurrences(token_ids, expansion)
-        ]
-        yield rule.rule_id, expansion, spans
+    rule_ids, expansions, rule, starts, ends = _rule_occurrences(record, min_word_count)
+    bounds = np.searchsorted(rule, np.arange(len(expansions) + 1)).tolist()
+    starts, ends = starts.tolist(), ends.tolist()
+    for r, (rule_id, expansion) in enumerate(zip(rule_ids, expansions)):
+        lo, hi = bounds[r], bounds[r + 1]
+        yield rule_id, expansion, list(zip(starts[lo:hi], ends[lo:hi]))
 
 
 def discretize_class(

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -312,19 +311,23 @@ def _searchable_indices(su_fc: np.ndarray, max_features: int | None) -> list[int
 
 def _best_first_search(
     su_fc: np.ndarray,
-    su_ff: Callable[[int, int], float],
+    ff_matrix: np.ndarray,
     searchable: list[int],
     max_stale: int,
 ) -> tuple[frozenset[int], float]:
-    """Best-first subset search over an SU oracle.
+    """Best-first subset search over the searchable SU matrix.
 
-    A search node carries the running sums ``Σ su_fc`` and ``Σ su_ff``
-    of its subset, so extending a subset by one feature costs ``k``
-    ``su_ff`` lookups instead of re-evaluating all ``k²`` pairs. The
-    traversal — heap order, visited set, tie-breaks — depends only on
-    the SU values, so any oracle returning the same values selects the
-    same subset.
+    ``ff_matrix[p, q]`` is the SU of columns ``searchable[p]`` and
+    ``searchable[q]``. A search node carries the running sums ``Σ su_fc``
+    and ``Σ su_ff`` of its subset. Expanding a node reads what each child
+    adds to ``Σ su_ff`` from one ``np.cumsum`` over the matrix rows of the
+    subset's members, taken in the frozenset's iteration order: it adds
+    left to right, as ``sum(su_ff(i, j) for i in subset)`` does on
+    Python 3.11 (3.12's float ``sum`` compensates, so it can differ in
+    the last bit). The traversal — heap order, visited set, tie-breaks —
+    depends only on the SU values.
     """
+    position = {j: p for p, j in enumerate(searchable)}
     start: frozenset[int] = frozenset()
     best_subset = start
     best_merit = 0.0
@@ -338,8 +341,13 @@ def _best_first_search(
 
     while open_heap and stale < max_stale:
         _, _, subset, sum_fc, sum_ff = heapq.heappop(open_heap)
+        if subset:
+            rows = [position[i] for i in subset]
+            added = np.cumsum(ff_matrix[rows], axis=0)[-1].tolist()
+        else:
+            added = [0.0] * len(searchable)
         improved = False
-        for j in searchable:
+        for p, j in enumerate(searchable):
             if j in subset:
                 continue
             child = subset | {j}
@@ -347,7 +355,7 @@ def _best_first_search(
                 continue
             visited.add(child)
             child_fc = sum_fc + float(su_fc[j])
-            child_ff = sum_ff + sum(su_ff(i, j) for i in subset)
+            child_ff = sum_ff + added[p]
             merit = merit_from_sums(len(child), child_fc, child_ff)
             counter += 1
             heapq.heappush(open_heap, (-merit, counter, child, child_fc, child_ff))
@@ -408,9 +416,7 @@ def cfs_select(
     ff_matrix = feature_feature_su_matrix(
         codes, searchable, entropies=h_cols[searchable]
     )
-    su_ff = _matrix_oracle(ff_matrix, searchable)
-
-    best_subset, best_merit = _best_first_search(su_fc, su_ff, searchable, max_stale)
+    best_subset, best_merit = _best_first_search(su_fc, ff_matrix, searchable, max_stale)
 
     if not best_subset:
         best_subset = frozenset({int(np.argmax(su_fc))})
@@ -421,15 +427,3 @@ def cfs_select(
         merit=float(best_merit),
         feature_class_su=su_fc,
     )
-
-
-def _matrix_oracle(
-    matrix: np.ndarray, searchable: list[int]
-) -> Callable[[int, int], float]:
-    """``su_ff(i, j)`` over a precomputed searchable-positional matrix."""
-    position = {j: p for p, j in enumerate(searchable)}
-
-    def su_ff(i: int, j: int) -> float:
-        return float(matrix[position[i], position[j]])
-
-    return su_ff

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..cluster.refine import align_subsequences, bisect_refine, centroid_of
+from ..cluster.refine import align_groups, bisect_refine, centroid_of
 from ..grammar.inference import rule_spans
 from ..sax.discretize import SaxParams, discretize
 
@@ -134,21 +134,28 @@ def find_motifs(
     for rule_id, expansion, spans in rule_spans(record, min_word_count=min_words):
         if len(spans) < min_frequency:
             continue
-        motif = Motif(
-            rule_id=rule_id,
-            words=tuple(vocabulary[i] for i in expansion),
-            occurrences=[
-                MotifOccurrence(start=start, end=min(end, series.size)) for start, end in spans
-            ],
+        motifs.append(
+            Motif(
+                rule_id=rule_id,
+                words=tuple(vocabulary[i] for i in expansion),
+                occurrences=[
+                    MotifOccurrence(start=start, end=min(end, series.size))
+                    for start, end in spans
+                ],
+            )
         )
-        if refine:
-            subs = motif.subsequences(series)
-            if all(s.size >= 2 for s in subs):
-                aligned = align_subsequences(subs)
-                clusters = bisect_refine(aligned)
-                biggest = max(clusters, key=lambda c: c.size)
-                motif.prototype = centroid_of(biggest)
-        motifs.append(motif)
+    if refine:
+        refinable = [m for m in motifs if all(occ.length >= 2 for occ in m.occurrences)]
+        occurrences = [occ for motif in refinable for occ in motif.occurrences]
+        aligned = align_groups(
+            series,
+            [occ.start for occ in occurrences],
+            [occ.end for occ in occurrences],
+            np.cumsum([0] + [motif.frequency for motif in refinable]),
+        )
+        for g, motif in enumerate(refinable):
+            biggest = max(bisect_refine(aligned[g]), key=lambda c: c.size)
+            motif.prototype = centroid_of(biggest)
 
     key = {
         "frequency": lambda m: (m.frequency, m.mean_length()),

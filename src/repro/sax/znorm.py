@@ -87,6 +87,8 @@ def znorm_rows(matrix: np.ndarray, threshold: float = NORM_THRESHOLD) -> np.ndar
     centered = values - np.add.reduce(values, axis=1, keepdims=True) / length
     sds = np.sqrt(np.add.reduce(centered * centered, axis=1, keepdims=True) / length)
     flat = is_flat(sds, threshold).ravel()
+    if not flat.any():
+        return centered / sds
     # Avoid division warnings for flat rows; they are overwritten below.
     sds[flat] = 1.0
     out = centered / sds

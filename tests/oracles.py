@@ -50,6 +50,18 @@ paths replaced and must reproduce bitwise:
 * the unpruned refinement loop (:func:`unpruned_class_candidates`) that
   ``repro.core.candidates`` replaced with one that skips rules covering
   too few series — same candidates, bit for bit;
+* the per-rule mining path (:func:`per_rule_class_candidates`) that
+  ``repro.core.candidates`` replaced with one array program per class:
+  one token-stream scan per rule (:func:`find_token_occurrences`), one
+  ``Occurrence`` and one ``bisect_right`` per occurrence
+  (:func:`per_rule_motifs`), one ``np.interp`` per member and one
+  ``znorm_rows`` per rule (:func:`align_subsequences`), and one
+  centroid per cluster — same candidates, bit for bit;
+* the CFS best-first search that adds ``sum(su_ff(i, j) for i in
+  subset)`` through one closure call per pair
+  (:func:`closure_best_first_search`), which ``repro.ml.cfs`` replaced
+  with one ``np.cumsum`` over the SU matrix per expanded node — same
+  subsets and merits;
 * the early-abandoning scalar closest-match search
   (:func:`best_match_scalar`) of the paper's §5.3, against which
   ``repro.distance.best_match`` runs the sliding-window kernel;
@@ -59,23 +71,30 @@ paths replaced and must reproduce bitwise:
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_right
 from contextlib import contextmanager
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.cluster.refine import align_subsequences, bisect_refine, medoid_of
+from repro.cluster.refine import (
+    _unit_grid,
+    bisect_refine,
+    centroid_of,
+    medoid_of,
+)
 from repro.core.patterns import PatternCandidate
 from repro.distance.best_match import Match, batch_best_distances
 from repro.distance.dtw import _check_pair, _resolve_band
 from repro.distance.euclidean import euclidean_early_abandon
-from repro.grammar.inference import discretize_class, induce_motifs
+from repro.grammar.inference import Occurrence, RuleMotif, discretize_class
+from repro.grammar.sequitur import Sequitur
 from repro.ml.cfs import (
     DEFAULT_BINS,
     DEFAULT_MAX_FEATURES,
     DEFAULT_MAX_STALE,
     CfsResult,
-    _best_first_search,
     _searchable_indices,
     discretize_features,
     merit_from_sums,
@@ -125,6 +144,12 @@ __all__ = [
     "recording_token_streams",
     "std_znorm",
     "unpruned_class_candidates",
+    "find_word_occurrences",
+    "find_token_occurrences",
+    "per_rule_motifs",
+    "align_subsequences",
+    "per_rule_class_candidates",
+    "closure_best_first_search",
     "best_match_scalar",
     "dtw_distance_reference",
 ]
@@ -482,6 +507,55 @@ class MeritEvaluator:
         return merit_from_sums(len(members), sum_fc, sum_ff)
 
 
+def closure_best_first_search(
+    su_fc: np.ndarray,
+    su_ff: Callable[[int, int], float],
+    searchable: list[int],
+    max_stale: int,
+) -> tuple[frozenset[int], float]:
+    """Best-first subset search over an SU oracle, one call per pair.
+
+    A search node carries the running sums ``Σ su_fc`` and ``Σ su_ff``
+    of its subset; extending it by feature ``j`` adds ``su_ff(i, j)``
+    over the subset's members, left to right in the frozenset's order:
+    ``sum(su_ff(i, j) for i in subset)`` as the builtin ``sum`` adds
+    floats up to Python 3.11 (3.12's compensates).
+    """
+    start: frozenset[int] = frozenset()
+    best_subset = start
+    best_merit = 0.0
+    counter = 0
+    open_heap: list[tuple[float, int, frozenset[int], float, float]] = [
+        (-0.0, counter, start, 0.0, 0.0)
+    ]
+    visited: set[frozenset[int]] = {start}
+    stale = 0
+    while open_heap and stale < max_stale:
+        _, _, subset, sum_fc, sum_ff = heapq.heappop(open_heap)
+        improved = False
+        for j in searchable:
+            if j in subset:
+                continue
+            child = subset | {j}
+            if child in visited:
+                continue
+            visited.add(child)
+            child_fc = sum_fc + float(su_fc[j])
+            added = 0
+            for i in subset:
+                added += su_ff(i, j)
+            child_ff = sum_ff + added
+            merit = merit_from_sums(len(child), child_fc, child_ff)
+            counter += 1
+            heapq.heappush(open_heap, (-merit, counter, child, child_fc, child_ff))
+            if merit > best_merit + 1e-12:
+                best_merit = merit
+                best_subset = child
+                improved = True
+        stale = 0 if improved else stale + 1
+    return best_subset, best_merit
+
+
 def scalar_cfs_select(
     X: np.ndarray,
     y: np.ndarray,
@@ -500,7 +574,7 @@ def scalar_cfs_select(
     evaluator = MeritEvaluator(discretize_features(X, bins=bins), y_codes)
     su_fc = evaluator.su_fc
     searchable = _searchable_indices(su_fc, max_features)
-    best_subset, best_merit = _best_first_search(
+    best_subset, best_merit = closure_best_first_search(
         su_fc, evaluator.su_ff, searchable, max_stale
     )
     if not best_subset:
@@ -862,7 +936,7 @@ def unpruned_class_candidates(
     series = np.concatenate([np.asarray(inst, dtype=float).ravel() for inst in instances])
     min_support = max(2, int(np.ceil(gamma * len(instances))))
     candidates = []
-    for motif in induce_motifs(record, starts, lengths):
+    for motif in per_rule_motifs(record, starts, lengths):
         subsequences = [series[occ.start : occ.end] for occ in motif.occurrences]
         if len(subsequences) < 2:
             continue
@@ -885,6 +959,169 @@ def unpruned_class_candidates(
                     label=label,
                     frequency=cluster.size,
                     support=len(covered),
+                    rule_id=motif.rule_id,
+                    words=motif.words,
+                    sax_params=params,
+                    within_distances=cluster.within_distances(),
+                )
+            )
+    return candidates
+
+
+# -- the per-rule mining path ---------------------------------------------------
+
+
+def find_word_occurrences(words: Sequence, needle: Sequence) -> list[int]:
+    """All start indices at which the token sequence *needle* occurs in *words*.
+
+    A plain scan; overlapping occurrences are reported. Tokens may be
+    any equality-comparable objects (strings, ints).
+    """
+    if not needle:
+        return []
+    first = needle[0]
+    k = len(needle)
+    n = len(words)
+    out: list[int] = []
+    for i, word in enumerate(words):
+        if word != first or i + k > n:
+            continue
+        if all(words[i + j] == needle[j] for j in range(1, k)):
+            out.append(i)
+    return out
+
+
+def find_token_occurrences(token_ids: np.ndarray, needle: Sequence[int]) -> list[int]:
+    """:func:`find_word_occurrences` over an integer id array: one boolean
+    AND per needle position over the whole stream."""
+    token_ids = np.asarray(token_ids)
+    k = len(needle)
+    n = token_ids.size
+    if k == 0 or k > n:
+        return []
+    hits = token_ids[: n - k + 1] == needle[0]
+    for j in range(1, k):
+        hits &= token_ids[j : n - k + 1 + j] == needle[j]
+    return np.flatnonzero(hits).tolist()
+
+
+def per_rule_motifs(
+    record,
+    instance_starts,
+    instance_lengths,
+    *,
+    min_frequency: int = 2,
+    min_word_count: int = 1,
+) -> list[RuleMotif]:
+    """``induce_motifs`` one rule at a time: a token-stream scan per rule,
+    then one ``Occurrence`` and one ``bisect_right`` per occurrence."""
+    token_ids = record.token_ids
+    offsets = record.offsets.tolist()
+    window = record.params.window_size
+    start_list = np.asarray(instance_starts, dtype=int).tolist()
+    end_list = (
+        np.asarray(instance_starts, dtype=int) + np.asarray(instance_lengths, dtype=int)
+    ).tolist()
+    grammar = Sequitur().feed_all(token_ids.tolist())
+    seen: set[tuple[int, ...]] = set()
+    motifs: list[RuleMotif] = []
+    for rule in grammar.non_start_rules():
+        expansion = tuple(rule.expansion())
+        if len(expansion) < min_word_count or expansion in seen:
+            continue
+        seen.add(expansion)
+        last = len(expansion) - 1
+        occurrences = []
+        for i in find_token_occurrences(token_ids, expansion):
+            raw_start, raw_end = offsets[i], offsets[i + last] + window
+            instance = bisect_right(start_list, raw_start) - 1
+            if raw_end > end_list[instance]:
+                continue
+            occurrences.append(Occurrence(start=raw_start, end=raw_end, instance=instance))
+        if len(occurrences) >= min_frequency:
+            vocabulary = record.vocabulary
+            motifs.append(
+                RuleMotif(
+                    rule_id=rule.rule_id,
+                    words=tuple(vocabulary[i] for i in expansion),
+                    occurrences=occurrences,
+                )
+            )
+    return motifs
+
+
+def align_subsequences(subsequences: list, target_length: int | None = None) -> np.ndarray:
+    """Resample subsequences to one length with one ``np.interp`` each,
+    then z-normalize the rows.
+
+    The target defaults to the integer median of the member lengths;
+    members already at the target length are copied.
+    """
+    if not subsequences:
+        raise ValueError("need at least one subsequence")
+    lengths = sorted(np.asarray(s).size for s in subsequences)
+    if lengths[0] < 2:
+        raise ValueError("subsequences must have at least 2 points")
+    if target_length is None:
+        mid = len(lengths) // 2
+        target_length = (
+            lengths[mid] if len(lengths) % 2 else (lengths[mid - 1] + lengths[mid]) // 2
+        )
+    target_length = max(int(target_length), 2)
+    grid = _unit_grid(target_length)
+    rows = np.empty((len(subsequences), target_length))
+    for i, sub in enumerate(subsequences):
+        values = np.asarray(sub, dtype=float)
+        if values.size == target_length:
+            rows[i] = values
+        else:
+            rows[i] = np.interp(grid, _unit_grid(values.size), values)
+    return znorm_rows(rows)
+
+
+def per_rule_class_candidates(
+    instances,
+    label,
+    params: SaxParams,
+    *,
+    gamma: float = 0.2,
+    prototype: str = "centroid",
+    support_mode: str = "instances",
+    numerosity_reduction: bool = True,
+    min_split_fraction: float = 0.3,
+) -> list[PatternCandidate]:
+    """Algorithm 1's inner loop one rule at a time.
+
+    :func:`per_rule_motifs`, then for every rule covering at least
+    ``min_support`` series (or occurrences) its own
+    :func:`align_subsequences`, ``bisect_refine``, instance set per
+    cluster and ``centroid_of``/``medoid_of`` per kept cluster.
+    """
+    record, starts, lengths = discretize_class(
+        instances, params, numerosity_reduction=numerosity_reduction
+    )
+    series = np.concatenate([np.asarray(inst, dtype=float).ravel() for inst in instances])
+    min_support = max(2, int(np.ceil(gamma * len(instances))))
+    candidates = []
+    for motif in per_rule_motifs(record, starts, lengths):
+        covered = motif.support if support_mode == "instances" else motif.frequency
+        if covered < min_support:
+            continue
+        aligned = align_subsequences(
+            [series[occ.start : occ.end] for occ in motif.occurrences]
+        )
+        for cluster in bisect_refine(aligned, min_split_fraction=min_split_fraction):
+            instances_covered = {motif.occurrences[i].instance for i in cluster.member_indices}
+            measure = len(instances_covered) if support_mode == "instances" else cluster.size
+            if measure < min_support:
+                continue
+            values = centroid_of(cluster) if prototype == "centroid" else medoid_of(cluster)
+            candidates.append(
+                PatternCandidate(
+                    values=values,
+                    label=label,
+                    frequency=cluster.size,
+                    support=len(instances_covered),
                     rule_id=motif.rule_id,
                     words=motif.words,
                     sax_params=params,

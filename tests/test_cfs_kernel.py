@@ -25,6 +25,7 @@ from repro.ml import cfs
 from repro.obs.metrics import MetricsRegistry, scoped_registry
 from tests.oracles import (
     MeritEvaluator,
+    closure_best_first_search,
     looped_entropies_from_counts,
     scalar_cfs_select,
 )
@@ -253,3 +254,61 @@ class TestCfsSelectParity:
         scalar = scalar_cfs_select(X, y)
         assert blocked.selected == scalar.selected
         assert blocked.merit == scalar.merit
+
+
+def _matrix_oracle(matrix: np.ndarray, searchable: list[int]):
+    """``su_ff(i, j)`` over the searchable-positional matrix."""
+    position = {j: p for p, j in enumerate(searchable)}
+    return lambda i, j: float(matrix[position[i], position[j]])
+
+
+@st.composite
+def su_problems(draw):
+    """A symmetric SU matrix over a shuffled searchable set, with ties
+    (repeated values) and zero rows, plus the feature-class SU."""
+    d = draw(st.integers(1, 24))
+    levels = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = rng.choice(levels, size=(d, d)) * (rng.random((d, d)) < 0.8)
+    matrix = np.triu(upper, 1)
+    matrix = matrix + matrix.T
+    searchable = rng.permutation(d + 3)[:d].tolist()
+    su_fc = rng.choice(levels + [0.0], size=d + 3)
+    return su_fc, matrix, searchable, draw(st.integers(1, 6))
+
+
+class TestBestFirstSearch:
+    """One cumsum per expanded node finds the subset the per-pair sums find."""
+
+    @given(su_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_closure_search(self, problem):
+        su_fc, matrix, searchable, max_stale = problem
+        got = cfs._best_first_search(su_fc, matrix, searchable, max_stale)
+        want = closure_best_first_search(
+            su_fc, _matrix_oracle(matrix, searchable), searchable, max_stale
+        )
+        assert got == want
+
+    def test_searches_of_a_tiny_fit(self, monkeypatch):
+        from repro import RPMClassifier
+        from repro.data import italy_power_sim
+
+        searches = []
+        search = cfs._best_first_search
+
+        def recording(su_fc, ff_matrix, searchable, max_stale):
+            got = search(su_fc, ff_matrix, searchable, max_stale)
+            want = closure_best_first_search(
+                su_fc, _matrix_oracle(ff_matrix, searchable), searchable, max_stale
+            )
+            searches.append((got, want))
+            return got
+
+        monkeypatch.setattr(cfs, "_best_first_search", recording)
+        data = italy_power_sim(n_train_per_class=12, n_test_per_class=2, seed=12)
+        RPMClassifier(direct_budget=6, n_splits=2, seed=0).fit(data.X_train, data.y_train)
+        assert searches, "the fit ran no CFS search"
+        assert any(len(got[0]) > 1 for got, _ in searches)
+        for got, want in searches:
+            assert got == want

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -60,6 +61,36 @@ class TestFlagValidation:
     def test_jobs_accepts_valid(self, value, expected):
         args = build_parser().parse_args(["serve", "--model", "m.npz", "--jobs", value])
         assert args.jobs == expected
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["evaluate", "ItalyPowerSim", "--method", "NN-ED", "--window", "12",
+              "--budget", "5", "--numerosity", "none"],
+             "--window, --budget, --numerosity apply only to --method RPM"),
+            (["evaluate", "ItalyPowerSim", "--method", "FS", "--seed", "1"],
+             "--seed applies only to --method RPM"),
+            (["train", "CBF", "--paa", "8"], "--paa applies only with --window"),
+            (["evaluate", "CBF", "--alphabet", "4"], "--alphabet applies only with --window"),
+            (["train", "CBF", "--window", "24", "--budget", "8", "--splits", "2"],
+             "--budget, --splits apply only without --window"),
+        ],
+    )
+    def test_flags_the_run_would_ignore_are_rejected(self, argv, named, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+
+    def test_flags_the_run_reads_are_accepted(self):
+        parser = build_parser()
+        for argv in (
+            ["train", "CBF", "--window", "24", "--paa", "4", "--alphabet", "4", "--gamma", "0.3"],
+            ["train", "CBF", "--budget", "8", "--splits", "2", "--seed", "1"],
+            ["evaluate", "CBF", "--method", "NN-ED", "--trace"],
+        ):
+            args = parser.parse_args(argv)
+            assert cli._ignored_rpm_flags(args) is None, argv
 
     @pytest.mark.parametrize(
         "argv",

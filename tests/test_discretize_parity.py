@@ -15,10 +15,15 @@ import numpy as np
 import pytest
 
 from repro.core.params import ParamRanges, ParamSelector
-from repro.grammar.inference import find_token_occurrences, find_word_occurrences
+from repro.grammar.inference import occurrence_table
 from repro.runtime import DiscretizationCache
 from repro.sax.discretize import REDUCTIONS, SaxParams, SaxRecord, discretize
-from tests.oracles import LegacySaxRecord, legacy_discretize
+from tests.oracles import (
+    LegacySaxRecord,
+    find_token_occurrences,
+    find_word_occurrences,
+    legacy_discretize,
+)
 
 
 @pytest.fixture()
@@ -184,8 +189,12 @@ class TestTokenIds:
             needle = tuple(ids[start : start + k].tolist())
             expected = find_word_occurrences(ids.tolist(), needle)
             assert find_token_occurrences(ids, needle) == expected
+            rule, position = occurrence_table(ids, [needle])
+            assert position.tolist() == expected
+            assert not rule.any()
         assert find_token_occurrences(np.array([1, 2]), ()) == []
         assert find_token_occurrences(np.array([1]), (1, 2)) == []
+        assert occurrence_table(np.array([1]), [(1, 2)])[1].size == 0
 
 
 class TestDiscretizationCache:

@@ -4,8 +4,13 @@
 benchmark's training sets: the per-class SAX triples, the number of
 DIRECT evaluations R and a hash of the selected patterns. Speed-ups must
 leave all three unchanged, so tier-1 refits the tiny training sets on
-every run and the full DIRECT fits in the slow lane. The training sets
-and the reference values are read from the benchmark's own files.
+every run and the full fits in the slow lane. The training sets and the
+reference values are read from the benchmark's own files.
+
+``table2_fingerprints.json`` pins the same fingerprint for the eight
+Table 2 datasets at the benchmark harness's tiny budget
+(``direct_budget=12``, ``n_splits=2``), so the long-series rows
+(CoffeeSim, ECGFiveDaysSim) are checked too.
 
 The determinism matrix refits the tiny training sets in every cell that
 must not change a decision: tracing on, every window-statistics and
@@ -32,12 +37,16 @@ from repro import RPMClassifier
 from repro.core import params as params_module
 from repro.core import rpm as rpm_module
 from repro.core import transform as transform_module
+from repro.data.registry import GENERATORS
 from repro.obs import Tracer, tracing
 from repro.runtime.cache import DiscretizationCache, WindowStatsCache
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "rpmbench"
 REFERENCES = json.loads((BENCH / "fingerprints.json").read_text())
+TABLE2_REFERENCES = json.loads(
+    (Path(__file__).with_name("table2_fingerprints.json")).read_text()
+)
 
 
 def _load_workloads():
@@ -174,7 +183,18 @@ class TestDeterminismMatrix:
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
-    "training_set", _training_sets(WORKLOADS.WORKLOADS, ("direct-ucr",))
+    "training_set", _training_sets(WORKLOADS.WORKLOADS, ("direct-ucr", "fixed-long"))
 )
 def test_full_direct_fit_matches_pinned_fingerprint(training_set):
     _fit_and_check(training_set, "full")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(TABLE2_REFERENCES))
+def test_table2_fit_matches_pinned_fingerprint(name):
+    # The synthetic generator itself: ``repro.data.load`` would swap in a
+    # UCR file when RPM_UCR_ROOT is set.
+    data = GENERATORS[name]()
+    clf = RPMClassifier(direct_budget=12, n_splits=2, seed=0)
+    clf.fit(data.X_train, data.y_train)
+    assert fingerprint(clf) == TABLE2_REFERENCES[name]

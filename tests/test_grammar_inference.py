@@ -6,10 +6,10 @@ from repro.grammar.inference import (
     RuleMotif,
     concatenate_with_junctions,
     discretize_class,
-    find_word_occurrences,
     induce_motifs,
 )
 from repro.sax.discretize import SaxParams
+from tests.oracles import find_word_occurrences
 
 
 class TestConcatenate:

@@ -9,10 +9,9 @@ from repro.motif import (
     find_motifs,
     rule_density,
 )
-from repro.cluster.refine import align_subsequences, bisect_refine, centroid_of
-from repro.grammar.inference import find_token_occurrences
+from repro.cluster.refine import bisect_refine, centroid_of
 from repro.sax.discretize import SaxParams, discretize
-from tests.oracles import ObjectSequitur
+from tests.oracles import ObjectSequitur, align_subsequences, find_token_occurrences
 
 PARAMS = SaxParams(24, 4, 4)
 

@@ -9,13 +9,12 @@ from repro.cluster.linkage import agglomerate, cut_k
 from repro.distance.best_match import best_match
 from repro.distance.dtw import dtw_distance
 from repro.distance.euclidean import euclidean, pairwise_euclidean
-from repro.grammar.inference import find_word_occurrences
 from repro.grammar.sequitur import induce_grammar
 from repro.ml.stats import rankdata_average
 from repro.sax.paa import paa
 from repro.sax.sax import mindist, sax_word
 from repro.sax.znorm import NORM_THRESHOLD, znorm
-from tests.oracles import best_match_scalar, dtw_distance_reference
+from tests.oracles import best_match_scalar, dtw_distance_reference, find_word_occurrences
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
