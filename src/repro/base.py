@@ -44,8 +44,8 @@ class BaseEstimator:
 
     Subclasses must store every constructor argument verbatim under the
     same attribute name; resolved or derived state goes under another
-    name (``RPMClassifier`` keeps its caches as ``_stats_cache`` and
-    ``_discretize_cache``, say).
+    name (``RPMClassifier`` keeps its compiled pattern bank as
+    ``_bank``, say).
     """
 
     @classmethod

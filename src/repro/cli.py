@@ -978,11 +978,11 @@ def build_parser() -> argparse.ArgumentParser:
     motifs.add_argument("--window", type=int, default=40)
     motifs.add_argument("--paa", type=int, default=5)
     motifs.add_argument("--alphabet", type=int, default=4)
-    motifs.add_argument("--top", type=int, default=5, help="motifs to report")
+    motifs.add_argument("--top", type=_positive_int, default=5, help="motifs to report")
     motifs.add_argument("--rank", choices=["frequency", "length", "coverage"],
                         default="frequency")
-    motifs.add_argument("--discords", type=int, default=0,
-                        help="also report this many discords")
+    motifs.add_argument("--discords", type=_nonnegative_int, default=0,
+                        help="also report this many discords (0: none)")
     motifs.set_defaults(func=cmd_motifs)
     return parser
 

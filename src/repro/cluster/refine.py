@@ -4,8 +4,11 @@ Paper §3.2.2: a grammar rule's subsequences may mix more than one shape
 (SAX granularity is coarse). RPM therefore clusters them with
 complete-linkage, always trying a 2-way split first:
 
-* if one side of the split would hold less than ``min_split_fraction``
-  (30 %) of the group, the group is considered homogeneous and kept;
+* if one side of the split would hold less than
+  :data:`MIN_SPLIT_FRACTION` (30 %) of the group, the group is
+  considered homogeneous and kept;
+* so is a group whose split would not shrink it (see
+  :data:`MAX_CHILD_DIAMETER_RATIO`), and a group of one or two members;
 * otherwise both halves are split recursively until no group can be
   split further.
 
@@ -26,7 +29,7 @@ import numpy as np
 from ..distance.euclidean import pairwise_euclidean
 from ..obs.tracer import span
 from ..sax.znorm import znorm, znorm_rows
-from .linkage import _check_distance_matrix, complete_two_cut
+from .linkage import complete_two_cut
 
 __all__ = [
     "AlignedGroups",
@@ -77,7 +80,7 @@ class RefinedCluster:
 
     member_indices: list[int]
     aligned: np.ndarray
-    pairwise: np.ndarray | None = field(repr=False, default=None)
+    pairwise: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -209,40 +212,19 @@ def align_groups(
     return AlignedGroups(matrices, target, first_rows, sizes)
 
 
-def bisect_refine(
-    aligned: np.ndarray,
-    *,
-    min_split_fraction: float = MIN_SPLIT_FRACTION,
-    max_child_diameter_ratio: float = MAX_CHILD_DIAMETER_RATIO,
-    min_group_size: int = 2,
-    pairwise: np.ndarray | None = None,
-) -> list[RefinedCluster]:
+def bisect_refine(aligned: np.ndarray) -> list[RefinedCluster]:
     """Recursively 2-way split an aligned member matrix (paper §3.2.2).
 
-    Parameters
-    ----------
-    aligned:
-        (n, L) matrix of z-normalized, length-aligned subsequences.
-    min_split_fraction:
-        A split is accepted only when both halves hold at least this
-        fraction of the parent group (the paper's 30 % rule).
-    max_child_diameter_ratio:
-        Homogeneity stop: the split is kept only when the larger child
-        diameter is at most this fraction of the parent diameter.
-    min_group_size:
-        Groups at or below this size are never split.
-    pairwise:
-        Optional precomputed ``(n, n)`` distance matrix of ``aligned``
-        rows. Callers that already paid for it (e.g. repeated
-        refinement sweeps over one motif) pass it here; every recursion
-        level and every emitted cluster block then reuses slices of the
-        single matrix instead of recomputing distances.
+    ``aligned`` is the ``(n, L)`` matrix of z-normalized, length-aligned
+    subsequences. A group is split by :func:`complete_two_cut` of its
+    pairwise distances, and the split is kept only when both halves
+    hold at least :data:`MIN_SPLIT_FRACTION` of the group and the larger
+    child diameter is at most :data:`MAX_CHILD_DIAMETER_RATIO` of the
+    group's; groups of one or two members are never split. Every split
+    and every emitted cluster reads slices of one distance matrix.
 
-    Returns
-    -------
-    list[RefinedCluster]
-        Leaves of the bisection tree, each with its member indices into
-        the original matrix and its own pairwise distance block.
+    Returns the leaves of the bisection tree, each with its member
+    indices into ``aligned`` and its own pairwise distance block.
 
     Each call records a ``bisect`` span with member/cluster/split
     counters on the active tracer.
@@ -251,22 +233,11 @@ def bisect_refine(
     if aligned.ndim != 2:
         raise ValueError(f"aligned must be 2-D, got {aligned.shape}")
     n = aligned.shape[0]
-    if pairwise is None:
-        full_pairwise = pairwise_euclidean(aligned)
-    else:
-        full_pairwise = np.asarray(pairwise, dtype=float)
-        if full_pairwise.shape != (n, n):
-            raise ValueError(
-                f"pairwise must be ({n}, {n}) to match aligned, got {full_pairwise.shape}"
-            )
-    if n > min_group_size:
-        # Every split clusters a sub-block of this matrix, so one check
-        # at the root covers them all. The built matrix is symmetric
-        # with a zero diagonal; only non-finite members can spoil it.
-        if pairwise is not None:
-            _check_distance_matrix(full_pairwise)
-        elif not np.isfinite(full_pairwise).all():
-            raise ValueError("aligned subsequences must be finite")
+    full_pairwise = pairwise_euclidean(aligned)
+    # The built matrix is symmetric with a zero diagonal; only
+    # non-finite members can spoil it, and only a split reads it.
+    if n > 2 and not np.isfinite(full_pairwise).all():
+        raise ValueError("aligned subsequences must be finite")
     out: list[RefinedCluster] = []
     n_splits = 0
 
@@ -284,21 +255,21 @@ def bisect_refine(
         # root's is the matrix itself.
         nonlocal n_splits
         group_size = indices.size
-        if group_size <= min_group_size:
+        if group_size <= 2:
             emit(indices, block)
             return
         on_left = complete_two_cut(block) == 0
         left = indices[on_left]
         right = indices[~on_left]
         smaller = min(left.size, right.size)
-        if smaller < min_split_fraction * group_size:
+        if smaller < MIN_SPLIT_FRACTION * group_size:
             emit(indices, block)
             return
         left_block = block[np.ix_(on_left, on_left)]
         right_block = block[np.ix_(~on_left, ~on_left)]
         parent_diameter = block.max()
         child_diameter = max(left_block.max(), right_block.max())
-        if parent_diameter <= 0 or child_diameter > max_child_diameter_ratio * parent_diameter:
+        if parent_diameter <= 0 or child_diameter > MAX_CHILD_DIAMETER_RATIO * parent_diameter:
             emit(indices, block)
             return
         n_splits += 1

@@ -51,7 +51,6 @@ def find_class_candidates(
     prototype: str = "centroid",
     support_mode: str = "instances",
     numerosity_reduction: bool = True,
-    min_split_fraction: float = 0.3,
     discretize_cache=None,
 ) -> list[PatternCandidate]:
     """Candidates for one class (the inner loop of Algorithm 1).
@@ -76,8 +75,6 @@ def find_class_candidates(
         Algorithm 1 listing). Both are available for the ablation bench.
     numerosity_reduction:
         Disable only for ablation studies.
-    min_split_fraction:
-        The 30 % rule of the bisection refinement.
     discretize_cache:
         Optional :class:`~repro.runtime.DiscretizationCache`. The
         parameter search re-mines the same concatenated class series
@@ -126,7 +123,7 @@ def find_class_candidates(
             clusters: list[RefinedCluster] = []
             rule_of: list[int] = []
             for g in range(len(refined)):
-                for cluster in bisect_refine(aligned[g], min_split_fraction=min_split_fraction):
+                for cluster in bisect_refine(aligned[g]):
                     clusters.append(cluster)
                     rule_of.append(g)
             candidates = _candidates(

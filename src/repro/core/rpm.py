@@ -175,11 +175,7 @@ class RPMClassifier(BaseEstimator):
         self.cv_folds = cv_folds
         self.seed = seed
         self.n_jobs = n_jobs
-        # The window-statistics cache serves the fit's per-pattern
-        # transforms, the discretization cache the parameter search and
-        # mining. Inference runs the pattern bank, built on first use.
-        self._stats_cache = WindowStatsCache()
-        self._discretize_cache = DiscretizationCache()
+        # Inference runs the pattern bank, built on first use.
         self._bank: tuple[list | None, PatternBank | None] = (None, None)
 
         self.patterns_: list[RepresentativePattern] = []
@@ -205,19 +201,23 @@ class RPMClassifier(BaseEstimator):
             raise ValueError("need at least two classes")
         _require_trainable_classes(X, y, self.classes_)
         self.n_timesteps_ = int(X.shape[1])
+        # The discretization cache serves the parameter search and
+        # mining, the window-statistics cache the selection's transforms.
+        # Both live only as long as this call: inference needs neither.
+        discretize_cache = DiscretizationCache()
 
         with span("fit") as fit_span:
             fit_span.add("fit.series", X.shape[0])
             with span("params"):
-                self.params_by_class_ = self._resolve_params(X, y)
-            candidates = self._mine_with_fallback(X, y)
+                self.params_by_class_ = self._resolve_params(X, y, discretize_cache)
+            candidates = self._mine_with_fallback(X, y, discretize_cache)
             self.selection_ = find_distinct(
                 X,
                 y,
                 candidates,
                 tau_percentile=self.tau_percentile,
                 rotation_invariant=self.rotation_invariant,
-                cache=self._stats_cache,
+                cache=WindowStatsCache(),
             )
             self.patterns_ = self.selection_.patterns
             self._train_labels = y
@@ -226,7 +226,7 @@ class RPMClassifier(BaseEstimator):
                 self.classifier_.fit(self.selection_.train_features, y)
         return self
 
-    def _resolve_params(self, X: np.ndarray, y: np.ndarray) -> dict:
+    def _resolve_params(self, X: np.ndarray, y: np.ndarray, discretize_cache) -> dict:
         if isinstance(self.sax_params, SaxParams):
             return {label: self.sax_params for label in self.classes_}
         if isinstance(self.sax_params, dict):
@@ -247,7 +247,7 @@ class RPMClassifier(BaseEstimator):
             cv_folds=self.cv_folds,
             classifier_factory=self.classifier_factory,
             seed=self.seed,
-            discretize_cache=self._discretize_cache,
+            discretize_cache=discretize_cache,
         )
         if self.param_search == "direct":
             params = selector.select_direct(max_evaluations=self.direct_budget)
@@ -256,7 +256,9 @@ class RPMClassifier(BaseEstimator):
         self.n_param_evaluations_ = selector.n_evaluations
         return params
 
-    def _mine_with_fallback(self, X: np.ndarray, y: np.ndarray) -> list[PatternCandidate]:
+    def _mine_with_fallback(
+        self, X: np.ndarray, y: np.ndarray, discretize_cache
+    ) -> list[PatternCandidate]:
         """Algorithm 1, relaxing γ if nothing survives the threshold."""
         gamma = self.gamma
         for _ in range(3):
@@ -268,7 +270,7 @@ class RPMClassifier(BaseEstimator):
                 prototype=self.prototype,
                 support_mode=self.support_mode,
                 numerosity_reduction=self.numerosity_reduction,
-                discretize_cache=self._discretize_cache,
+                discretize_cache=discretize_cache,
             )
             if candidates:
                 return candidates

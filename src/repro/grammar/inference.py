@@ -17,7 +17,8 @@ RPM's Algorithm 1 needs (paper §3.2.2, Figure 4):
 
 The occurrences of all rules are found and mapped as one table of
 arrays (:func:`occurrence_table`, :class:`MotifTable`), not one rule at
-a time.
+a time. A single long series is one instance of its own: motif
+discovery (:mod:`repro.motif`) runs the same :func:`induce_motifs`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "discretize_class",
     "induce_motifs",
     "occurrence_table",
-    "rule_spans",
 ]
 
 
@@ -48,7 +48,8 @@ class Occurrence:
     """One raw-coordinate occurrence of a grammar-rule motif.
 
     ``start``/``end`` index the concatenated series (end exclusive);
-    ``instance`` is the index of the training instance containing it.
+    ``instance`` is the index of the training instance containing it
+    (0 throughout a single series).
     """
 
     start: int
@@ -63,11 +64,18 @@ class Occurrence:
 
 @dataclass
 class RuleMotif:
-    """A candidate class motif: one grammar rule and its occurrences."""
+    """A motif: one grammar rule and its occurrences.
+
+    :class:`MotifTable` builds one per rule of a class's grammar, and
+    :func:`~repro.motif.find_motifs` one per rule of a single series,
+    with the ``prototype`` of its occurrences when asked to refine. The
+    prototype is derived from the occurrences, so equality ignores it.
+    """
 
     rule_id: int
     words: tuple[str, ...]
     occurrences: list[Occurrence] = field(default_factory=list)
+    prototype: np.ndarray | None = field(default=None, compare=False)
 
     @property
     def support(self) -> int:
@@ -84,6 +92,27 @@ class RuleMotif:
         if not self.occurrences:
             return 0.0
         return float(np.mean([occ.length for occ in self.occurrences]))
+
+    def covered_points(self) -> int:
+        """Number of series points covered by at least one occurrence."""
+        if not self.occurrences:
+            return 0
+        spans = sorted((occ.start, occ.end) for occ in self.occurrences)
+        total = 0
+        cur_start, cur_end = spans[0]
+        for start, end in spans[1:]:
+            if start > cur_end:
+                total += cur_end - cur_start
+                cur_start, cur_end = start, end
+            else:
+                cur_end = max(cur_end, end)
+        total += cur_end - cur_start
+        return total
+
+    def subsequences(self, series: np.ndarray) -> list[np.ndarray]:
+        """Raw subsequences of every occurrence."""
+        series = np.asarray(series, dtype=float)
+        return [series[occ.start : occ.end] for occ in self.occurrences]
 
 
 def concatenate_with_junctions(
@@ -179,37 +208,6 @@ def occurrence_table(
     return rule[order], position[order]
 
 
-def _rule_occurrences(
-    record: SaxRecord, min_word_count: int
-) -> tuple[list[int], list[tuple[int, ...]], np.ndarray, np.ndarray, np.ndarray]:
-    """Induce a grammar over *record*'s token ids and find all its occurrences.
-
-    Returns ``(rule_ids, expansions, rule, starts, ends)``: the id and
-    token-id expansion of every rule with a distinct expansion of at
-    least *min_word_count* tokens, in rule-id order (of rules sharing an
-    expansion, the first wins), and per occurrence (sorted by rule, then
-    position) its rule's index and its raw span, from the first word's
-    offset to the last word's offset plus the window.
-    """
-    grammar = Sequitur().feed_all(record.token_ids.tolist())
-    rule_ids: list[int] = []
-    expansions: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for grammar_rule in grammar.non_start_rules():
-        expansion = tuple(grammar_rule.expansion())
-        if len(expansion) < min_word_count or expansion in seen:
-            continue
-        seen.add(expansion)
-        rule_ids.append(grammar_rule.rule_id)
-        expansions.append(expansion)
-    rule, position = occurrence_table(record.token_ids, expansions)
-    sizes = np.fromiter(map(len, expansions), dtype=np.intp, count=len(expansions))
-    offsets = record.offsets
-    starts = offsets[position]
-    ends = offsets[position + sizes[rule] - 1] + record.params.window_size
-    return rule_ids, expansions, rule, starts, ends
-
-
 @dataclass(frozen=True, eq=False)
 class MotifTable:
     """The motifs of one grammar and all their occurrences, as arrays.
@@ -299,7 +297,8 @@ def induce_motifs(
         The discretized (numerosity-reduced, junction-filtered) words.
     instance_starts, instance_lengths:
         Layout of the concatenated series, as returned by
-        :func:`concatenate_with_junctions`.
+        :func:`concatenate_with_junctions`; ``[0]`` and ``[len(series)]``
+        for a single series.
     min_frequency:
         Rules with fewer raw occurrences are dropped (Sequitur
         guarantees >= 2 by construction, so this mostly filters rules
@@ -310,10 +309,27 @@ def induce_motifs(
     Returns
     -------
     MotifTable
-        The candidate motifs in rule-id (creation) order, with every
-        occurrence, its instance, and each motif's support.
+        The candidate motifs in rule-id (creation) order, one per
+        distinct expansion (of rules sharing one, the first wins), with
+        every occurrence, its instance, and each motif's support. An
+        occurrence spans from its first word's offset to its last
+        word's offset plus the window.
     """
-    rule_ids, expansions, rule, starts, ends = _rule_occurrences(record, min_word_count)
+    grammar = Sequitur().feed_all(record.token_ids.tolist())
+    rule_ids: list[int] = []
+    expansions: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    for grammar_rule in grammar.non_start_rules():
+        expansion = tuple(grammar_rule.expansion())
+        if len(expansion) < min_word_count or expansion in seen:
+            continue
+        seen.add(expansion)
+        rule_ids.append(grammar_rule.rule_id)
+        expansions.append(expansion)
+    rule, position = occurrence_table(record.token_ids, expansions)
+    sizes = np.fromiter(map(len, expansions), dtype=np.intp, count=len(expansions))
+    starts = record.offsets[position]
+    ends = record.offsets[position + sizes[rule] - 1] + record.params.window_size
     first = np.asarray(instance_starts, dtype=np.intp)
     last = first + np.asarray(instance_lengths, dtype=np.intp)
     instances = np.searchsorted(first, starts, side="right") - 1
@@ -341,31 +357,6 @@ def induce_motifs(
         support=np.bincount(motif[new], minlength=kept.size),
         record=record,
     )
-
-
-def rule_spans(
-    record: SaxRecord, *, min_word_count: int = 1
-) -> Iterator[tuple[int, tuple[int, ...], list[tuple[int, int]]]]:
-    """Induce a grammar over *record* and map each rule to raw spans.
-
-    Yields ``(rule_id, expansion, spans)`` in rule-id order, once per
-    distinct expansion of at least *min_word_count* token ids (the first
-    rule with an expansion wins). ``spans`` holds the raw ``(start,
-    end)`` of every occurrence of the expansion in the word stream,
-    overlapping ones included: from the first word's offset to the last
-    word's offset plus the window.
-
-    Grammar induction consumes compact integer token ids; callers render
-    the letter strings only for the motifs that survive (display /
-    saved-model metadata). Equal words share an id, so the grammar — and
-    the dedup — is identical to feeding the strings.
-    """
-    rule_ids, expansions, rule, starts, ends = _rule_occurrences(record, min_word_count)
-    bounds = np.searchsorted(rule, np.arange(len(expansions) + 1)).tolist()
-    starts, ends = starts.tolist(), ends.tolist()
-    for r, (rule_id, expansion) in enumerate(zip(rule_ids, expansions)):
-        lo, hi = bounds[r], bounds[r + 1]
-        yield rule_id, expansion, list(zip(starts[lo:hi], ends[lo:hi]))
 
 
 def discretize_class(

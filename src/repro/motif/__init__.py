@@ -6,12 +6,10 @@ rare-rule discord (anomaly) detection (:func:`find_discords_density`).
 """
 
 from .discord import Discord, find_discord_brute_force, find_discords_density
-from .discovery import Motif, MotifOccurrence, find_motifs, rule_density
+from .discovery import find_motifs, rule_density
 
 __all__ = [
     "Discord",
-    "Motif",
-    "MotifOccurrence",
     "find_discord_brute_force",
     "find_discords_density",
     "find_motifs",

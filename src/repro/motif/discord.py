@@ -61,8 +61,11 @@ def find_discords_density(
     2. Slide a window (default: the SAX window) and rank positions by
        ascending mean density — the rarest intervals first.
     3. Verify each candidate with the true nearest-neighbour distance
-       and report the top *n_discords* non-overlapping intervals.
+       and report the top *n_discords* (at least 1) non-overlapping
+       intervals.
     """
+    if n_discords < 1:
+        raise ValueError(f"n_discords must be at least 1, got {n_discords}")
     series = np.asarray(series, dtype=float)
     if series.ndim != 1:
         raise ValueError("find_discords_density expects a 1-D series")

@@ -9,79 +9,25 @@ computation. The paper stresses that this exploratory capability
 directly.
 
 ``find_motifs`` returns grammar rules mapped back to raw subsequence
-occurrences, ranked by a configurable interestingness criterion, and
-optionally refined with the same bisecting clustering RPM uses.
+occurrences (:class:`~repro.grammar.RuleMotif` records, by the same
+:func:`~repro.grammar.induce_motifs` RPM mines classes with), ranked by
+a configurable interestingness criterion, and optionally refined with
+the same bisecting clustering RPM uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from ..cluster.refine import align_groups, bisect_refine, centroid_of
-from ..grammar.inference import rule_spans
+from ..grammar.inference import RuleMotif, induce_motifs
 from ..sax.discretize import SaxParams, discretize
 
-__all__ = ["Motif", "MotifOccurrence", "find_motifs", "rule_density"]
+__all__ = ["find_motifs", "rule_density"]
 
 RANKINGS = ("frequency", "length", "coverage")
-
-
-@dataclass(frozen=True)
-class MotifOccurrence:
-    """One raw occurrence of a motif: ``[start, end)`` in the series."""
-
-    start: int
-    end: int
-
-    @property
-    def length(self) -> int:
-        """Number of points."""
-        return self.end - self.start
-
-
-@dataclass
-class Motif:
-    """A recurrent variable-length pattern found by grammar induction."""
-
-    rule_id: int
-    words: tuple[str, ...]
-    occurrences: list[MotifOccurrence] = field(default_factory=list)
-    prototype: np.ndarray | None = None
-
-    @property
-    def frequency(self) -> int:
-        """Total number of occurrences."""
-        return len(self.occurrences)
-
-    def mean_length(self) -> float:
-        """Average occurrence length in points."""
-        if not self.occurrences:
-            return 0.0
-        return float(np.mean([occ.length for occ in self.occurrences]))
-
-    def covered_points(self) -> int:
-        """Number of series points covered by at least one occurrence."""
-        if not self.occurrences:
-            return 0
-        spans = sorted((occ.start, occ.end) for occ in self.occurrences)
-        total = 0
-        cur_start, cur_end = spans[0]
-        for start, end in spans[1:]:
-            if start > cur_end:
-                total += cur_end - cur_start
-                cur_start, cur_end = start, end
-            else:
-                cur_end = max(cur_end, end)
-        total += cur_end - cur_start
-        return total
-
-    def subsequences(self, series: np.ndarray) -> list[np.ndarray]:
-        """Raw subsequences of every occurrence."""
-        series = np.asarray(series, dtype=float)
-        return [series[occ.start : occ.end] for occ in self.occurrences]
 
 
 def find_motifs(
@@ -94,7 +40,7 @@ def find_motifs(
     top_k: int | None = None,
     refine: bool = True,
     numerosity_reduction: bool = True,
-) -> list[Motif]:
+) -> list[RuleMotif]:
     """Discover recurrent variable-length motifs in *series*.
 
     Parameters
@@ -112,48 +58,36 @@ def find_motifs(
         ``'frequency'`` (most repeated first), ``'length'`` (longest
         mean span first) or ``'coverage'`` (most series points covered).
     top_k:
-        Keep only the best *k* motifs after ranking.
+        Keep only the best *k* motifs after ranking (``None``: all of
+        them; otherwise at least 1).
     refine:
         Compute a z-normalized centroid prototype per motif from its
-        aligned occurrences (RPM's refinement, without the split —
-        single-series motifs are usually homogeneous).
+        aligned occurrences (RPM's refinement: the centroid of the
+        largest cluster of its bisection).
 
     Returns
     -------
-    list[Motif]
+    list[RuleMotif]
+        The ranked motifs; every occurrence lies in instance 0.
     """
     if rank_by not in RANKINGS:
         raise ValueError(f"rank_by must be one of {RANKINGS}, got {rank_by!r}")
+    if top_k is not None and top_k < 1:
+        raise ValueError(f"top_k must be None or at least 1, got {top_k}")
     series = np.asarray(series, dtype=float)
     if series.ndim != 1:
         raise ValueError("find_motifs expects a 1-D series")
     record = discretize(series, params, numerosity_reduction=numerosity_reduction)
-    vocabulary = record.vocabulary
-
-    motifs: list[Motif] = []
-    for rule_id, expansion, spans in rule_spans(record, min_word_count=min_words):
-        if len(spans) < min_frequency:
-            continue
-        motifs.append(
-            Motif(
-                rule_id=rule_id,
-                words=tuple(vocabulary[i] for i in expansion),
-                occurrences=[
-                    MotifOccurrence(start=start, end=min(end, series.size))
-                    for start, end in spans
-                ],
-            )
-        )
+    # Every occurrence ends at a window's end, inside the series, and is
+    # at least a window (>= 2 points) long, so none is dropped and every
+    # motif can be aligned.
+    table = induce_motifs(
+        record, [0], [series.size], min_frequency=min_frequency, min_word_count=min_words
+    )
+    motifs = list(table)
     if refine:
-        refinable = [m for m in motifs if all(occ.length >= 2 for occ in m.occurrences)]
-        occurrences = [occ for motif in refinable for occ in motif.occurrences]
-        aligned = align_groups(
-            series,
-            [occ.start for occ in occurrences],
-            [occ.end for occ in occurrences],
-            np.cumsum([0] + [motif.frequency for motif in refinable]),
-        )
-        for g, motif in enumerate(refinable):
+        aligned = align_groups(series, table.starts, table.ends, table.bounds)
+        for g, motif in enumerate(motifs):
             biggest = max(bisect_refine(aligned[g]), key=lambda c: c.size)
             motif.prototype = centroid_of(biggest)
 
@@ -168,7 +102,7 @@ def find_motifs(
 
 def rule_density(
     series_length: int,
-    motifs: Sequence[Motif],
+    motifs: Sequence[RuleMotif],
 ) -> np.ndarray:
     """Per-point count of covering motif occurrences (GrammarViz's
     rule-density curve). Low-density intervals are candidate discords;

@@ -11,10 +11,13 @@ self-contained implementation of the classic algorithm:
 * sampling happens only at rectangle centers, so the method is
   deterministic and derivative-free.
 
-The paper rounds DIRECT's real-valued iterates to integers; the
-:class:`repro.opt.grid.CachedIntegerObjective` wrapper provides that
-rounding plus caching, so the evaluation count ``R`` reported in §5.3
-counts *unique* parameter combinations.
+The paper rounds DIRECT's real-valued iterates to integers. RPM's
+objective does that itself: :class:`repro.core.params.ParamSelector`
+rounds each point, clips it to the search ranges and caches the
+evaluation per integer triple (``evaluate`` / ``evaluate_batch``), so
+the evaluation count ``R`` reported in §5.3 counts *unique* parameter
+combinations. :class:`repro.opt.grid.CachedIntegerObjective` rounds
+and caches only for the SAX-VSM baseline.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ from repro.data import Dataset, cbf, gun_point_sim
 from repro.runtime import kernel
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng() -> np.random.Generator:
+    """A fresh generator per test, so no test's data depend on test order."""
     return np.random.default_rng(12345)
 
 
@@ -26,16 +27,6 @@ def tiny_cbf() -> Dataset:
 def tiny_gun() -> Dataset:
     """A small 2-class dataset with a localized discriminative pattern."""
     return gun_point_sim(n_train_per_class=10, n_test_per_class=12, length=120, seed=7)
-
-
-@pytest.fixture(scope="session")
-def two_blob_features(rng) -> tuple[np.ndarray, np.ndarray]:
-    """Linearly separable 2-class feature data for classifier tests."""
-    X = np.vstack(
-        [rng.normal(0.0, 0.6, size=(40, 3)), rng.normal(3.0, 0.6, size=(40, 3))]
-    )
-    y = np.array([0] * 40 + [1] * 40)
-    return X, y
 
 
 @pytest.fixture

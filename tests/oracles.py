@@ -62,6 +62,9 @@ paths replaced and must reproduce bitwise:
   (:func:`closure_best_first_search`), which ``repro.ml.cfs`` replaced
   with one ``np.cumsum`` over the SU matrix per expanded node — same
   subsets and merits;
+* the complete-linkage merge tree (:func:`agglomerate`, :func:`cut_k`),
+  whose 2-cut ``repro.cluster.linkage.complete_two_cut`` builds without
+  the tree, on a masked working copy — same labels;
 * the early-abandoning scalar closest-match search
   (:func:`best_match_scalar`) of the paper's §5.3, against which
   ``repro.distance.best_match`` runs the sliding-window kernel;
@@ -150,6 +153,9 @@ __all__ = [
     "align_subsequences",
     "per_rule_class_candidates",
     "closure_best_first_search",
+    "Merge",
+    "agglomerate",
+    "cut_k",
     "best_match_scalar",
     "dtw_distance_reference",
 ]
@@ -922,7 +928,6 @@ def unpruned_class_candidates(
     prototype: str = "centroid",
     support_mode: str = "instances",
     numerosity_reduction: bool = True,
-    min_split_fraction: float = 0.3,
 ) -> list[PatternCandidate]:
     """Algorithm 1's inner loop refining every rule, pruned or not.
 
@@ -940,9 +945,7 @@ def unpruned_class_candidates(
         subsequences = [series[occ.start : occ.end] for occ in motif.occurrences]
         if len(subsequences) < 2:
             continue
-        clusters = bisect_refine(
-            align_subsequences(subsequences), min_split_fraction=min_split_fraction
-        )
+        clusters = bisect_refine(align_subsequences(subsequences))
         for cluster in clusters:
             covered = {motif.occurrences[i].instance for i in cluster.member_indices}
             measure = len(covered) if support_mode == "instances" else cluster.size
@@ -1088,7 +1091,6 @@ def per_rule_class_candidates(
     prototype: str = "centroid",
     support_mode: str = "instances",
     numerosity_reduction: bool = True,
-    min_split_fraction: float = 0.3,
 ) -> list[PatternCandidate]:
     """Algorithm 1's inner loop one rule at a time.
 
@@ -1110,7 +1112,7 @@ def per_rule_class_candidates(
         aligned = align_subsequences(
             [series[occ.start : occ.end] for occ in motif.occurrences]
         )
-        for cluster in bisect_refine(aligned, min_split_fraction=min_split_fraction):
+        for cluster in bisect_refine(aligned):
             instances_covered = {motif.occurrences[i].instance for i in cluster.member_indices}
             measure = len(instances_covered) if support_mode == "instances" else cluster.size
             if measure < min_support:
@@ -1129,6 +1131,74 @@ def per_rule_class_candidates(
                 )
             )
     return candidates
+
+
+# -- the complete-linkage merge tree ----------------------------------------------
+
+
+class Merge(NamedTuple):
+    """One agglomeration step: clusters *left* and *right* merge at *height*
+    into a cluster of *size* members.
+
+    Cluster ids follow the scipy convention: ids ``0..n-1`` are the
+    singletons; the merge at step ``t`` creates cluster ``n + t``.
+    """
+
+    left: int
+    right: int
+    height: float
+    size: int
+
+
+def agglomerate(dist: np.ndarray) -> list[Merge]:
+    """The ``n - 1`` complete-linkage merges of a distance matrix, in order.
+
+    Every step merges the closest pair, the first minimum in row-major
+    order, into the lower row; that row and column become the
+    elementwise maximum of the two, and the higher row and column are
+    deleted.
+    """
+    d = np.array(dist, dtype=float)
+    n = d.shape[0]
+    np.fill_diagonal(d, np.inf)
+    ids = list(range(n))
+    sizes = [1] * n
+    merges: list[Merge] = []
+    while d.shape[0] > 1:
+        i, j = sorted(divmod(int(np.argmin(d)), d.shape[0]))
+        merges.append(Merge(ids[i], ids[j], float(d[i, j]), sizes[i] + sizes[j]))
+        d[i, :] = d[:, i] = np.maximum(d[i], d[j])
+        d[i, i] = np.inf
+        d = np.delete(np.delete(d, j, axis=0), j, axis=1)
+        ids[i], sizes[i] = n + len(merges) - 1, merges[-1].size
+        del ids[j], sizes[j]
+    return merges
+
+
+def cut_k(merges: list[Merge], k: int) -> np.ndarray:
+    """Labels of the *k* clusters left after the first ``n - k`` merges.
+
+    Labels run ``0..k-1`` by order of first appearance. ``k`` must
+    satisfy ``1 <= k <= n``.
+    """
+    n = len(merges) + 1
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    parent = list(range(n + len(merges)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for t, merge in enumerate(merges[: n - k]):
+        parent[find(merge.left)] = parent[find(merge.right)] = n + t
+    labels = np.empty(n, dtype=int)
+    mapping: dict[int, int] = {}
+    for i in range(n):
+        labels[i] = mapping.setdefault(find(i), len(mapping))
+    return labels
 
 
 def best_match_scalar(pattern: np.ndarray, series: np.ndarray) -> Match:

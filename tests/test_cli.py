@@ -50,6 +50,24 @@ class TestFlagValidation:
             build_parser().parse_args([command, "CBF", flag, "7"])
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--top", "0", "must be a positive integer"),
+            ("--top", "-1", "must be a positive integer"),
+            ("--discords", "-1", "must be >= 0"),
+        ],
+    )
+    def test_motif_counts_reject_out_of_range(self, flag, value, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["motifs", "series.txt", flag, value])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_motif_discords_accept_zero_for_none(self):
+        args = build_parser().parse_args(["motifs", "series.txt", "--discords", "0"])
+        assert args.discords == 0
+
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_jobs_rejects_zero_and_below_minus_one(self, value, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,8 +5,9 @@ import pytest
 from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
 from scipy.spatial.distance import squareform
 
-from repro.cluster.linkage import agglomerate, complete_two_cut, cut_k
+from repro.cluster.linkage import complete_two_cut
 from repro.distance.euclidean import pairwise_euclidean
+from tests.oracles import agglomerate, cut_k
 
 
 def _random_distance_matrix(rng, n):
@@ -15,53 +16,34 @@ def _random_distance_matrix(rng, n):
 
 
 class TestAgglomerate:
+    """The complete-linkage merge tree of ``tests/oracles.py``."""
+
     def test_merge_count(self, rng):
         D = _random_distance_matrix(rng, 7)
-        link = agglomerate(D)
-        assert link.n == 7
-        assert len(link.merges) == 6
+        merges = agglomerate(D)
+        assert len(merges) == 6
+        assert merges[-1].size == 7
 
     def test_heights_monotone(self, rng):
-        for method in ("complete", "single", "average"):
-            D = _random_distance_matrix(rng, 10)
-            heights = agglomerate(D, method).heights()
-            assert np.all(np.diff(heights) >= -1e-9)
+        D = _random_distance_matrix(rng, 10)
+        heights = [merge.height for merge in agglomerate(D)]
+        assert np.all(np.diff(heights) >= -1e-9)
 
     def test_matches_scipy_heights(self, rng):
-        for method in ("complete", "single", "average"):
-            D = _random_distance_matrix(rng, 12)
-            ours = agglomerate(D, method).heights()
-            theirs = scipy_linkage(squareform(D, checks=False), method=method)[:, 2]
-            np.testing.assert_allclose(np.sort(ours), np.sort(theirs), atol=1e-9)
+        D = _random_distance_matrix(rng, 12)
+        ours = [merge.height for merge in agglomerate(D)]
+        theirs = scipy_linkage(squareform(D, checks=False), method="complete")[:, 2]
+        np.testing.assert_allclose(np.sort(ours), np.sort(theirs), atol=1e-9)
 
     def test_single_point(self):
-        link = agglomerate(np.zeros((1, 1)))
-        assert link.merges == []
+        assert agglomerate(np.zeros((1, 1))) == []
 
     def test_two_points(self):
         D = np.array([[0.0, 2.5], [2.5, 0.0]])
-        link = agglomerate(D)
-        assert len(link.merges) == 1
-        assert link.merges[0].height == 2.5
-        assert link.merges[0].size == 2
-
-    def test_rejects_asymmetric(self):
-        D = np.array([[0.0, 1.0], [2.0, 0.0]])
-        with pytest.raises(ValueError, match="symmetric"):
-            agglomerate(D)
-
-    def test_rejects_nonzero_diagonal(self):
-        D = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(ValueError, match="zero diagonal"):
-            agglomerate(D)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError, match="square"):
-            agglomerate(np.zeros((2, 3)))
-
-    def test_rejects_unknown_method(self, rng):
-        with pytest.raises(ValueError, match="method"):
-            agglomerate(_random_distance_matrix(rng, 3), method="ward")
+        merges = agglomerate(D)
+        assert len(merges) == 1
+        assert merges[0].height == 2.5
+        assert merges[0].size == 2
 
 
 class TestCutK:
@@ -86,7 +68,7 @@ class TestCutK:
     def test_matches_scipy_partition(self, rng):
         D = _random_distance_matrix(rng, 15)
         for k in (2, 3, 5):
-            ours = cut_k(agglomerate(D, "complete"), k)
+            ours = cut_k(agglomerate(D), k)
             Z = scipy_linkage(squareform(D, checks=False), method="complete")
             theirs = fcluster(Z, t=k, criterion="maxclust")
             # Partitions must be identical up to label renaming.
@@ -96,19 +78,19 @@ class TestCutK:
                 assert mapping[a] == b
 
     def test_rejects_bad_k(self, rng):
-        link = agglomerate(_random_distance_matrix(rng, 4))
+        merges = agglomerate(_random_distance_matrix(rng, 4))
         with pytest.raises(ValueError, match="k must be"):
-            cut_k(link, 0)
+            cut_k(merges, 0)
         with pytest.raises(ValueError, match="k must be"):
-            cut_k(link, 5)
+            cut_k(merges, 5)
 
 
 class TestCompleteTwoCut:
-    """The refinement's 2-cut must equal the validated agglomeration's."""
+    """The refinement's 2-cut must equal the merge tree's."""
 
     @staticmethod
     def _reference(D):
-        return cut_k(agglomerate(D, "complete"), 2)
+        return cut_k(agglomerate(D), 2)
 
     def test_random_matrices(self):
         local = np.random.default_rng(101)
@@ -135,7 +117,7 @@ class TestCompleteTwoCut:
         D = np.zeros((1, 1))
         with pytest.raises(ValueError, match="k must be"):
             self._reference(D)
-        with pytest.raises(ValueError, match="k must be"):
+        with pytest.raises(ValueError, match="at least 2 members"):
             complete_two_cut(D)
 
     def test_input_left_untouched(self):
@@ -147,9 +129,7 @@ class TestCompleteTwoCut:
     def test_large_group_peak_memory_stays_near_input(self):
         # Masking merged rows instead of copying the matrix down keeps
         # the 2-cut's peak allocation at one working copy of the input
-        # (1.02x and 1.01x at n = 300 and 600, against 2.22x and 2.15x
-        # for agglomerate + cut_k). The two run within 0.8-1.0x of each
-        # other in time, too close for a timing assert.
+        # (1.02x and 1.01x at n = 300 and 600).
         D = _random_distance_matrix(np.random.default_rng(104), 300)
         tracemalloc.start()
         try:

@@ -7,6 +7,7 @@ from repro.cluster.refine import (
     centroid_of,
     medoid_of,
 )
+from repro.distance.euclidean import pairwise_euclidean
 from tests.oracles import align_subsequences
 
 
@@ -86,9 +87,10 @@ class TestBisectRefine:
         assert members == list(range(16))
 
     def test_min_group_size_respected(self, rng):
-        aligned = _two_shape_matrix(rng, 2, 2)
-        clusters = bisect_refine(aligned, min_group_size=4)
-        assert len(clusters) == 1
+        # A pair is never split, however far apart its members are.
+        aligned = _two_shape_matrix(rng, 1, 1)
+        clusters = bisect_refine(aligned)
+        assert [c.member_indices for c in clusters] == [[0, 1]]
 
     def test_single_member(self, rng):
         clusters = bisect_refine(rng.standard_normal((1, 10)))
@@ -102,7 +104,7 @@ class TestBisectRefine:
 class TestPrototypes:
     def _cluster(self, rng, n=8, length=16):
         aligned = align_subsequences([rng.standard_normal(length) for _ in range(n)])
-        return bisect_refine(aligned, min_split_fraction=0.0, min_group_size=n)[0]
+        return RefinedCluster(list(range(n)), aligned, pairwise_euclidean(aligned))
 
     def test_centroid_is_znormed_mean(self, rng):
         cluster = self._cluster(rng)
@@ -129,25 +131,12 @@ class TestPrototypes:
 
 
 class TestPairwiseReuse:
-    def test_precomputed_pairwise_matches_internal(self):
-        from repro.distance.euclidean import pairwise_euclidean
-
-        # Local generator: keeps the shared session rng stream (which
-        # later modules' data depends on) untouched.
-        local = np.random.default_rng(55)
-        aligned = np.vstack(
-            [local.standard_normal(12), local.standard_normal(12) + 5]
-            * 4
-        )
+    def test_precomputed_pairwise_matches_internal(self, rng):
+        # Every cluster's block is a slice of the one matrix of all members.
+        aligned = _two_shape_matrix(rng, 7, 9)
         pairwise = pairwise_euclidean(aligned)
-        internal = bisect_refine(aligned)
-        reused = bisect_refine(aligned, pairwise=pairwise)
-        assert len(internal) == len(reused)
-        for a, b in zip(internal, reused):
-            assert a.member_indices == b.member_indices
-            np.testing.assert_array_equal(a.pairwise, b.pairwise)
-
-    def test_pairwise_shape_mismatch_rejected(self):
-        aligned = np.random.default_rng(56).standard_normal((5, 10))
-        with pytest.raises(ValueError, match="pairwise"):
-            bisect_refine(aligned, pairwise=np.zeros((4, 4)))
+        clusters = bisect_refine(aligned)
+        assert len(clusters) > 1
+        for cluster in clusters:
+            members = np.array(cluster.member_indices)
+            np.testing.assert_array_equal(cluster.pairwise, pairwise[np.ix_(members, members)])

@@ -3,6 +3,7 @@ import pytest
 
 from repro.core.params import ParamRanges, ParamSelector, default_ranges
 from repro.core.rpm import RPMClassifier
+from repro.runtime.cache import LRUCache
 from repro.sax.discretize import SaxParams
 
 
@@ -100,6 +101,16 @@ class TestRPMClassifier:
         clf.fit(tiny_cbf.X_train, tiny_cbf.y_train)
         F = clf.transform(tiny_cbf.X_test)
         assert F.shape == (tiny_cbf.n_test, len(clf.patterns_))
+
+    @pytest.mark.parametrize("sax_params", [SaxParams(24, 4, 4), None])
+    def test_fitted_model_keeps_no_cache(self, tiny_gun, sax_params):
+        # The fit's caches hold tens of MB on long series; inference
+        # runs the pattern bank and needs none of them.
+        clf = RPMClassifier(sax_params=sax_params, direct_budget=4, n_splits=2, seed=0)
+        clf.fit(tiny_gun.X_train, tiny_gun.y_train)
+        clf.predict(tiny_gun.X_test)
+        held = [name for name, value in vars(clf).items() if isinstance(value, LRUCache)]
+        assert held == []
 
     def test_per_class_params_dict(self, tiny_gun):
         params = {0: SaxParams(24, 4, 4), 1: SaxParams(30, 5, 5)}

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.refine import align_groups
-from repro.grammar.inference import induce_motifs, occurrence_table, rule_spans
+from repro.grammar.inference import induce_motifs, occurrence_table
 from repro.grammar.sequitur import Sequitur
 from repro.sax.discretize import SaxParams, SaxRecord
 from tests.oracles import align_subsequences, find_token_occurrences, per_rule_motifs
@@ -112,6 +112,8 @@ class TestInduceMotifs:
     @given(records())
     @settings(max_examples=200, deadline=None)
     def test_rule_spans_equal_the_scan_per_rule(self, case):
+        # A single series is one instance: every raw span of every
+        # distinct expansion is kept, as motif discovery needs.
         record, _, _ = case
         window = record.params.window_size
         offsets = record.offsets.tolist()
@@ -122,11 +124,16 @@ class TestInduceMotifs:
                 continue
             seen.add(expansion)
             spans = [
-                (offsets[i], offsets[i + len(expansion) - 1] + window)
+                (offsets[i], offsets[i + len(expansion) - 1] + window, 0)
                 for i in find_token_occurrences(record.token_ids, expansion)
             ]
             want.append((rule.rule_id, expansion, spans))
-        assert list(rule_spans(record)) == want
+        table = induce_motifs(record, [0], [record.series_length], min_frequency=1)
+        got = [
+            (motif.rule_id, expansion, [(o.start, o.end, o.instance) for o in motif.occurrences])
+            for motif, expansion in zip(table, table.expansions)
+        ]
+        assert got == want
 
     def test_first_rule_wins_a_repeated_expansion(self):
         # Sequitur builds two rules expanding to (1, 1, 1) here.

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
+from repro.cluster.refine import bisect_refine, centroid_of
+from repro.grammar import Occurrence, RuleMotif
 from repro.motif import (
-    Motif,
-    MotifOccurrence,
     find_discord_brute_force,
     find_discords_density,
     find_motifs,
     rule_density,
 )
-from repro.cluster.refine import bisect_refine, centroid_of
 from repro.sax.discretize import SaxParams, discretize
 from tests.oracles import ObjectSequitur, align_subsequences, find_token_occurrences
 
@@ -33,10 +32,10 @@ def _reference_motifs(series, params, *, min_frequency=2, min_words=1, rank_by="
         for word_index in find_token_occurrences(token_ids, expansion):
             start = int(record.offsets[word_index])
             end = int(record.offsets[word_index + len(expansion) - 1]) + params.window_size
-            occurrences.append(MotifOccurrence(start=start, end=min(end, series.size)))
+            occurrences.append(Occurrence(start=start, end=min(end, series.size), instance=0))
         if len(occurrences) < min_frequency:
             continue
-        motif = Motif(
+        motif = RuleMotif(
             rule_id=rule.rule_id,
             words=tuple(record.vocabulary[i] for i in expansion),
             occurrences=occurrences,
@@ -62,32 +61,32 @@ def _periodic(rng, n=500, period=40, noise=0.1):
 
 class TestMotifDataclass:
     def test_frequency_and_mean_length(self):
-        motif = Motif(
+        motif = RuleMotif(
             rule_id=1,
             words=("ab",),
-            occurrences=[MotifOccurrence(0, 10), MotifOccurrence(20, 34)],
+            occurrences=[Occurrence(0, 10, 0), Occurrence(20, 34, 0)],
         )
         assert motif.frequency == 2
         assert motif.mean_length() == 12.0
 
     def test_covered_points_merges_overlaps(self):
-        motif = Motif(
+        motif = RuleMotif(
             rule_id=1,
             words=("ab",),
-            occurrences=[MotifOccurrence(0, 10), MotifOccurrence(5, 15)],
+            occurrences=[Occurrence(0, 10, 0), Occurrence(5, 15, 0)],
         )
         assert motif.covered_points() == 15
 
     def test_covered_points_disjoint(self):
-        motif = Motif(
+        motif = RuleMotif(
             rule_id=1,
             words=("ab",),
-            occurrences=[MotifOccurrence(0, 5), MotifOccurrence(10, 15)],
+            occurrences=[Occurrence(0, 5, 0), Occurrence(10, 15, 0)],
         )
         assert motif.covered_points() == 10
 
     def test_empty(self):
-        motif = Motif(rule_id=1, words=("ab",))
+        motif = RuleMotif(rule_id=1, words=("ab",))
         assert motif.covered_points() == 0
         assert motif.mean_length() == 0.0
 
@@ -113,6 +112,20 @@ class TestFindMotifs:
     def test_top_k_limits(self, rng):
         series = _periodic(rng)
         assert len(find_motifs(series, PARAMS, top_k=3)) <= 3
+
+    @pytest.mark.parametrize("top_k", [0, -1, -3])
+    def test_rejects_top_k_below_one(self, top_k):
+        with pytest.raises(ValueError, match=f"top_k .* got {top_k}"):
+            find_motifs(_periodic(np.random.default_rng(3)), PARAMS, top_k=top_k)
+
+    def test_motifs_are_the_grammar_records(self, rng):
+        series = _periodic(rng)
+        motifs = find_motifs(series, PARAMS)
+        assert all(type(m) is RuleMotif for m in motifs)
+        assert {occ.instance for m in motifs for occ in m.occurrences} == {0}
+        assert all(m.support == 1 for m in motifs)
+        # Records with prototypes compare by rule, words and occurrences.
+        assert motifs == find_motifs(series, PARAMS)
 
     def test_ranking_orders(self, rng):
         series = _periodic(rng)
@@ -185,8 +198,8 @@ class TestFindMotifsPinned:
 class TestRuleDensity:
     def test_counts_covering_occurrences(self):
         motifs = [
-            Motif(rule_id=1, words=("a",), occurrences=[MotifOccurrence(0, 5)]),
-            Motif(rule_id=2, words=("b",), occurrences=[MotifOccurrence(3, 8)]),
+            RuleMotif(rule_id=1, words=("a",), occurrences=[Occurrence(0, 5, 0)]),
+            RuleMotif(rule_id=2, words=("b",), occurrences=[Occurrence(3, 8, 0)]),
         ]
         density = rule_density(10, motifs)
         assert density[0] == 1
@@ -229,6 +242,12 @@ class TestDiscords:
         discords = find_discords_density(series, PARAMS, n_discords=3)
         scores = [d.score for d in discords]
         assert scores == sorted(scores, reverse=True)
+
+    @pytest.mark.parametrize("n_discords", [0, -1])
+    def test_rejects_discord_count_below_one(self, n_discords):
+        series = np.cumsum(np.random.default_rng(4).standard_normal(300))
+        with pytest.raises(ValueError, match=f"n_discords .* got {n_discords}"):
+            find_discords_density(series, PARAMS, n_discords=n_discords)
 
     def test_rejects_window_too_long(self, rng):
         with pytest.raises(ValueError, match="shorter"):

@@ -5,7 +5,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.cluster.linkage import agglomerate, cut_k
 from repro.distance.best_match import best_match
 from repro.distance.dtw import dtw_distance
 from repro.distance.euclidean import euclidean, pairwise_euclidean
@@ -14,7 +13,13 @@ from repro.ml.stats import rankdata_average
 from repro.sax.paa import paa
 from repro.sax.sax import mindist, sax_word
 from repro.sax.znorm import NORM_THRESHOLD, znorm
-from tests.oracles import best_match_scalar, dtw_distance_reference, find_word_occurrences
+from tests.oracles import (
+    agglomerate,
+    best_match_scalar,
+    cut_k,
+    dtw_distance_reference,
+    find_word_occurrences,
+)
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -141,10 +146,10 @@ class TestClusteringProperties:
     @settings(max_examples=40)
     def test_cut_k_partitions(self, X):
         D = pairwise_euclidean(X)
-        link = agglomerate(D)
+        merges = agglomerate(D)
         n = X.shape[0]
         for k in (1, 2, n):
-            labels = cut_k(link, k)
+            labels = cut_k(merges, k)
             assert labels.size == n
             assert np.unique(labels).size <= k
 

@@ -21,12 +21,13 @@ from tests.oracles import assert_profiles_close, naive_best_distances
 
 
 @pytest.fixture(scope="module")
-def series_matrix(rng):
-    return rng.normal(size=(12, 80))
+def series_matrix():
+    return np.random.default_rng(1).normal(size=(12, 80))
 
 
 @pytest.fixture(scope="module")
-def patterns(rng):
+def patterns():
+    rng = np.random.default_rng(2)
     return [znorm(rng.normal(size=n)) for n in (8, 16, 25, 80)]
 
 
