@@ -15,6 +15,12 @@ and *identical* tie-broken argmin positions. The ≥2× speedup gate on
 the largest bucket only arms on hosts with at least 4 CPUs; tiny
 shared runners make wall-clock ratios meaningless.
 
+A second table times the closest-match reduction on the ``fixed-long``
+predict shape (64 rows × 1,024 points, one bucket of 14 patterns of
+129 points) against the profile-then-minimum reference in
+``tests/oracles.py``, on both backends, and asserts that the two give
+the same distances bit for bit.
+
 Results go to ``benchmarks/results/BENCH_transform.json`` (machine-
 readable) and ``benchmarks/results/transform.txt`` (table). Run
 stand-alone with ``python benchmarks/bench_transform.py`` or through
@@ -32,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).parents[1]))  # for tests.oracles
 
 import harness  # noqa: E402
 from repro.runtime.kernel import (  # noqa: E402
@@ -40,6 +47,7 @@ from repro.runtime.kernel import (  # noqa: E402
     resolve_backend,
     tie_break_argmin_rows,
 )
+from tests.oracles import profile_min_best_distances  # noqa: E402
 
 JSON_NAME = "BENCH_transform.json"
 
@@ -53,6 +61,11 @@ SERIES_LENGTH = 2048
 PATTERN_LENGTH = 256
 BUCKET_SIZES = (4, 16, 64)
 REPEATS = 2
+
+#: The ``fixed-long`` predict shape: one 64-row call against the bank's
+#: largest bucket.
+REDUCTION_SHAPE = {"n_series": 64, "series_length": 1024, "pattern_length": 129, "bucket": 14}
+REDUCTION_REPEATS = 5
 
 
 def _best_of(fn, repeats: int = REPEATS) -> tuple[float, np.ndarray]:
@@ -124,6 +137,44 @@ def run_bench() -> dict:
     return results
 
 
+def run_reduction_bench() -> dict:
+    """The closest-match reduction vs the profile-then-minimum reference.
+
+    Fresh window statistics per timed run on both sides; the distances
+    must be equal bit for bit on each backend.
+    """
+    shape = REDUCTION_SHAPE
+    rng = np.random.default_rng(7)
+    X = np.cumsum(rng.standard_normal((shape["n_series"], shape["series_length"])), axis=1)
+    L = shape["pattern_length"]
+    walk = np.cumsum(rng.standard_normal(shape["bucket"] * L))
+    pres = [prenormalize_pattern(p) for p in walk.reshape(shape["bucket"], L)]
+    rows = []
+    for backend in ("matvec", "fft"):
+        new_s, new_out = _best_of(
+            lambda: SlidingWindowStats(X, L).batch_best_distances_prenormalized(
+                pres, backend=backend
+            ),
+            REDUCTION_REPEATS,
+        )
+        ref_s, ref_out = _best_of(
+            lambda: profile_min_best_distances(SlidingWindowStats(X, L), pres, backend),
+            REDUCTION_REPEATS,
+        )
+        assert new_out.tobytes() == ref_out.tobytes(), (
+            f"{backend}: the reduction differs from the profile minima"
+        )
+        rows.append(
+            {
+                "backend": backend,
+                "reduction_ms": new_s * 1000.0,
+                "profile_min_ms": ref_s * 1000.0,
+                "speedup": ref_s / new_s,
+            }
+        )
+    return {**shape, "repeats": REDUCTION_REPEATS, "rows": rows}
+
+
 def _report(results: dict) -> str:
     rows = [
         [
@@ -137,6 +188,16 @@ def _report(results: dict) -> str:
         for w in results["workloads"]
     ]
     gate = "armed" if results["gate_armed"] else f"off — <{SPEEDUP_GATE_MIN_CPUS} CPUs"
+    red = results["reduction"]
+    red_rows = [
+        [
+            r["backend"],
+            f"{r['profile_min_ms']:.2f}",
+            f"{r['reduction_ms']:.2f}",
+            f"{r['speedup']:.2f}x",
+        ]
+        for r in red["rows"]
+    ]
     return "\n".join(
         [
             "Batched transform: FFT vs mat-vec distance kernel "
@@ -149,6 +210,13 @@ def _report(results: dict) -> str:
             f"\nspeedup gate ≥{GATE_FACTOR}x on largest bucket: {gate}",
             "equivalence: distances rtol 1e-9 / atol 1e-6, "
             "tie-broken argmin positions identical (asserted every run)",
+            "",
+            "Closest-match reduction vs profile-then-minimum reference "
+            f"({red['n_series']}×{red['series_length']} series, "
+            f"one bucket of {red['bucket']} patterns, L={red['pattern_length']})",
+            f"(ms, best of {red['repeats']}; fresh window statistics per run)",
+            harness.format_table(["backend", "profile min", "reduction", "speedup"], red_rows),
+            "equivalence: distances bit for bit (asserted every run)",
         ]
     )
 
@@ -172,6 +240,7 @@ def _check_gate(results: dict) -> None:
 
 def test_transform_speedup(benchmark):
     results = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+    results["reduction"] = run_reduction_bench()
     write_json(results)
     harness.write_report("transform", _report(results))
     _check_gate(results)
@@ -179,6 +248,7 @@ def test_transform_speedup(benchmark):
 
 def main() -> int:
     results = run_bench()
+    results["reduction"] = run_reduction_bench()
     path = write_json(results)
     harness.write_report("transform", _report(results))
     print(f"json written to {path}")

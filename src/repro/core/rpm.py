@@ -122,10 +122,12 @@ class RPMClassifier(BaseEstimator):
     direct_budget / n_splits / cv_folds / validation_fraction:
         Algorithm 3 budget knobs (see :class:`ParamSelector`).
     n_jobs:
-        Worker threads for the pattern bank's length buckets in
-        ``transform``/``predict`` (``-1`` = all CPUs, ``1`` = serial).
-        ``fit`` is one serial path whatever the value. Results are
-        bitwise identical for every value — see ``docs/runtime.md``.
+        Threads for the pattern bank's length buckets in
+        ``transform``/``predict``, the calling thread included: ``2``
+        runs buckets on the caller and one pool thread (``-1`` = all
+        CPUs, ``1`` = serial). ``fit`` is one serial path whatever the
+        value. Results are bitwise identical for every value — see
+        ``docs/runtime.md``.
     numerosity_reduction:
         ``True`` (paper default, collapse exact-duplicate consecutive
         words), ``False`` (keep all), or one of ``'exact'`` /
@@ -309,9 +311,11 @@ class RPMClassifier(BaseEstimator):
         Runs the pattern bank over one window-statistics prefix per
         batch: the path :class:`~repro.serve.CompiledModel` serves, so
         the two agree bitwise. The buckets fan out over ``n_jobs``
-        threads of a pool opened and closed per call, so the classifier
-        never holds one; with a tracer active, per-chunk timings go to
-        the process-wide metrics registry.
+        threads: the calling thread runs the first bucket chunk, and a
+        pool of ``n_jobs − 1`` threads, opened and closed per call (so
+        the classifier never holds one), runs the rest. A bank of one
+        bucket opens no pool. With a tracer active, per-chunk timings
+        go to the process-wide metrics registry.
         """
         if not self.patterns_:
             raise RuntimeError("classifier used before fit()")

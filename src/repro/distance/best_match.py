@@ -24,7 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..runtime.kernel import SlidingWindowStats, resample_pattern, tie_break_argmin
+from ..runtime.kernel import (
+    SlidingWindowStats,
+    resample_pattern,
+    sliding_best_distances,
+    tie_break_argmin,
+)
 
 __all__ = [
     "Match",
@@ -83,8 +88,13 @@ def batch_distance_profiles(pattern: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def batch_best_distances(pattern: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Closest-match distance of one pattern to every row of ``X``."""
-    return batch_distance_profiles(pattern, X).min(axis=1)
+    """Closest-match distance of one pattern to every row of ``X``.
+
+    The row minima of :func:`batch_distance_profiles`, bit for bit,
+    from the kernel's closest-match reduction, which builds no profiles
+    (:meth:`~repro.runtime.kernel.SlidingWindowStats.best_distances`).
+    """
+    return sliding_best_distances(pattern, X, backend="matvec")
 
 
 def best_match(pattern: np.ndarray, series: np.ndarray) -> Match:

@@ -58,8 +58,9 @@ def find_discords_density(
     """Find discords via the grammar rule-density heuristic.
 
     1. Discover motifs and compute the per-point rule density.
-    2. Slide a window (default: the SAX window) and rank positions by
-       ascending mean density — the rarest intervals first.
+    2. Slide a window (``window``: ``None`` for the SAX window, or an
+       integer with ``2 <= window < len(series)``) and rank positions
+       by ascending mean density — the rarest intervals first.
     3. Verify each candidate with the true nearest-neighbour distance
        and report the top *n_discords* (at least 1) non-overlapping
        intervals.
@@ -69,9 +70,17 @@ def find_discords_density(
     series = np.asarray(series, dtype=float)
     if series.ndim != 1:
         raise ValueError("find_discords_density expects a 1-D series")
-    length = window or params.window_size
+    if window is None:
+        length = params.window_size
+    elif isinstance(window, (int, np.integer)) and window >= 2:
+        length = int(window)
+    else:
+        raise ValueError(f"discord window must be None or an integer >= 2, got {window!r}")
     if length >= series.size:
-        raise ValueError("discord window must be shorter than the series")
+        raise ValueError(
+            f"discord window must be shorter than the series ({series.size} points), "
+            f"got {length}"
+        )
 
     motifs = find_motifs(series, params, refine=False)
     density = rule_density(series.size, motifs)

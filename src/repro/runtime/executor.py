@@ -1,18 +1,18 @@
 """A small, deterministic parallel-map abstraction.
 
 :class:`ParallelExecutor` runs one ordered ``map`` either as a plain
-loop or over a thread pool. Work is submitted in contiguous chunks and
-results are always returned in input order, so callers are
-bitwise-indistinguishable from the serial loop. The pattern bank's
-length buckets are its only fan-out: NumPy's mat-vec, FFT and cumsum
-kernels release the GIL, and nothing is pickled.
+loop or on the calling thread plus a thread pool. Work is split into
+contiguous chunks and results are always returned in input order, so
+callers are bitwise-indistinguishable from the serial loop. The
+pattern bank's length buckets are its only fan-out: NumPy's mat-vec,
+FFT and cumsum kernels release the GIL, and nothing is pickled.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 from ..obs.metrics import MetricsRegistry
 
@@ -46,14 +46,25 @@ def _timed_apply_chunk(fn, chunk):
     return time.perf_counter() - t0, out
 
 
+def _run_here(run, fn, chunk) -> Future:
+    """``run(fn, chunk)`` on the calling thread, as a finished future."""
+    future: Future = Future()
+    try:
+        future.set_result(run(fn, chunk))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
 class ParallelExecutor:
-    """Ordered, chunked ``map`` over a plain loop or a thread pool.
+    """Ordered, chunked ``map`` over a plain loop or the caller and a pool.
 
     Parameters
     ----------
     n_jobs:
-        Worker threads; ``-1`` uses every CPU, ``None``/``0``/``1`` run
-        serially. :attr:`backend` reads ``'serial'`` or ``'thread'``
+        Threads that run a map, the calling thread included: the pool
+        holds ``n_jobs − 1``. ``-1`` uses every CPU, ``None``/``0``/``1``
+        run serially. :attr:`backend` reads ``'serial'`` or ``'thread'``
         accordingly.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`. When set,
@@ -65,9 +76,11 @@ class ParallelExecutor:
         ``None`` (default) keeps the map path free of any
         instrumentation.
 
-    Work is spread into roughly four chunks per worker, which balances
-    load without drowning the pool in tiny tasks. The pool is created
-    lazily on first use and torn down by :meth:`close` (or the
+    Work is spread into roughly four chunks per thread, which balances
+    load without drowning the pool in tiny tasks. The caller runs the
+    first chunk and every chunk no pool thread has started, so it works
+    instead of waiting. The pool is created lazily by the first map of
+    more than one chunk and torn down by :meth:`close` (or the
     context-manager exit).
     """
 
@@ -83,7 +96,7 @@ class ParallelExecutor:
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.n_jobs)
+            self._pool = ThreadPoolExecutor(max_workers=self.n_jobs - 1)
         return self._pool
 
     def close(self) -> None:
@@ -101,39 +114,38 @@ class ParallelExecutor:
     # -- mapping --------------------------------------------------------------
 
     def _chunks(self, items: list) -> list[list]:
+        if self.n_jobs == 1:
+            return [items]
         size = max(1, -(-len(items) // (self.n_jobs * 4)))
         return [items[i : i + size] for i in range(0, len(items), size)]
 
     def map(self, fn, items) -> list:
         """Apply ``fn`` to every item; results in input order.
 
-        Exceptions raised by ``fn`` propagate to the caller, exactly as
-        in the serial loop.
-
-        Single-item fast path: without metrics, a thread executor still
-        runs one lone item inline (no scheduling round-trip for work
-        that cannot be parallelized anyway). With metrics enabled the
-        item goes through the pool, so every ``executor.chunk_seconds``
-        observation of a thread executor is measured on a pool thread.
+        The calling thread runs the first chunk itself while the pool's
+        ``n_jobs − 1`` threads start on the rest; then it runs every
+        chunk no pool thread has started yet. A map of one chunk opens
+        no pool. Exceptions raised by ``fn`` propagate to the caller,
+        exactly as in the serial loop: the first failing chunk in input
+        order raises.
         """
         items = list(items)
         if not items:
             return []
-        if self.backend == "serial" or (len(items) <= 1 and self.metrics is None):
-            if self.metrics is None:
-                return [fn(item) for item in items]
-            elapsed, out = _timed_apply_chunk(fn, items)
-            self._record_chunk(elapsed, len(items))
-            return out
-        pool = self._ensure_pool()
+        run = _apply_chunk if self.metrics is None else _timed_apply_chunk
         chunks = self._chunks(items)
+        futures = [self._ensure_pool().submit(run, fn, chunk) for chunk in chunks[1:]]
+        first = run(fn, chunks[0])
+        # A chunk whose future cancels has not started: run it here.
+        futures = [
+            _run_here(run, fn, chunk) if future.cancel() else future
+            for chunk, future in zip(chunks[1:], futures)
+        ]
+        done = [first] + [future.result() for future in futures]
         if self.metrics is None:
-            futures = [pool.submit(_apply_chunk, fn, chunk) for chunk in chunks]
-            return [result for future in futures for result in future.result()]
-        futures = [pool.submit(_timed_apply_chunk, fn, chunk) for chunk in chunks]
+            return [result for results in done for result in results]
         out: list = []
-        for future, chunk in zip(futures, chunks):
-            elapsed, results = future.result()
+        for chunk, (elapsed, results) in zip(chunks, done):
             self._record_chunk(elapsed, len(chunk))
             out.extend(results)
         return out

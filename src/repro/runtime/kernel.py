@@ -41,6 +41,13 @@ Two backends compute the cross-correlation:
 ``resolve_backend`` picks between them: ``auto`` selects FFT only above
 a calibrated series-length × pattern-length × bucket-size crossover, so
 short series keep the bitwise-exact mat-vec path.
+
+The closest-match reductions (:meth:`SlidingWindowStats.best_distances`
+and :meth:`~SlidingWindowStats.batch_best_distances_prenormalized`)
+build no profiles. They keep each row's largest ``⟨w, q⟩/σ_w`` and
+subtract once; only the (pattern, row) pairs with a flat window, a flat
+pattern or a near-perfect match are finished window by window. The
+result is the profiles' row minima, bit for bit.
 """
 
 from __future__ import annotations
@@ -82,15 +89,16 @@ FFT_MIN_SERIES_LENGTH = 128
 FFT_MIN_BATCH_WORK = 64  # bucket size k × pattern length L
 FFT_LENGTH_CROSSOVER = 6.0  # use FFT when L ≥ crossover · log2(m)
 
-#: Complex scratch budget for one batched-FFT chunk. Patterns are
+#: Scratch budget for one chunk of a bucket's dot products. Patterns are
 #: processed in chunks so the ``(chunk, n, nfft/2+1)`` spectrum product
-#: never balloons with the bucket size. Each row's transform is computed
-#: on its own, so the chunking never changes a bit. Small chunks stay in
-#: cache: on a 2-vCPU Xeon VM, a 14-pattern bucket of length 129 against
-#: 512 rows of 1,024 points took 71-79 ms per call at 1-4 MB against
-#: 118 ms at 32 MB, and batches of a few rows still stack many patterns
-#: per chunk.
-_FFT_SCRATCH_BYTES = 2 * 1024 * 1024
+#: of the FFT, or the ``(chunk, n, J)`` block of the mat-vec, never
+#: balloons with the bucket size. Each row's products are computed on
+#: their own, so the chunking never changes a bit. Small chunks stay in
+#: cache: on a 2-vCPU Xeon VM, a 14-pattern FFT bucket of length 129
+#: against 512 rows of 1,024 points took 71-79 ms per call at 1-4 MB
+#: against 118 ms at 32 MB, and batches of a few rows still stack many
+#: patterns per chunk.
+_SCRATCH_BYTES = 2 * 1024 * 1024
 
 #: Tie-breaking tolerance for best-match positions: every alignment
 #: whose distance is within ``TIE_ATOL + TIE_RTOL·min`` of the row
@@ -225,19 +233,26 @@ def prenormalize_pattern(pattern: np.ndarray) -> PrenormalizedPattern:
 
 
 def exact_near_matches(
-    d2: np.ndarray, windows: np.ndarray, flat: np.ndarray, q: np.ndarray
+    d2: np.ndarray,
+    windows: np.ndarray,
+    flat: np.ndarray,
+    q: np.ndarray,
+    rows: np.ndarray | None = None,
 ) -> None:
     """Recompute the near-perfect matches of ``d2`` in place.
 
     ``d2`` ``(k, n, J)`` holds the squared distances of the patterns
-    ``q`` ``(k, L)`` to ``windows`` ``(n, J, L)``; each entry below
-    ``NEAR_MATCH_D2 · L`` on a non-flat window becomes ``Σ (ẑ(w) − q)²``.
+    ``q`` ``(k, L)`` to ``windows`` ``(n, J, L)``, and ``flat`` ``(n, J)``
+    their flat-window mask; each entry below ``NEAR_MATCH_D2 · L`` on a
+    non-flat window becomes ``Σ (ẑ(w) − q)²``. When ``d2`` covers only
+    some series, ``rows`` names the rows of ``windows`` they are (``flat``
+    then holds only those rows).
     """
     near = d2 < NEAR_MATCH_D2 * q.shape[-1]
     if near.any():
         near &= ~flat
         k, row, col = np.nonzero(near)
-        w = windows[row, col]
+        w = windows[row if rows is None else rows[row], col]
         w = w - w.mean(axis=1, keepdims=True)
         w /= np.sqrt((w * w).mean(axis=1, keepdims=True))
         d2[k, row, col] = ((w - q[k]) ** 2).sum(axis=1)
@@ -388,44 +403,61 @@ class SlidingWindowStats:
         self.safe_sd = np.where(self.flat, 1.0, self.sd)
         self.windows = np.lib.stride_tricks.sliding_window_view(prefix.centered, length, axis=1)
 
-    # -- FFT backend -----------------------------------------------------------
+    # -- dot products ----------------------------------------------------------
 
-    def _fft_squared_chunks(self, pres: Sequence[PrenormalizedPattern]):
-        """Yield ``(lo, hi, d2)`` blocks of the batched FFT path.
+    def _quotient_chunks(self, pres: Sequence[PrenormalizedPattern], backend: str):
+        """Yield ``(lo, hi, R)``: ``R[i, r, j] = ⟨w_rj, q_i⟩ / safe_sd[r, j]``.
 
-        ``d2`` holds the squared distance profiles, clipped at 0.
-        Patterns are stacked into one matrix per chunk so a single
-        batched rfft/irfft covers the whole block; chunking bounds the
-        ``(chunk, n, nfft)`` scratch at :data:`_FFT_SCRATCH_BYTES`.
+        One loop serves both backends and both reductions. The mat-vec
+        writes each pattern's ``(n, J)`` products into one block; the FFT
+        stacks a chunk's patterns into one matrix, so a single batched
+        rfft/irfft covers the chunk, and divides in its ``irfft`` output.
+        Chunks hold :data:`_SCRATCH_BYTES` of products (of spectrum
+        products, for the FFT).
         """
         L = self.length
         m = self.series_length
-        xf = self.prefix.series_fft()
-        nfft = self.prefix.nfft
-        per_pattern = self.n_series * (nfft // 2 + 1) * 16
-        chunk = max(1, _FFT_SCRATCH_BYTES // max(per_pattern, 1))
+        if backend == "fft":
+            xf = self.prefix.series_fft()
+            nfft = self.prefix.nfft
+            per_pattern = self.n_series * (nfft // 2 + 1) * 16
+        else:
+            per_pattern = self.n_series * self.n_windows * 8
+        chunk = max(1, _SCRATCH_BYTES // max(per_pattern, 1))
         for lo in range(0, len(pres), chunk):
             block = pres[lo : lo + chunk]
-            Q = np.stack([pre.q for pre in block])
-            # Correlation as convolution with the reversed pattern:
-            # conv[t] = Σ_i x[t−i]·q[L−1−i], so lag t = L−1+j recovers
-            # QT[j] = ⟨x[j:j+L], q⟩ for every alignment j at once.
-            qf = np.fft.rfft(Q[:, ::-1], nfft, axis=1)
-            conv = np.fft.irfft(qf[:, None, :] * xf[None, :, :], nfft, axis=2)
-            # From here down the arithmetic is the mat-vec path's,
-            # expression for expression — only the dot products differ,
-            # by FFT rounding.
-            d2 = self._squared_from_dots(conv[:, :, L - 1 : m])
-            exact_near_matches(d2, self.windows, self.flat, Q)
-            qq = np.array([0.0 if pre.q_is_flat else pre.qq for pre in block])
-            d2[:, self.flat] = qq[:, None]
-            for i, pre in enumerate(block):
-                if pre.q_is_flat:
-                    d2[i][~self.flat] = float(L)
-            np.maximum(d2, 0.0, out=d2)
-            yield lo, lo + len(block), d2
+            if backend == "fft":
+                # Correlation as convolution with the reversed pattern:
+                # conv[t] = Σ_i x[t−i]·q[L−1−i], so lag t = L−1+j recovers
+                # QT[j] = ⟨x[j:j+L], q⟩ for every alignment j at once.
+                qf = np.fft.rfft(np.stack([pre.q for pre in block])[:, ::-1], nfft, axis=1)
+                R = np.fft.irfft(qf[:, None, :] * xf[None, :, :], nfft, axis=2)[:, :, L - 1 : m]
+            else:
+                R = np.empty((len(block), self.n_series, self.n_windows))
+                for i, pre in enumerate(block):
+                    np.matmul(self.windows, pre.q, out=R[i])
+            np.divide(R, self.safe_sd, out=R)
+            yield lo, lo + len(block), R
 
-    # -- profiles --------------------------------------------------------------
+    def _finish(self, d2: np.ndarray, pre: PrenormalizedPattern, rows=None) -> None:
+        """Turn ``d2 = 2L − 2·R`` into squared distances, in place.
+
+        ``d2`` ``(p, J)`` holds the rows ``rows`` (every row when
+        ``None``) of one pattern's quotients. The pattern is
+        z-normalized, so ``2L − 2·⟨w, q⟩/σ_w`` is the squared distance of
+        every non-flat window; this recomputes the near-perfect matches,
+        sets the flat branches and clips at 0. ``2·R`` is exact, so
+        ``2L − 2·R`` is, bit for bit, the ``2L − 2·⟨w, q⟩/σ_w`` of the
+        mat-vec reference expression.
+        """
+        flat = self.flat if rows is None else self.flat[rows]
+        exact_near_matches(d2[np.newaxis], self.windows, flat, pre.q[np.newaxis], rows)
+        # Flat window vs pattern: ẑ(w) = 0, so dist² = Σ q².
+        d2[flat] = 0.0 if pre.q_is_flat else pre.qq
+        if pre.q_is_flat:
+            # Pattern flat vs non-flat window: dist² = Σ ẑ(w)² = L.
+            d2[~flat] = float(self.length)
+        np.maximum(d2, 0.0, out=d2)
 
     def _dispatch(self, pres: Sequence[PrenormalizedPattern], backend: str) -> str:
         """Check the bucket's lengths, resolve and count the backend."""
@@ -443,37 +475,26 @@ class SlidingWindowStats:
         registry().inc(f"kernel.backend.{resolved}")
         return resolved
 
-    def _squared_from_dots(self, dot: np.ndarray) -> np.ndarray:
-        """``2L − 2·dot/σ_w`` in one fresh array, bit for bit.
+    def _prenormalize(self, pattern: np.ndarray) -> PrenormalizedPattern:
+        pattern = np.asarray(pattern, dtype=float)
+        if pattern.ndim != 1 or pattern.size != self.length:
+            raise ValueError(
+                f"pattern must be 1-D with {self.length} points, got shape {pattern.shape}"
+            )
+        return prenormalize_pattern(pattern)
 
-        The pattern is z-normalized, so this is the squared distance of
-        every non-flat window. Evaluated in place, in the order of the
-        expression ``2.0 * L - 2.0 * dot / safe_sd``, without its
-        temporaries.
-        """
-        d2 = np.multiply(dot, 2.0)
-        np.divide(d2, self.safe_sd, out=d2)
-        np.subtract(2.0 * self.length, d2, out=d2)
-        return d2
+    # -- profiles --------------------------------------------------------------
 
-    def _matvec_squared(self, pre: PrenormalizedPattern) -> np.ndarray:
-        """The mat-vec arithmetic, the reference for every backend.
-
-        Returns the squared profiles ``(n, J)``, clipped at 0. Callers
-        take the square root of the profiles, or of their row minima:
-        sqrt is monotone and correctly rounded, so both orders give the
-        same bits.
-        """
-        L = self.length
-        d2 = self._squared_from_dots(self.windows @ pre.q)
-        exact_near_matches(d2[np.newaxis], self.windows, self.flat, pre.q[np.newaxis])
-        # Flat window vs pattern: ẑ(w) = 0, so dist² = Σ q².
-        d2[self.flat] = 0.0 if pre.q_is_flat else pre.qq
-        if pre.q_is_flat:
-            # Pattern flat vs non-flat window: dist² = Σ ẑ(w)² = L.
-            d2[~self.flat] = float(L)
-        np.maximum(d2, 0.0, out=d2)
-        return d2
+    def _profiles(self, pres: Sequence[PrenormalizedPattern], backend: str) -> np.ndarray:
+        """Distance profiles ``(k, n, J)``: every window finished."""
+        out = np.empty((len(pres), self.n_series, self.n_windows))
+        for lo, hi, d2 in self._quotient_chunks(pres, backend):
+            np.multiply(d2, 2.0, out=d2)
+            np.subtract(2.0 * self.length, d2, out=d2)
+            for i, pre in enumerate(pres[lo:hi]):
+                self._finish(d2[i], pre)
+            np.sqrt(d2, out=out[lo:hi])
+        return out
 
     def profiles(self, pattern: np.ndarray, backend: str = "matvec") -> np.ndarray:
         """Distance profiles ``(n, J)`` of one pattern against all rows.
@@ -481,12 +502,7 @@ class SlidingWindowStats:
         ``pattern`` must already have exactly ``self.length`` points
         (resample longer patterns first — see :func:`resample_pattern`).
         """
-        pattern = np.asarray(pattern, dtype=float)
-        if pattern.ndim != 1 or pattern.size != self.length:
-            raise ValueError(
-                f"pattern must be 1-D with {self.length} points, got shape {pattern.shape}"
-            )
-        return self.profiles_prenormalized(prenormalize_pattern(pattern), backend=backend)
+        return self.profiles_prenormalized(self._prenormalize(pattern), backend=backend)
 
     def profiles_prenormalized(
         self, pre: PrenormalizedPattern, backend: str = "matvec"
@@ -499,10 +515,7 @@ class SlidingWindowStats:
         bitwise-exact mat-vec; ``"fft"``/``"auto"`` route through the
         batched FFT path.
         """
-        if self._dispatch([pre], backend) == "fft":
-            for _lo, _hi, d2 in self._fft_squared_chunks([pre]):
-                return np.sqrt(d2[0])
-        return np.sqrt(self._matvec_squared(pre))
+        return self._profiles([pre], self._dispatch([pre], backend))[0]
 
     def batch_profiles_prenormalized(
         self, pres: Sequence[PrenormalizedPattern], backend: str = "auto"
@@ -515,39 +528,56 @@ class SlidingWindowStats:
         :meth:`profiles_prenormalized`.
         """
         pres = list(pres)
-        out = np.empty((len(pres), self.n_series, self.n_windows))
-        if self._dispatch(pres, backend) == "fft":
-            for lo, hi, d2 in self._fft_squared_chunks(pres):
-                np.sqrt(d2, out=out[lo:hi])
-        else:
-            for i, pre in enumerate(pres):
-                np.sqrt(self._matvec_squared(pre), out=out[i])
-        return out
+        return self._profiles(pres, self._dispatch(pres, backend))
 
     # -- best-match reductions -------------------------------------------------
 
+    def _best(self, pres: Sequence[PrenormalizedPattern], backend: str) -> np.ndarray:
+        """Closest-match distances ``(k, n)`` without building profiles.
+
+        ``y ↦ 2L − y`` is monotone non-increasing in floating point too,
+        so the row minimum of ``2L − 2·R`` is ``2L − 2·max R``: one
+        subtraction per (pattern, row). That holds where every window is
+        non-flat, the pattern is not flat and no window is a near-perfect
+        match (the minimum is at least ``NEAR_MATCH_D2 · L``, so the clip
+        is moot too). Every other (pattern, row) pair is finished window
+        by window, as the profiles are. Equal, bit for bit, to the square
+        root of the profiles' row minima.
+        """
+        L = self.length
+        out = np.empty((len(pres), self.n_series))
+        has_flat = self.flat.any(axis=1)
+        for lo, hi, R in self._quotient_chunks(pres, backend):
+            best = np.multiply(R.max(axis=2), 2.0)
+            np.subtract(2.0 * L, best, out=best)
+            q_flat = np.array([pre.q_is_flat for pre in pres[lo:hi]])
+            redo = (best < NEAR_MATCH_D2 * L) | has_flat | q_flat[:, None]
+            for i in np.flatnonzero(redo.any(axis=1)):
+                rows = np.flatnonzero(redo[i])
+                d2 = 2.0 * L - 2.0 * R[i, rows]
+                self._finish(d2, pres[lo + i], rows)
+                best[i, rows] = d2.min(axis=1)
+            np.sqrt(best, out=out[lo:hi])
+        return out
+
     def best_distances(self, pattern: np.ndarray, backend: str = "matvec") -> np.ndarray:
         """Closest-match distance of one pattern to every row."""
-        return self.profiles(pattern, backend=backend).min(axis=1)
+        pre = self._prenormalize(pattern)
+        return self._best([pre], self._dispatch([pre], backend))[0]
 
     def batch_best_distances_prenormalized(
         self, pres: Sequence[PrenormalizedPattern], backend: str = "auto"
     ) -> np.ndarray:
         """Closest-match distances ``(k, n)`` of a whole bucket.
 
-        Reduces each FFT chunk as it is produced, so the full
-        ``(k, n, J)`` profile tensor never materializes for large
-        buckets, and takes the square root of the row minima only.
+        Each chunk's dot products reduce to their row maxima as they are
+        produced, so no ``(k, n, J)`` profile ever materializes; only the
+        (pattern, row) pairs with a flat window, a flat pattern or a
+        near-perfect match are finished window by window. Bitwise equal
+        to the row minima of :meth:`batch_profiles_prenormalized`.
         """
         pres = list(pres)
-        out = np.empty((len(pres), self.n_series))
-        if self._dispatch(pres, backend) == "fft":
-            for lo, hi, d2 in self._fft_squared_chunks(pres):
-                np.sqrt(d2.min(axis=2), out=out[lo:hi])
-        else:
-            for i, pre in enumerate(pres):
-                np.sqrt(self._matvec_squared(pre).min(axis=1), out=out[i])
-        return out
+        return self._best(pres, self._dispatch(pres, backend))
 
 
 def sliding_best_distances(

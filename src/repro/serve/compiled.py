@@ -49,11 +49,13 @@ class CompiledModel:
         Training series length when the artifact records it; used for
         warm-up shapes and strict input validation upstream.
     n_jobs:
-        Worker threads for the per-bucket transform. Unlike
-        ``RPMClassifier.transform``, the executor is *persistent* — a
-        serving process must not pay pool start-up per request. Call
-        :meth:`close` (or use the model as a context manager) to tear
-        it down.
+        Threads for the per-bucket transform, the calling thread
+        included: each batch's first bucket chunk runs on the thread
+        that calls :meth:`transform`, the rest on ``n_jobs − 1`` pool
+        threads. Unlike ``RPMClassifier.transform``, the pool is
+        *persistent* — a serving process must not pay pool start-up per
+        request. Call :meth:`close` (or use the model as a context
+        manager) to tear it down.
     """
 
     def __init__(

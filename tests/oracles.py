@@ -65,6 +65,11 @@ paths replaced and must reproduce bitwise:
 * the complete-linkage merge tree (:func:`agglomerate`, :func:`cut_k`),
   whose 2-cut ``repro.cluster.linkage.complete_two_cut`` builds without
   the tree, on a masked working copy — same labels;
+* the profile-then-minimum closest-match reduction
+  (:func:`profile_min_best_distances`) that
+  ``SlidingWindowStats.batch_best_distances_prenormalized`` and
+  ``.best_distances`` replaced with one row maximum of the dot products
+  per (pattern, series) — same distances, bit for bit;
 * the early-abandoning scalar closest-match search
   (:func:`best_match_scalar`) of the paper's §5.3, against which
   ``repro.distance.best_match`` runs the sliding-window kernel;
@@ -126,6 +131,7 @@ __all__ = [
     "naive_distance_profile",
     "naive_profiles",
     "naive_best_distances",
+    "profile_min_best_distances",
     "assert_profiles_close",
     "assert_argmin_equal",
     "LegacyWindowStats",
@@ -208,6 +214,14 @@ def naive_best_distances(
         X_rot = np.column_stack([X[:, half:], X[:, :half]])
         best = np.minimum(best, naive_profiles(pattern, X_rot).min(axis=1))
     return best
+
+
+def profile_min_best_distances(
+    stats: SlidingWindowStats, pres: Sequence[PrenormalizedPattern], backend: str
+) -> np.ndarray:
+    """Closest-match distances ``(k, n)`` the long way: every pattern's
+    whole distance profiles, then each row's minimum."""
+    return stats.batch_profiles_prenormalized(pres, backend=backend).min(axis=2)
 
 
 def assert_profiles_close(

@@ -33,6 +33,7 @@ from tests.oracles import (
     assert_profiles_close,
     naive_best_distances,
     naive_profiles,
+    profile_min_best_distances,
 )
 
 
@@ -174,6 +175,89 @@ class TestFftPropertySuite:
         single = stats.profiles_prenormalized(pre, backend="fft")
         batch = stats.batch_profiles_prenormalized([pre], backend="fft")
         np.testing.assert_array_equal(single, batch[0])
+
+
+def _assert_bitwise(actual: np.ndarray, expected: np.ndarray, err_msg: str) -> None:
+    assert actual.shape == expected.shape, err_msg
+    np.testing.assert_array_equal(
+        actual.view(np.uint64), expected.view(np.uint64), err_msg=err_msg
+    )
+
+
+class TestBestDistanceReduction:
+    """The closest-match reduction against the profile-then-minimum oracle.
+
+    ``batch_best_distances_prenormalized`` and ``best_distances`` reduce
+    the dot products to one maximum per (pattern, row) and finish only
+    the pairs with a flat window, a flat pattern or a near-perfect match
+    window by window; the result must be the profiles' row minima, bit
+    for bit, on every backend.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        m=st.integers(8, 160),
+        length_frac=st.floats(0.02, 1.0),
+        k=st.integers(1, 6),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        offset=st.sampled_from([0.0, 1.0, 1e4, 1e6]),
+        plant=st.sampled_from(["none", "exact", "affine"]),
+        flat_row=st.booleans(),
+        flat_run=st.booleans(),
+        flat_pattern=st.booleans(),
+        backend=st.sampled_from(["matvec", "fft", "auto"]),
+    )
+    def test_equals_profile_minimum_bitwise(
+        self, seed, n, m, length_frac, k, scale, offset, plant, flat_row, flat_run,
+        flat_pattern, backend,
+    ):
+        length = max(2, min(m, round(length_frac * m)))
+        rng = np.random.default_rng(seed)
+        X = (rng.standard_normal((n, m)) + offset) * scale
+        patterns = [rng.standard_normal(length) * scale for _ in range(k)]
+        for row in range(n):
+            pos = int(rng.integers(0, m - length + 1))
+            if plant == "exact":
+                X[row, pos : pos + length] = patterns[row % k]
+            elif plant == "affine":
+                X[row, pos : pos + length] = 2.5 * patterns[row % k] - 7.0 * scale
+        if flat_row:
+            X[0] = offset * scale
+        if flat_run:
+            X[-1, : min(m, length + 2)] = X[-1, 0]
+        if flat_pattern:
+            patterns[-1] = np.full(length, offset * scale)
+        stats = SlidingWindowStats(X, length)
+        pres = [prenormalize_pattern(p) for p in patterns]
+        expected = profile_min_best_distances(stats, pres, backend)
+        _assert_bitwise(
+            stats.batch_best_distances_prenormalized(pres, backend=backend),
+            expected,
+            f"batch, {backend}",
+        )
+        _assert_bitwise(
+            stats.best_distances(patterns[-1], backend=backend),
+            expected[-1],
+            f"one pattern, {backend}",
+        )
+
+    @pytest.mark.parametrize("backend", ["matvec", "fft"])
+    def test_chunked_bucket_equals_profile_minimum_bitwise(self, backend, monkeypatch):
+        # A scratch budget of one byte puts every pattern in a chunk of
+        # its own; the reduction must not depend on the chunking.
+        rng = np.random.default_rng(13)
+        X = rng.standard_normal((3, 200))
+        X[1, 50:80] = 4.0
+        stats = SlidingWindowStats(X, 30)
+        pres = [prenormalize_pattern(rng.standard_normal(30)) for _ in range(5)]
+        whole = stats.batch_best_distances_prenormalized(pres, backend=backend)
+        monkeypatch.setattr(kernel, "_SCRATCH_BYTES", 1)
+        _assert_bitwise(
+            stats.batch_best_distances_prenormalized(pres, backend=backend), whole, backend
+        )
+        _assert_bitwise(profile_min_best_distances(stats, pres, backend), whole, backend)
 
 
 class TestResampleEdgeCases:

@@ -249,6 +249,18 @@ class TestDiscords:
         with pytest.raises(ValueError, match=f"n_discords .* got {n_discords}"):
             find_discords_density(series, PARAMS, n_discords=n_discords)
 
+    @pytest.mark.parametrize("window", [-5, 0, 1, 2.5])
+    def test_rejects_window_below_two_or_not_an_integer(self, window):
+        series = np.cumsum(np.random.default_rng(4).standard_normal(600))
+        with pytest.raises(ValueError, match=f"window .* got {window}"):
+            find_discords_density(series, PARAMS, window=window)
+
+    def test_window_none_is_the_sax_window(self):
+        series = np.cumsum(np.random.default_rng(4).standard_normal(600))
+        assert find_discords_density(series, PARAMS, n_discords=2) == find_discords_density(
+            series, PARAMS, n_discords=2, window=PARAMS.window_size
+        )
+
     def test_rejects_window_too_long(self, rng):
         with pytest.raises(ValueError, match="shorter"):
             find_discords_density(np.zeros(30), PARAMS, window=40)

@@ -9,6 +9,8 @@ across ``n_jobs`` values and deterministic across repeated runs.
 
 from __future__ import annotations
 
+import collections
+import sys
 import threading
 
 import numpy as np
@@ -112,11 +114,44 @@ class TestParallelExecutor:
             executor.close()
             assert executor._pool is None
 
-    def test_thread_backend_maps_on_pool_threads(self):
+    def test_thread_backend_maps_on_the_caller_and_pool_threads(self):
+        # The caller runs the first chunk while the pool's one thread
+        # runs the second: both must be inside ``fn`` at once to pass
+        # the barrier.
+        barrier = threading.Barrier(2, timeout=10)
+
+        def meet(_):
+            barrier.wait()
+            return threading.current_thread().name
+
         with ParallelExecutor(2) as executor:
-            names = executor.map(_thread_name, range(8))
+            names = executor.map(meet, range(2))
+            assert executor._pool._max_workers == 1
             prefix = executor._pool._thread_name_prefix
-        assert all(name.startswith(prefix) for name in names)
+        assert names[0] == threading.current_thread().name
+        assert names[1].startswith(prefix)
+
+    def test_caller_runs_chunks_no_pool_thread_started(self):
+        # While the pool's one thread is held in the second chunk, the
+        # caller runs the first chunk and then every later one.
+        started, release = threading.Event(), threading.Event()
+
+        def hold(item):
+            if item == 0:
+                assert started.wait(10)
+            elif item == 1:
+                started.set()
+                assert release.wait(10)
+            elif item == 7:
+                release.set()
+            return threading.current_thread().name
+
+        caller = threading.current_thread().name
+        with ParallelExecutor(2) as executor:
+            names = executor.map(hold, range(8))
+            prefix = executor._pool._thread_name_prefix
+        assert names[1].startswith(prefix)
+        assert [names[0]] + names[2:] == [caller] * 7
 
     def test_metrics_count_every_item(self):
         for n_jobs in (1, 2, 4):
@@ -132,15 +167,58 @@ class TestParallelExecutor:
             else:
                 assert chunks > 1
 
-    def test_single_item_with_metrics_runs_in_the_pool(self):
-        # Regression: the single-item fast path used to bypass the pool
-        # even with metrics enabled, so executor.chunk_seconds quietly
-        # recorded serial timings on behalf of a thread backend.
+    def test_first_failing_chunk_raises_whichever_thread_fails_first(self):
+        # The caller fails in chunk 3 while the pool thread is still in
+        # chunk 1, which fails afterwards: chunk 1's error is the one the
+        # serial loop would raise.
+        started, release = threading.Event(), threading.Event()
+
+        def fail(item):
+            if item == 0:
+                assert started.wait(10)
+            elif item == 1:
+                started.set()
+                assert release.wait(10)
+                raise RuntimeError("one")
+            elif item == 3:
+                release.set()
+                raise RuntimeError("three")
+            return item
+
+        with ParallelExecutor(2) as executor:
+            with pytest.raises(RuntimeError, match="one"):
+                executor.map(fail, range(8))
+
+    def test_every_item_runs_once_under_contention(self):
+        # More threads than cores and a short switch interval: the caller
+        # and the pool race for the same chunks, and a chunk claimed by
+        # both would count twice.
+        counts = collections.Counter()
+        lock = threading.Lock()
+
+        def count(item):
+            with lock:
+                counts[item] += 1
+            return item
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ParallelExecutor(8) as executor:
+                for _ in range(100):
+                    assert executor.map(count, range(50)) == list(range(50))
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == {item: 100 for item in range(50)}
+
+    def test_single_item_with_metrics_runs_on_the_caller(self):
+        # One item is one chunk, the first: the caller runs it, no pool
+        # opens, and its timing is still recorded.
         metrics = MetricsRegistry()
         with ParallelExecutor(2, metrics=metrics) as executor:
             name = executor.map(_thread_name, [0])[0]
-            assert name != threading.current_thread().name
-            assert name.startswith(executor._pool._thread_name_prefix)
+            assert executor._pool is None
+        assert name == threading.current_thread().name
         snap = metrics.snapshot()
         assert snap["counters"]["executor.chunks"] == 1
         assert snap["counters"]["executor.items"] == 1
