@@ -19,7 +19,6 @@ import numpy as np
 
 from ..base import BaseEstimator
 from ..opt.direct import direct_minimize
-from ..opt.grid import CachedIntegerObjective
 from ..sax.discretize import SaxParams, discretize
 from ..ml.crossval import stratified_kfold
 from ..ml.metrics import accuracy
@@ -100,12 +99,14 @@ class SaxVsmClassifier(BaseEstimator):
         lo_w = max(8, int(0.08 * m))
         hi_w = max(lo_w + 2, int(0.6 * m))
 
-        def objective(key: tuple[int, ...]) -> float:
-            window, paa, alpha = key
+        def params_at(point) -> SaxParams:
+            window, paa, alpha = (int(round(v)) for v in point)
             window = int(np.clip(window, 4, m))
             paa = int(np.clip(paa, 2, min(window, 16)))
             alpha = int(np.clip(alpha, 3, 12))
-            params = SaxParams(window, paa, alpha)
+            return SaxParams(window, paa, alpha)
+
+        def cv_error(params: SaxParams) -> float:
             errors = []
             for train_idx, test_idx in stratified_kfold(y, self.cv_folds, seed=self.seed):
                 try:
@@ -118,18 +119,24 @@ class SaxVsmClassifier(BaseEstimator):
                 errors.append(1.0 - accuracy(y[test_idx], preds))
             return float(np.mean(errors))
 
-        cached = CachedIntegerObjective(objective)
+        # DIRECT's points round onto few integer triples: score each once.
+        scores: dict[SaxParams, float] = {}
+
+        def objective(points) -> list[float]:
+            values = []
+            for params in map(params_at, points):
+                if params not in scores:
+                    scores[params] = cv_error(params)
+                values.append(scores[params])
+            return values
+
         result = direct_minimize(
-            cached,
+            objective,
             bounds=[(lo_w, hi_w), (2, 16), (3, 12)],
             max_evaluations=self.direct_budget,
             max_iterations=30,
         )
-        window, paa, alpha = (int(round(v)) for v in result.x)
-        window = int(np.clip(window, 4, m))
-        paa = int(np.clip(paa, 2, min(window, 16)))
-        alpha = int(np.clip(alpha, 3, 12))
-        return SaxParams(window, paa, alpha)
+        return params_at(result.x)
 
     # -- prediction --------------------------------------------------------------
 

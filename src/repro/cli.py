@@ -741,9 +741,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(given=())
         p.add_argument("--gamma", type=float, default=0.2, action=_NoteGiven,
                        help="min motif support")
-        p.add_argument("--budget", type=int, default=40, action=_NoteGiven,
+        p.add_argument("--budget", type=_positive_int, default=40, action=_NoteGiven,
                        help="DIRECT evaluations (not with --window)")
-        p.add_argument("--splits", type=int, default=3, action=_NoteGiven,
+        p.add_argument("--splits", type=_positive_int, default=3, action=_NoteGiven,
                        help="validation splits (not with --window)")
         p.add_argument("--seed", type=int, default=0, action=_NoteGiven,
                        help="parameter-search seed (not with --window)")

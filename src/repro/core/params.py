@@ -11,14 +11,16 @@ parameter triple (sliding window, PAA size, alphabet size) *per class*
    F-measure of a five-fold cross-validated classifier on it.
 
 The expensive part — mining + scoring — depends only on the parameter
-triple, not on which class we are optimizing, so a shared evaluator
-caches triple → per-class-F1 and both search strategies (brute-force
-grid with γ-pruning, and DIRECT with integer rounding) read from it.
-The evaluator's unique-evaluation count is the ``R`` of §5.3.
+triple, not on which class we are optimizing, so one shared evaluator,
+:meth:`ParamSelector.evaluate_batch`, caches triple → per-class F1, and
+both search strategies (brute-force grid with γ-pruning, and DIRECT with
+integer rounding) score through it. The evaluator's unique-evaluation
+count is the ``R`` of §5.3.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +31,6 @@ from ..ml.svm import SVC
 from ..obs.metrics import registry
 from ..obs.tracer import span
 from ..opt.direct import direct_minimize
-from ..opt.grid import PRUNED_VALUE, grid_search
 from ..runtime.cache import DiscretizationCache, WindowStatsCache
 from ..sax.discretize import SaxParams
 from .candidates import find_candidates
@@ -37,6 +38,10 @@ from .selection import find_distinct
 from .transform import pattern_features
 
 __all__ = ["ParamRanges", "ParamSelector", "default_ranges"]
+
+#: DIRECT's objective value for a triple every split prunes (error rates
+#: live in [0, 1], so 2.0 can never win).
+PRUNED_VALUE = 2.0
 
 
 @dataclass(frozen=True)
@@ -55,22 +60,22 @@ class ParamRanges:
         alphabet = int(np.clip(alphabet, *self.alphabet))
         return window, paa, alphabet
 
-    def grid_axes(self, n_window: int = 6, n_paa: int = 4, n_alpha: int = 3) -> list[list[int]]:
-        """Evenly spaced integer axes for the brute-force search."""
-
-        def axis(bounds: tuple[int, int], count: int) -> list[int]:
-            lo, hi = bounds
-            return sorted({int(round(v)) for v in np.linspace(lo, hi, count)})
-
-        return [axis(self.window, n_window), axis(self.paa, n_paa), axis(self.alphabet, n_alpha)]
+    def grid_axes(self) -> list[list[int]]:
+        """Evenly spaced integer axes for the brute-force search: up to
+        6 windows, 4 PAA sizes and 3 alphabet sizes."""
+        return [
+            sorted({int(round(v)) for v in np.linspace(lo, hi, count)})
+            for (lo, hi), count in zip((self.window, self.paa, self.alphabet), (6, 4, 3))
+        ]
 
 
 def default_ranges(series_length: int) -> ParamRanges:
-    """Sensible UCR-scale bounds: window 10-60 % of the series, PAA up
-    to 12 segments, alphabet 3-9 (granularities past these add little,
-    per the SAX literature)."""
-    lo_w = max(8, int(round(0.1 * series_length)))
-    hi_w = max(lo_w + 2, int(round(0.6 * series_length)))
+    """Sensible UCR-scale bounds: window 10-60 % of the series (at least
+    8 and 10 points, at most the series), PAA up to 12 segments,
+    alphabet 3-9 (granularities past these add little, per the SAX
+    literature)."""
+    hi_w = min(series_length, max(10, int(round(0.6 * series_length))))
+    lo_w = max(2, min(max(8, int(round(0.1 * series_length))), hi_w - 2))
     return ParamRanges(window=(lo_w, hi_w), paa=(3, 12), alphabet=(3, 9))
 
 
@@ -100,6 +105,14 @@ class ParamSelector:
         seed: int = 0,
         discretize_cache=None,
     ) -> None:
+        if n_splits < 1:
+            raise ValueError(f"n_splits must be >= 1, got {n_splits}")
+        if cv_folds < 2:
+            raise ValueError(f"cv_folds must be >= 2, got {cv_folds}")
+        if not 0.0 < validation_fraction < 1.0:
+            raise ValueError(
+                f"validation_fraction must be in (0, 1), got {validation_fraction}"
+            )
         self.X = np.asarray(X, dtype=float)
         self.y = np.asarray(y)
         self.ranges = ranges or default_ranges(self.X.shape[1])
@@ -136,24 +149,13 @@ class ParamSelector:
         """Unique parameter triples evaluated — the paper's R (§5.3)."""
         return len(self._cache)
 
-    def evaluate(self, window: int, paa: int, alphabet: int) -> _Evaluation:
-        """Score one integer parameter triple (cached)."""
-        key = self.ranges.clip(window, paa, alphabet)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        evaluation = self._evaluate_uncached(SaxParams(*key))
-        self._record(key, evaluation)
-        return evaluation
-
     def evaluate_batch(self, points) -> list[_Evaluation]:
-        """Score a batch of raw (float) parameter points, in order.
+        """Score parameter points, in order: the one way a triple is scored.
 
-        Points are rounded and clipped to integer triples; distinct
+        Each point is rounded and clipped to an integer triple; distinct
         uncached triples are evaluated and cached in first-appearance
-        order, so the per-label running best sees the same insertion
-        sequence as one :meth:`evaluate` call per point, and tie-breaks
-        (strict improvement, earliest triple wins) are identical.
+        order, which fixes the per-label running best and its tie-break
+        (strict improvement, earliest triple wins).
         """
         keys = [self.ranges.clip(*(int(round(v)) for v in point)) for point in points]
         for key in keys:
@@ -248,28 +250,14 @@ class ParamSelector:
 
         One DIRECT run per class; the shared cache means a triple
         visited while optimizing class A is free for class B. Each
-        DIRECT iteration hands its full batch of candidate points to
-        :meth:`evaluate_batch`, which evaluates the distinct uncached
-        triples once each — the search trajectory is identical to one
-        objective call per point (see :func:`direct_minimize`).
+        DIRECT iteration hands its points to :meth:`evaluate_batch`.
         """
-        bounds = [
-            (float(self.ranges.window[0]), float(self.ranges.window[1])),
-            (float(self.ranges.paa[0]), float(self.ranges.paa[1])),
-            (float(self.ranges.alphabet[0]), float(self.ranges.alphabet[1])),
-        ]
+        bounds = [self.ranges.window, self.ranges.paa, self.ranges.alphabet]
         best: dict = {}
         with span("direct") as direct_span:
             for label in self.classes_:
 
-                def objective(x: np.ndarray, _label=label) -> float:
-                    w, p, a = (int(round(v)) for v in x)
-                    evaluation = self.evaluate(w, p, a)
-                    if evaluation.pruned:
-                        return PRUNED_VALUE
-                    return 1.0 - evaluation.f1_by_class.get(_label, 0.0)
-
-                def batch_objective(points, _label=label) -> list[float]:
+                def objective(points, _label=label) -> list[float]:
                     return [
                         PRUNED_VALUE
                         if evaluation.pruned
@@ -282,7 +270,6 @@ class ParamSelector:
                     bounds,
                     max_evaluations=max_evaluations,
                     max_iterations=max_iterations,
-                    batch_evaluate=batch_objective,
                 )
                 key = self.ranges.clip(*(int(round(v)) for v in result.x))
                 best[label] = SaxParams(*self._best_key_for(label, fallback=key))
@@ -290,19 +277,16 @@ class ParamSelector:
         return best
 
     def select_grid(self, axes: list[list[int]] | None = None) -> dict:
-        """Per-class best SAX parameters via exhaustive grid (§4.1)."""
+        """Per-class best SAX parameters via exhaustive grid (§4.1).
+
+        Scores every triple of the integer axes' product, in
+        ``itertools.product`` order.
+        """
         axes = axes or self.ranges.grid_axes()
-
-        def objective(key: tuple[int, ...]) -> float:
-            evaluation = self.evaluate(*key)
-            if evaluation.pruned:
-                return PRUNED_VALUE
-            # Grid minimizes the mean error; per-class readout follows.
-            values = list(evaluation.f1_by_class.values())
-            return 1.0 - float(np.mean(values))
-
+        if any(len(axis) == 0 for axis in axes):
+            raise ValueError("every grid axis must be non-empty")
         with span("grid") as grid_span:
-            grid_search(objective, axes)
+            self.evaluate_batch(itertools.product(*axes))
             grid_span.add("direct.evaluations", self.n_evaluations)
         return {
             label: SaxParams(*self._best_key_for(label, fallback=None))

@@ -16,7 +16,6 @@ __all__ = [
     "stratified_kfold",
     "stratified_split",
     "kfold_predictions",
-    "cross_val_error",
 ]
 
 
@@ -120,30 +119,3 @@ def kfold_predictions(
         raise RuntimeError("some instances were never assigned to a test fold")
     return predictions
 
-
-def cross_val_error(
-    estimator,
-    X: np.ndarray,
-    y: np.ndarray,
-    *,
-    n_folds: int = 5,
-    seed: int | np.random.Generator | None = None,
-) -> float:
-    """Stratified k-fold misclassification rate of one estimator.
-
-    The estimator is any configured instance following the
-    :mod:`repro.base` protocol; it is **cloned per fold** (the passed
-    object is never fitted) so repeated calls and hyper-parameter
-    sweeps cannot leak state between folds.
-    """
-    from ..base import clone
-
-    labels = np.asarray(y)
-
-    def fit_predict(X_train, y_train, X_test):
-        model = clone(estimator)
-        model.fit(X_train, y_train)
-        return model.predict(X_test)
-
-    predictions = kfold_predictions(fit_predict, X, labels, n_folds, seed=seed)
-    return float(np.mean(predictions != labels))

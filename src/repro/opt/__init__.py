@@ -1,20 +1,5 @@
-"""Derivative-free optimization substrate: DIRECT and grid search."""
+"""Derivative-free optimization substrate: DIRECT."""
 
 from .direct import DirectResult, direct_minimize
-from .grid import (
-    PRUNED_VALUE,
-    CachedIntegerObjective,
-    GridResult,
-    PrunedEvaluation,
-    grid_search,
-)
 
-__all__ = [
-    "CachedIntegerObjective",
-    "DirectResult",
-    "GridResult",
-    "PRUNED_VALUE",
-    "PrunedEvaluation",
-    "direct_minimize",
-    "grid_search",
-]
+__all__ = ["DirectResult", "direct_minimize"]

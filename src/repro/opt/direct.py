@@ -11,13 +11,13 @@ self-contained implementation of the classic algorithm:
 * sampling happens only at rectangle centers, so the method is
   deterministic and derivative-free.
 
-The paper rounds DIRECT's real-valued iterates to integers. RPM's
-objective does that itself: :class:`repro.core.params.ParamSelector`
-rounds each point, clips it to the search ranges and caches the
-evaluation per integer triple (``evaluate`` / ``evaluate_batch``), so
-the evaluation count ``R`` reported in §5.3 counts *unique* parameter
-combinations. :class:`repro.opt.grid.CachedIntegerObjective` rounds
-and caches only for the SAX-VSM baseline.
+The paper rounds DIRECT's real-valued iterates to integers. The
+objectives do that themselves:
+:meth:`repro.core.params.ParamSelector.evaluate_batch` rounds each
+point, clips it to the search ranges and caches the evaluation per
+integer triple, so the evaluation count ``R`` reported in §5.3 counts
+*unique* parameter combinations; the SAX-VSM baseline rounds and caches
+the same way.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["DirectResult", "direct_minimize"]
+
+#: The ε of the potentially-optimal condition (Jones suggests 1e-4).
+EPS = 1e-4
 
 
 @dataclass
@@ -58,7 +61,7 @@ class DirectResult:
     history: list[float] = field(default_factory=list)
 
 
-def _potentially_optimal(rects: list[_Rect], f_min: float, eps: float) -> list[int]:
+def _potentially_optimal(rects: list[_Rect], f_min: float) -> list[int]:
     """Indices of potentially optimal rectangles (Gablonsky's test)."""
     sizes = np.array([r.size for r in rects])
     values = np.array([r.value for r in rects])
@@ -88,7 +91,7 @@ def _potentially_optimal(rects: list[_Rect], f_min: float, eps: float) -> list[i
         # non-trivial margin given the best available slope.
         if np.isfinite(k2):
             bound = fj - k2 * dj
-            threshold = f_min - eps * abs(f_min)
+            threshold = f_min - EPS * abs(f_min)
             if bound > threshold:
                 continue
         chosen.append(j)
@@ -96,37 +99,29 @@ def _potentially_optimal(rects: list[_Rect], f_min: float, eps: float) -> list[i
 
 
 def direct_minimize(
-    func,
+    evaluate,
     bounds: list[tuple[float, float]],
     *,
     max_evaluations: int = 200,
     max_iterations: int = 50,
-    eps: float = 1e-4,
-    batch_evaluate=None,
 ) -> DirectResult:
-    """Globally minimize ``func`` over a box with the DIRECT algorithm.
+    """Globally minimize an objective over a box with the DIRECT algorithm.
 
     Parameters
     ----------
-    func:
-        Callable taking a 1-D numpy array in the original coordinates.
+    evaluate:
+        Callable taking a *list* of points (1-D numpy arrays in the
+        original coordinates) and returning their values in order. It
+        receives the first center alone, then every point of an
+        iteration in one call. Which points an iteration samples is
+        fixed before any of them is evaluated: the trisection geometry
+        depends only on the iteration's potentially-optimal set and the
+        evaluation budget.
     bounds:
         ``[(lo, hi), ...]`` per dimension; ``lo < hi`` required.
     max_evaluations / max_iterations:
-        Budget limits; whichever is hit first stops the search (the
-        paper's time-constrained optimization, §4.2).
-    eps:
-        The ε of the potentially-optimal condition (Jones suggests 1e-4).
-    batch_evaluate:
-        Optional callable taking a *list* of points (original
-        coordinates) and returning their values in order. When given it
-        replaces ``func`` and receives every point of an iteration in
-        one call, so a caller can evaluate them concurrently. Which
-        points get sampled each iteration is fixed *before* any of them
-        is evaluated (the trisection geometry depends only on the
-        iteration's potentially-optimal set and the evaluation budget),
-        so the search trajectory — and the result — is identical to the
-        serial path no matter how the batch is scheduled.
+        Budget limits, each at least 1; whichever is hit first stops the
+        search (the paper's time-constrained optimization, §4.2).
 
     Returns
     -------
@@ -134,6 +129,10 @@ def direct_minimize(
         Best point (original coordinates), its value, the number of
         function evaluations, iterations run, and the best-so-far trace.
     """
+    if max_evaluations < 1:
+        raise ValueError(f"max_evaluations must be >= 1, got {max_evaluations}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)
     if (hi <= lo).any():
@@ -144,14 +143,10 @@ def direct_minimize(
     evaluations = 0
 
     def evaluate_points(unit_points: list[np.ndarray]) -> list[float]:
-        """Evaluate a planned batch of unit-cube points, in order."""
+        """Evaluate planned unit-cube points, in order."""
         nonlocal evaluations
         evaluations += len(unit_points)
-        scaled = [lo + span * p for p in unit_points]
-        if batch_evaluate is not None:
-            values = batch_evaluate(scaled)
-            return [float(v) for v in values]
-        return [float(func(x)) for x in scaled]
+        return [float(v) for v in evaluate([lo + span * p for p in unit_points])]
 
     center = np.full(dim, 0.5)
     rects: list[_Rect] = [
@@ -167,14 +162,13 @@ def direct_minimize(
     iterations = 0
     while iterations < max_iterations and evaluations < max_evaluations:
         iterations += 1
-        chosen = _potentially_optimal(rects, best_rect.value, eps)
+        chosen = _potentially_optimal(rects, best_rect.value)
         if not chosen:  # pragma: no cover - chosen always contains the largest rect
             break
 
-        # -- plan: the exact evaluation-point sequence of this iteration.
-        # Values never feed back into which points are sampled within an
-        # iteration (only the budget does), so the serial order can be
-        # precomputed and the whole batch evaluated at once.
+        # -- plan: the evaluation points of this iteration. Values never
+        # feed back into which points are sampled within an iteration
+        # (only the budget does), so they are planned first.
         plan: list[tuple[int, int, np.ndarray, np.ndarray]] = []
         planned_evals = evaluations
         for idx in chosen:
@@ -195,11 +189,11 @@ def direct_minimize(
                 plan.append((idx, int(d_i), left, right))
                 planned_evals += 2
 
-        # -- evaluate: one flat batch in planned (serial) order.
+        # -- evaluate: one call, in planned order.
         points = [p for _, _, left, right in plan for p in (left, right)]
         values = evaluate_points(points) if points else []
 
-        # -- apply: replay the serial bookkeeping with the batch values.
+        # -- apply: split the chosen rectangles with the values.
         samples_by_rect: dict[int, list[tuple[float, int, _Rect, _Rect]]] = {}
         for pair_index, (idx, d_i, left, right) in enumerate(plan):
             f_left = values[2 * pair_index]

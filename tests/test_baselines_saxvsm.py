@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.saxvsm import SaxVsmClassifier
+from repro.data import cbf, italy_power_sim
 from repro.sax.discretize import SaxParams
 
 
@@ -51,3 +52,26 @@ class TestSaxVsm:
         np.testing.assert_array_equal(
             a.predict(tiny_cbf.X_test), b.predict(tiny_cbf.X_test)
         )
+
+    @pytest.mark.parametrize(
+        "make,kwargs,expected",
+        [
+            (cbf, dict(n_train_per_class=10, n_test_per_class=100, length=128, seed=1),
+             (43, 4, 8)),
+            (italy_power_sim,
+             dict(n_train_per_class=34, n_test_per_class=100, length=24, seed=12),
+             (14, 9, 4)),
+        ],
+        ids=["CBF", "ItalyPowerSim"],
+    )
+    def test_parameter_selection_pinned(self, make, kwargs, expected):
+        # The benchmark's direct-ucr training sets; values recorded before
+        # the search's rounding cache moved into its batch evaluator.
+        data = make(**kwargs)
+        clf = SaxVsmClassifier(seed=0).fit(data.X_train, data.y_train)
+        assert clf.params.as_tuple() == expected
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_rejects_empty_search_budget(self, tiny_gun, budget):
+        with pytest.raises(ValueError, match="max_evaluations"):
+            SaxVsmClassifier(direct_budget=budget).fit(tiny_gun.X_train, tiny_gun.y_train)

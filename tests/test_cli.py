@@ -64,6 +64,17 @@ class TestFlagValidation:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("flag", ["--budget", "--splits"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_search_budget_rejects_non_positive(self, command, flag, value, capsys):
+        # Before, `--splits 0` pruned every triple and `--budget 0` ran one
+        # evaluation, and the run exited 0 on a fallback triple.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "ItalyPowerSim", flag, value])
+        assert exc.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+
     def test_motif_discords_accept_zero_for_none(self):
         args = build_parser().parse_args(["motifs", "series.txt", "--discords", "0"])
         assert args.discords == 0

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.core.params import ParamRanges, ParamSelector, default_ranges
 from repro.core.rpm import RPMClassifier
+from repro.data import italy_power_sim
 from repro.runtime.cache import LRUCache
 from repro.sax.discretize import SaxParams
 
@@ -30,31 +33,45 @@ class TestParamRanges:
         long = default_ranges(300)
         assert long.window[1] > short.window[1]
 
+    def test_default_ranges_unchanged_from_ten_points_up(self):
+        for m in range(10, 5001):
+            lo = max(8, int(round(0.1 * m)))
+            hi = max(lo + 2, int(round(0.6 * m)))
+            assert default_ranges(m).window == (lo, hi), m
+
+    @pytest.mark.parametrize("m", range(3, 10))
+    def test_default_windows_fit_short_series(self, m):
+        # Windows up to 10 on series shorter than 10 points: the fit
+        # failed on a window the user never chose, or spent evaluations
+        # on windows every split prunes.
+        lo, hi = default_ranges(m).window
+        assert 2 <= lo < hi <= m
+
 
 class TestParamSelector:
     def test_evaluation_cached(self, tiny_gun):
         selector = ParamSelector(
             tiny_gun.X_train, tiny_gun.y_train, n_splits=2, cv_folds=3, seed=0
         )
-        first = selector.evaluate(30, 5, 4)
-        again = selector.evaluate(30, 5, 4)
-        assert first is again
+        first = selector.evaluate_batch([(30, 5, 4)])[0]
+        again, rounded = selector.evaluate_batch([(30, 5, 4), (29.6, 5.2, 4.4)])
+        assert first is again is rounded
         assert selector.n_evaluations == 1
 
     def test_clipping_shares_cache_entry(self, tiny_gun):
         selector = ParamSelector(
             tiny_gun.X_train, tiny_gun.y_train, n_splits=2, cv_folds=3, seed=0
         )
-        selector.evaluate(10_000, 5, 4)  # clips to the window upper bound
+        selector.evaluate_batch([(10_000, 5, 4)])  # clips to the window upper bound
         hi = selector.ranges.window[1]
-        selector.evaluate(hi, 5, 4)
+        selector.evaluate_batch([(hi, 5, 4)])
         assert selector.n_evaluations == 1
 
     def test_f1_scores_per_class(self, tiny_gun):
         selector = ParamSelector(
             tiny_gun.X_train, tiny_gun.y_train, n_splits=2, cv_folds=3, seed=0
         )
-        evaluation = selector.evaluate(30, 5, 4)
+        evaluation = selector.evaluate_batch([(30, 5, 4)])[0]
         if not evaluation.pruned:
             assert set(evaluation.f1_by_class) == {0, 1}
             for f1 in evaluation.f1_by_class.values():
@@ -77,8 +94,74 @@ class TestParamSelector:
         assert set(best) == {0, 1}
         assert selector.n_evaluations <= 2
 
+    def test_select_grid_rejects_empty_axis(self, tiny_gun):
+        selector = ParamSelector(tiny_gun.X_train, tiny_gun.y_train, n_splits=2, seed=0)
+        with pytest.raises(ValueError, match="non-empty"):
+            selector.select_grid(axes=[[], [4], [4]])
+        assert selector.n_evaluations == 0
+
+    def test_select_grid_pinned(self):
+        # Values recorded before the grid search became one
+        # evaluate_batch call over the axes' product.
+        data = italy_power_sim(
+            n_train_per_class=12, n_test_per_class=10, length=24, seed=12
+        )
+        selector = ParamSelector(data.X_train, data.y_train, n_splits=2, seed=0)
+        best = selector.select_grid()
+        assert {label: p.as_tuple() for label, p in best.items()} == {
+            0: (13, 3, 3),
+            1: (13, 3, 3),
+        }
+        assert selector.n_evaluations == 66
+        assert sum(e.pruned for e in selector._cache.values()) == 12
+        grid = itertools.product(*selector.ranges.grid_axes())
+        clipped = [selector.ranges.clip(*key) for key in grid]
+        assert list(selector._cache) == list(dict.fromkeys(clipped))
+
+    @pytest.mark.parametrize(
+        "option,value",
+        [
+            ("n_splits", 0),
+            ("n_splits", -1),
+            ("cv_folds", 1),
+            ("validation_fraction", 0.0),
+            ("validation_fraction", 1.0),
+            ("validation_fraction", 1.5),
+        ],
+    )
+    def test_rejects_bad_search_options(self, tiny_gun, option, value):
+        # Before, n_splits=0 and cv_folds=1 pruned every triple and the
+        # fit went on with a fallback triple; a bad validation_fraction
+        # failed inside the split under another name.
+        with pytest.raises(ValueError, match=option):
+            ParamSelector(tiny_gun.X_train, tiny_gun.y_train, **{option: value})
+
 
 class TestRPMClassifier:
+    @pytest.mark.parametrize(
+        "options,message",
+        [
+            (dict(n_splits=0), "n_splits"),
+            (dict(direct_budget=0), "max_evaluations"),
+            (dict(direct_budget=-3), "max_evaluations"),
+        ],
+    )
+    def test_rejects_bad_search_budget(self, tiny_gun, options, message):
+        # Before, each fit ran on: every triple pruned, or one evaluation.
+        clf = RPMClassifier(**{"n_splits": 2, **options})
+        with pytest.raises(ValueError, match=message):
+            clf.fit(tiny_gun.X_train, tiny_gun.y_train)
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 8, 9])
+    def test_searches_series_shorter_than_ten_points(self, m):
+        rng = np.random.default_rng(m)
+        X = rng.standard_normal((12, m))
+        y = np.repeat([0, 1], 6)
+        X[y == 1] += np.linspace(-1.0, 1.0, m)
+        clf = RPMClassifier(direct_budget=6, n_splits=2, seed=0).fit(X, y)
+        assert all(p.window_size <= m for p in clf.params_by_class_.values())
+        assert clf.predict(X).shape == y.shape
+
     def test_fixed_params_pipeline(self, tiny_cbf):
         clf = RPMClassifier(sax_params=SaxParams(24, 4, 4), seed=0)
         clf.fit(tiny_cbf.X_train, tiny_cbf.y_train)

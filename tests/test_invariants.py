@@ -7,8 +7,8 @@ from repro.core.patterns import PatternCandidate
 from repro.core.selection import remove_similar
 from repro.ml.cfs import cfs_select
 from repro.ml.svm import BinarySVM
-from repro.opt.direct import direct_minimize
 from repro.sax.discretize import SaxParams
+from tests.test_opt_direct import minimize
 
 
 class TestSvmKkt:
@@ -127,10 +127,10 @@ class TestDirectInvariants:
         def f(x):
             return float(np.sin(3 * x[0]) * np.cos(2 * x[1]) + 0.1 * np.sum(x**2))
 
-        small = direct_minimize(f, [(-3, 3)] * 2, max_evaluations=50)
-        large = direct_minimize(f, [(-3, 3)] * 2, max_evaluations=500)
+        small = minimize(f, [(-3, 3)] * 2, max_evaluations=50)
+        large = minimize(f, [(-3, 3)] * 2, max_evaluations=500)
         assert large.fun <= small.fun + 1e-12
 
     def test_history_length_matches_iterations(self):
-        res = direct_minimize(lambda x: float(x[0] ** 2), [(-1, 1)], max_evaluations=60)
+        res = minimize(lambda x: float(x[0] ** 2), [(-1, 1)], max_evaluations=60)
         assert len(res.history) == res.n_iterations + 1
