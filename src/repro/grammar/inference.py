@@ -372,8 +372,8 @@ def discretize_class(
     ``cache`` is an optional
     :class:`~repro.runtime.DiscretizationCache`; repeated calls sharing
     this class's concatenated series and window size (the parameter
-    search revisits both constantly) then skip the sliding/z-norm/PAA
-    stages.
+    search revisits both constantly) then skip the window-moment and
+    segment stages.
     """
     series, starts, valid = concatenate_with_junctions(instances, params.window_size)
     record = discretize(

@@ -21,10 +21,11 @@ package factors that out:
     :class:`WindowStatsCache` holds kernel statistics keyed on (series
     fingerprint, window length), so every pattern of a given length
     reuses one precomputation; :class:`DiscretizationCache` holds
-    discretization pre-work (z-normalized window matrix +
-    per-``paa_size`` PAA reductions) keyed on (series fingerprint,
-    window size), so parameter-search evaluations sharing a window skip
-    straight to the breakpoint lookup. Both have fixed sizes.
+    discretization pre-work (a :class:`DiscretizationEntry`: window
+    moments from prefix sums + per-``paa_size`` segment values) keyed on
+    (series fingerprint, window size), so parameter-search evaluations
+    sharing a window skip straight to the breakpoint lookup. Both have
+    fixed sizes.
 
 Determinism guarantee: the fit is one serial path, and the bank's
 threads only change *scheduling*, never the floating-point expressions,

@@ -13,13 +13,12 @@ the two caches the pipeline keeps:
 * :class:`DiscretizationCache` — discretization pre-work for the SAX
   parameter search keyed on ``(series fingerprint, window_size)``.
   Algorithm 3 evaluates hundreds of SAX triples over the same
-  concatenated class series, and the expensive stages depend on only a
-  prefix of the triple: the z-normalized window matrix on the window
-  size, the PAA reduction additionally on the PAA size. Only the
-  breakpoint lookup, which is nearly free, depends on the alphabet
-  size. DIRECT revisits the same window axis constantly, so caching the
-  first two stages turns most of an evaluation's preprocessing into a
-  hit.
+  concatenated class series, and the stages depend on only a prefix of
+  the triple: the window moments on the window size, the segment values
+  additionally on the PAA size. Only the breakpoint count depends on
+  the alphabet size. DIRECT revisits the same window axis constantly,
+  so caching the :class:`~repro.sax.discretize.DiscretizationEntry`
+  turns most of an evaluation's preprocessing into a hit.
 
 Keys hold content hashes, so a mutated or different array can never
 alias an entry. Both caches are thread-safe. Their sizes are fixed
@@ -37,9 +36,7 @@ from typing import Callable
 import numpy as np
 
 from ..obs.metrics import registry
-from ..sax.discretize import sliding_windows
-from ..sax.paa import paa_rows
-from ..sax.znorm import znorm_rows
+from ..sax.discretize import DiscretizationEntry
 from .kernel import SlidingWindowStats
 
 __all__ = [
@@ -176,42 +173,6 @@ class WindowStatsCache(LRUCache):
         return self.get(key, lambda: SlidingWindowStats(X, length))
 
 
-class DiscretizationEntry:
-    """The cached pre-work for one ``(series, window_size)`` pair.
-
-    ``normalized`` is the z-normalized sliding-window matrix — treat it
-    as immutable; it is shared by every cache consumer. ``paa(size)``
-    returns (building and memoizing on first use) the row-wise PAA
-    reduction for one segment count, so evicting an entry drops its
-    PAA reductions with it.
-    """
-
-    __slots__ = ("normalized", "_paa", "_lock")
-
-    def __init__(self, normalized: np.ndarray) -> None:
-        self.normalized = normalized
-        self._paa: dict[int, np.ndarray] = {}
-        self._lock = threading.Lock()
-
-    def paa(self, paa_size: int) -> np.ndarray:
-        """The ``(n_windows, paa_size)`` segment means (memoized)."""
-        paa_size = int(paa_size)
-        with self._lock:
-            cached = self._paa.get(paa_size)
-        if cached is not None:
-            return cached
-        # Build outside the lock: concurrent misses on the same size may
-        # duplicate work but the results are bitwise identical.
-        reduced = paa_rows(self.normalized, paa_size)
-        with self._lock:
-            return self._paa.setdefault(paa_size, reduced)
-
-    @property
-    def n_paa_sizes(self) -> int:
-        """Number of PAA reductions currently memoized."""
-        return len(self._paa)
-
-
 class DiscretizationCache(LRUCache):
     """:class:`DiscretizationEntry` per ``(series, window_size)``."""
 
@@ -223,12 +184,7 @@ class DiscretizationCache(LRUCache):
     ) -> DiscretizationEntry:
         """Fetch (or build and insert) the entry for ``(series, window_size)``."""
         key = (token if token is not None else fingerprint(series), int(window_size))
-        return self.get(
-            key,
-            lambda: DiscretizationEntry(
-                znorm_rows(sliding_windows(series, window_size))
-            ),
-        )
+        return self.get(key, lambda: DiscretizationEntry(series, window_size))
 
 
 _default_cache: WindowStatsCache | None = None

@@ -52,6 +52,8 @@ result is the profiles' row minima, bit for bit.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import threading
 from typing import Sequence
@@ -116,6 +118,41 @@ TIE_ATOL = 1e-6
 #: the square root lifts past ``TIE_ATOL`` near zero, where ties between
 #: exact matches must resolve alike on every backend and in the oracle.
 NEAR_MATCH_D2 = 1e-6
+
+
+#: Kernel work builds its batch temporaries afresh per call: the prefix
+#: sums, the per-length window statistics and the chunk block, 0.1-2 MB
+#: each for a few hundred rows. Under glibc's default 128 KB mmap
+#: threshold each one is a fresh mapping, faulted in page by page and
+#: unmapped when freed: about 1,000 minor faults per 300-row CBF predict
+#: call. glibc raises the threshold only after the process frees a
+#: mapping that large, so throughput depended on what ran before (a
+#: process that loaded a model predicted at 39k series/s, one that had
+#: just fit it at 65-100k). :func:`_heap_temporaries` fixes the
+#: threshold at this size, and the heap keeps twice as much before it
+#: is trimmed: the values glibc's own rule settles on after such a free.
+HEAP_BLOCK_BYTES = 4 * 1024 * 1024
+
+#: ``mallopt`` parameter numbers (glibc's malloc.h).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _heap_temporaries() -> None:
+    """Serve blocks up to :data:`HEAP_BLOCK_BYTES` from the heap, once.
+
+    Applies to the whole process; without glibc's ``mallopt`` it does
+    nothing. Called by every :class:`SeriesPrefix`, so the first kernel
+    call of a process (fit, predict or a serving worker) sets it.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, HEAP_BLOCK_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, 2 * HEAP_BLOCK_BYTES)
 
 
 def resolve_backend(
@@ -295,6 +332,7 @@ class SeriesPrefix:
     )
 
     def __init__(self, X: np.ndarray) -> None:
+        _heap_temporaries()
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError(f"window statistics need a 2-D series matrix, got shape {X.shape}")

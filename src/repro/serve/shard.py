@@ -416,27 +416,38 @@ class ShardedPredictionService(ServingFrontEnd):
         shard's results behind it. Per-shard, a kill only corrupts the
         dead worker's own channel; its unresolved requests are
         re-dispatched and the channel is discarded.
+
+        The shard turns "starting" only once its started process, its
+        queues and its generation are all in place: the monitor revives
+        a "starting" shard whose process is not alive, and until then
+        that process would be the old, joined one or a new one not yet
+        started.
         """
-        shard.generation += 1
-        shard.request_q = self._ctx.Queue()
-        shard.result_q = self._ctx.Queue()
-        shard.ready = False
-        shard.state = "starting"
-        shard.process = self._ctx.Process(
+        generation = shard.generation + 1
+        request_q = self._ctx.Queue()
+        result_q = self._ctx.Queue()
+        process = self._ctx.Process(
             target=_shard_worker_main,
             args=(
                 shard.shard_id,
-                shard.generation,
+                generation,
                 self._bank.spec,
                 self._payload(),
                 self._knobs(),
-                shard.request_q,
-                shard.result_q,
+                request_q,
+                result_q,
             ),
             name=f"rpm-shard-{shard.shard_id}",
             daemon=True,
         )
-        shard.process.start()
+        process.start()
+        with self._lock:
+            shard.generation = generation
+            shard.request_q = request_q
+            shard.result_q = result_q
+            shard.process = process
+            shard.ready = False
+            shard.state = "starting"
 
     def start(self) -> "ShardedPredictionService":
         """Export the bank, spawn every shard, wait for readiness."""

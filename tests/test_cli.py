@@ -357,6 +357,19 @@ class TestCommands:
         assert "freq=" in out
         assert "discord [" in out
 
+    def test_motifs_refuses_a_non_finite_value(self, tmp_path, capsys):
+        import numpy as np
+
+        values = [f"{v:.4f}" for v in np.sin(np.arange(29) / 3.0)]
+        values[17] = "nan"
+        data = tmp_path / "nan.txt"
+        data.write_text("0 " + " ".join(values) + "\n")
+        rc = main(["motifs", str(data), "--window", "8", "--paa", "4"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "non-finite value at index 17" in captured.err
+        assert "freq=" not in captured.out
+
     def test_train_trace_and_metrics_out(self, tmp_path, capsys):
         import json
 

@@ -4,6 +4,9 @@ The integer-coded path must be *bitwise* interchangeable with the
 string-per-window reference (:func:`tests.oracles.legacy_discretize`):
 same words, same offsets (values and dtype), same dropped count, under
 every numerosity-reduction mode, junction mask and degenerate input.
+Its codes come from prefix sums, not from the z-normalized window
+matrix the reference builds, so the inputs that put a value on a
+breakpoint or a window's sd on the flatness threshold are pinned too.
 The :class:`DiscretizationCache` must never change results either —
 only skip repeated pre-work (its LRU is pinned in
 ``tests/test_runtime_cache.py``).
@@ -13,11 +16,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.params import ParamRanges, ParamSelector
 from repro.grammar.inference import occurrence_table
 from repro.runtime import DiscretizationCache
 from repro.sax.discretize import REDUCTIONS, SaxParams, SaxRecord, discretize
+from repro.sax.znorm import NORM_THRESHOLD
 from tests.oracles import (
     LegacySaxRecord,
     find_token_occurrences,
@@ -118,6 +124,143 @@ class TestVectorizedLegacyParity:
         assert cache.hits > 0
 
 
+def _balanced_blocks(rng, n_blocks: int) -> np.ndarray:
+    """Blocks of 5 points whose first two sum to their last two.
+
+    Cut at the half point, a block has equal halves, so a window of
+    whole blocks split into segments of 2.5 points (``w / p = 2.5``)
+    has every segment mean equal to the window mean: every value is
+    exactly 0 in exact arithmetic. Quarter-integers keep the sums exact.
+    """
+    a, b, c, d = rng.integers(-9, 10, size=(4, n_blocks)) / 4.0
+    return np.stack([a, b, c, d, a + b - d], axis=1).ravel()
+
+
+def _case_series(kind: str, length: int, window: int, rng) -> np.ndarray:
+    if kind == "gaussian":
+        return rng.standard_normal(length)
+    if kind == "plateau":
+        # Runs of equal values; alternating ones put segment means on
+        # the window mean whenever a segment holds whole pairs.
+        step = int(rng.integers(1, 4))
+        values = rng.choice([-1.0, 1.0], size=length // step + 1)
+        if rng.random() < 0.5:
+            values = np.tile([1.0, -1.0], length // 2 + 1)
+        return np.repeat(values, step)[:length]
+    if kind == "walk":
+        return np.round(np.cumsum(rng.standard_normal(length)), 1)
+    if kind == "half-flat":
+        series = rng.standard_normal(length)
+        series[: length // 2] = series[0]
+        return series
+    if kind == "threshold":
+        # sd of every even-length window within a few ulp of the threshold.
+        k = int(rng.integers(-4, 5))
+        series = NORM_THRESHOLD * (1 + k * 2.0**-52) * np.tile([1.0, -1.0], length)[:length]
+        series[length // 2 :] += 0.5 * rng.standard_normal(length - length // 2)
+        return series
+    series = rng.standard_normal(length)
+    blocks = _balanced_blocks(rng, length // 5 + 1)
+    start = int(rng.integers(0, max(length - window, 0) + 1))
+    series[start:] = blocks[: length - start]
+    return series
+
+
+CASE_KINDS = ("gaussian", "plateau", "walk", "half-flat", "threshold", "balanced")
+
+
+@st.composite
+def discretize_cases(draw):
+    window = draw(st.integers(2, 40))
+    length = window + draw(st.integers(0, 120))
+    paa = draw(
+        st.one_of(st.just(1), st.just(window), st.integers(1, min(window, 12)))
+    )
+    params = SaxParams(window, paa, draw(st.integers(2, 12)))
+    kind = draw(st.sampled_from(CASE_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    series = _case_series(kind, length, window, rng)
+    if kind != "threshold":
+        series = series * draw(st.sampled_from([1e-3, 0.1, 1.0, 1e3]))
+    series = series + draw(st.sampled_from([0.0, 1.0, -37.5, 1e3, 1e6, -1e6]))
+    mask = None
+    if draw(st.booleans()):
+        mask = rng.random(length - window + 1) > 0.25
+    return series, params, mask
+
+
+class TestPrefixSumCodes:
+    """Codes from prefix sums equal the z-normalized matrix's codes."""
+
+    @staticmethod
+    def _assert_matches_reference(series, params, *, mask=None, reduction="none"):
+        expected = legacy_discretize(
+            series, params, numerosity_reduction=reduction, valid_start=mask
+        )
+        cache = DiscretizationCache(max_entries=2)
+        for _ in range(2):  # uncached, then a cache miss, then a hit
+            got = discretize(
+                series, params, numerosity_reduction=reduction, valid_start=mask
+            )
+            _assert_records_equal(got, expected)
+            cached = discretize(
+                series, params, numerosity_reduction=reduction, valid_start=mask,
+                cache=cache,
+            )
+            _assert_records_equal(cached, expected)
+
+    @given(discretize_cases(), st.sampled_from(REDUCTIONS))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, case, reduction):
+        series, params, mask = case
+        self._assert_matches_reference(series, params, mask=mask, reduction=reduction)
+
+    @pytest.mark.parametrize("offset", [0.0, 3.0, 1e6])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_plateaus_on_the_zero_breakpoint(self, offset, scale):
+        # Every exact value is 0, a breakpoint of even alphabets, so each
+        # code follows the sign of the reference's rounding.
+        rng = np.random.default_rng(11)
+        alternating = np.tile([1.0, -1.0], 60)
+        balanced = _balanced_blocks(rng, 24)
+        for series, shapes in (
+            (alternating, [(4, 2), (8, 4), (12, 3), (5, 2), (9, 2)]),
+            (balanced, [(10, 4), (15, 6), (20, 8)]),
+        ):
+            for window, paa in shapes:
+                for alphabet in (2, 4, 6):
+                    self._assert_matches_reference(
+                        series * scale + offset, SaxParams(window, paa, alphabet)
+                    )
+
+    @pytest.mark.parametrize("offset", [0.0, 1.0, 7.5, 1e3, 1e6])
+    def test_sd_at_the_flatness_threshold(self, offset):
+        # A window with sd == NORM_THRESHOLD is not flat, one an ulp
+        # below it is; prefix sums see the sd with an error of their own.
+        for ulps in range(-6, 7):
+            amplitude = NORM_THRESHOLD * (1 + ulps * 2.0**-52)
+            series = np.concatenate(
+                [amplitude * np.tile([1.0, -1.0], 40), np.linspace(0.0, 2.0, 40)]
+            ) + offset
+            for window in (4, 8, 10, 16):
+                self._assert_matches_reference(series, SaxParams(window, 2, 4))
+
+    def test_fractional_recompute_runs_the_whole_product(self):
+        # One balanced window amid noise: its values sit on the 0
+        # breakpoint, and the reference's fractional PAA is a BLAS
+        # product whose bits for that row depend on how many rows the
+        # product has. Only the whole product reproduces them.
+        rng = np.random.default_rng(5)
+        for _ in range(12):
+            series = rng.standard_normal(200)
+            series[60:80] = np.tile(_balanced_blocks(rng, 1), 4) + rng.choice([0.0, 0.5, 10.0])
+            self._assert_matches_reference(series, SaxParams(20, 8, 4))
+
+    @pytest.mark.parametrize("params", [SaxParams(16, 1, 3), SaxParams(16, 16, 4), SaxParams(16, 5, 6)])
+    def test_single_window_series(self, rng, params):
+        self._assert_matches_reference(rng.standard_normal(16) + 5.0, params)
+
+
 class TestTokenIds:
     def test_token_ids_render_back_to_words(self, rng):
         record = discretize(rng.standard_normal(90), SaxParams(8, 4, 4))
@@ -199,13 +342,19 @@ class TestTokenIds:
 
 class TestDiscretizationCache:
     def test_paa_memoized_per_entry(self, rng):
+        # One table of segment values per PAA size, shared by every
+        # alphabet; the entry itself is shared by every call on the
+        # same (series, window).
         series = rng.standard_normal(60)
         cache = DiscretizationCache(max_entries=4)
         entry = cache.windows(series, 10)
-        first = entry.paa(5)
-        assert entry.paa(5) is first
-        entry.paa(4)
+        first = entry.codes(5, 4)
+        np.testing.assert_array_equal(entry.codes(5, 4), first)
+        entry.codes(5, 7)
+        assert entry.n_paa_sizes == 1
+        entry.codes(4, 4)
         assert entry.n_paa_sizes == 2
+        assert cache.windows(series.copy(), 10) is entry
 
 
 class TestParamSelectorParallelEquivalence:

@@ -5,10 +5,17 @@ Guards the perf work from silently rotting: the cached kernel path
 patterns) must never fall behind the naive path (statistics recomputed
 for every pattern) by more than a generous 1.5× margin. Marked
 ``slow`` — run with ``pytest -m slow`` (the default fast lane skips it).
+
+The allocator test is not timed: after the first kernel call of a
+process, a megabyte-sized temporary reuses heap pages instead of
+faulting in a fresh mapping, whatever the process freed before.
 """
 
 from __future__ import annotations
 
+import platform
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -51,3 +58,26 @@ def test_cached_transform_not_slower_than_naive():
         f"cached transform regressed: {cached_time:.4f}s vs naive "
         f"{naive_time:.4f}s ({cached_time / naive_time:.2f}x)"
     )
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's mallopt")
+def test_kernel_temporaries_come_from_the_heap():
+    # A fresh process, so no earlier free has raised glibc's mmap
+    # threshold: ten 1 MB temporaries after the first kernel call reuse
+    # heap pages. Under glibc's own thresholds they fault in a fresh
+    # mapping or a re-grown heap top (hundreds of faults).
+    code = """
+import resource
+import numpy as np
+from repro.runtime.kernel import SlidingWindowStats
+SlidingWindowStats(np.random.default_rng(0).standard_normal((300, 128)), 40)
+np.ones(2**17).sum()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    np.ones(2**17).sum()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert int(out.stdout) < 100, out.stdout

@@ -147,3 +147,61 @@ class TestReductionStrategies:
     def test_rejects_unknown_strategy(self, rng):
         with pytest.raises(ValueError, match="numerosity_reduction"):
             discretize(rng.standard_normal(30), self.PARAMS, numerosity_reduction="fuzzy")
+
+
+class TestNonFiniteInput:
+    """A NaN or inf is refused, never mapped to a letter.
+
+    The window moments come from prefix sums, which would carry one
+    non-finite value into every later window; before that, every window
+    touching it got the top letter.
+    """
+
+    PARAMS = SaxParams(8, 4, 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_discretize_names_the_first_non_finite_index(self, rng, bad):
+        series = rng.standard_normal(29)
+        series[[11, 20]] = bad
+        with pytest.raises(ValueError, match="non-finite value at index 11"):
+            discretize(series, self.PARAMS)
+
+    def test_cache_refuses_without_keeping_an_entry(self, rng):
+        from repro.runtime import DiscretizationCache
+
+        series = rng.standard_normal(29)
+        series[5] = np.nan
+        cache = DiscretizationCache(max_entries=4)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="index 5"):
+                discretize(series, self.PARAMS, cache=cache)
+        assert len(cache) == 0 and cache.misses == 2
+
+    def test_finite_values_whose_sum_overflows_are_accepted(self):
+        # The moments overflow, so every window goes through the
+        # reference expression.
+        from tests.oracles import legacy_discretize
+
+        series = np.tile([1.7e308, 1.7e308, -1e308, 0.5], 6)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = discretize(series, self.PARAMS, numerosity_reduction=False)
+            expected = legacy_discretize(series, self.PARAMS, numerosity_reduction=False)
+        assert got.words == expected.words
+
+    def test_callers_refuse_it(self, rng):
+        from repro.baselines.bag_of_patterns import BagOfPatternsClassifier
+        from repro.baselines.saxvsm import SaxVsmClassifier
+        from repro.motif import find_discords_density, find_motifs
+
+        series = np.sin(np.arange(120) / 4.0) + 0.1 * rng.standard_normal(120)
+        series[40] = np.nan
+        with pytest.raises(ValueError, match="index 40"):
+            find_motifs(series, self.PARAMS)
+        with pytest.raises(ValueError, match="index 40"):
+            find_discords_density(series, self.PARAMS)
+        X = np.tile(series[:60], (4, 1))
+        y = np.array([0, 0, 1, 1])
+        with pytest.raises(ValueError, match="index 40"):
+            SaxVsmClassifier(params=self.PARAMS).fit(X, y)
+        with pytest.raises(ValueError, match="index 40"):
+            BagOfPatternsClassifier(params=self.PARAMS).fit(X, y)

@@ -26,6 +26,7 @@ reads.
 from __future__ import annotations
 
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -272,6 +273,43 @@ class TestWorkerLoss:
             np.testing.assert_array_equal(
                 service.predict(tiny_gun.X_test), fitted.predict(tiny_gun.X_test)
             )
+
+    def test_recycle_respawns_once_while_the_new_worker_starts(
+        self, compiled, fitted, tiny_gun
+    ):
+        # The new worker takes longer to launch than three polls of the
+        # shard monitor. The monitor must not take the shard, mid-respawn,
+        # for a dead one and respawn it a second time.
+        with scoped_registry() as metrics:
+            service = ShardedPredictionService(
+                compiled, config=ServeConfig(n_shards=2, warmup=False)
+            )
+        with service:
+            before = [s["generation"] for s in service.shard_states()]
+            service._ctx = _SlowProcessContext(service._ctx)
+            service.recycle(1)
+            time.sleep(0.5)
+            after = {s["shard"]: s for s in service.shard_states()}
+            assert after[1]["generation"] == before[1] + 1
+            assert after[0]["generation"] == before[0]
+            assert metrics.counter_value("serve.worker_deaths") == 0
+            np.testing.assert_array_equal(
+                service.predict(tiny_gun.X_test), fitted.predict(tiny_gun.X_test)
+            )
+
+
+class _SlowProcessContext:
+    """A multiprocessing context whose ``Process`` takes 0.35 s to make."""
+
+    def __init__(self, ctx) -> None:
+        self._ctx = ctx
+
+    def Queue(self):
+        return self._ctx.Queue()
+
+    def Process(self, *args, **kwargs):
+        time.sleep(0.35)
+        return self._ctx.Process(*args, **kwargs)
 
 
 class TestShardObservability:
